@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
-import os
 import pstats
 import signal
 import sys
@@ -51,8 +50,8 @@ from repro.core.evaluation import (
 from repro.core.metrics import slowdown_factor
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.sim.config import EngineConfig
+from repro.obs import metrics as obs_metrics
 from repro.sim.engine import (
-    STEP_TIMING_ENV,
     SimulationEngine,
     reset_step_timers,
     step_timers,
@@ -574,8 +573,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     run_all = importlib.import_module("run_all")
 
     # Per-section timers are cheap enough to leave on for the whole
-    # harness; they power the breakdown table printed below.
-    os.environ[STEP_TIMING_ENV] = "1"
+    # harness; they power the breakdown table printed below.  They run
+    # whenever the observability layer is on, so switch it on for the
+    # harness and restore the caller's setting afterwards.
     reset_step_timers()
 
     harness_argv: List[str] = []
@@ -583,6 +583,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         harness_argv.extend(["--only", *args.only])
 
     profiler = cProfile.Profile() if args.profile else None
+    obs_was_enabled = obs_metrics.set_enabled(True)
     if profiler is not None:
         profiler.enable()
     try:
@@ -590,6 +591,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     finally:
         if profiler is not None:
             profiler.disable()
+        obs_metrics.set_enabled(obs_was_enabled)
 
     timers = step_timers()
     if timers:

@@ -35,8 +35,7 @@ def record(name: str, seconds: float) -> None:
     """Add one timed interval under ``name``.
 
     Unconditional by design: callers gate on their own flags (the
-    engine's step timers run under ``REPRO_STEP_TIMING`` even with
-    observability off).
+    engine installs its step timers only when observability is on).
     """
     entry = _TOTALS.get(name)
     if entry is None:

@@ -112,7 +112,7 @@ def drive(steps) -> Any:
 
     Services every yielded request (tuples and rounds) and returns the
     generator's return value.  With step timing enabled
-    (``REPRO_STEP_TIMING`` / observability on), tuple requests record
+    (observability on), tuple requests record
     under the ``step.thermal`` span exactly as the pre-contract engine
     loop did; fused :class:`~repro.sim.kernel.DenseSpanTask` requests
     record under ``step.kernel`` instead (the span covers the whole

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -39,15 +38,6 @@ from repro.uarch.interval import DtmActuation, IntervalPerformanceModel
 from repro.workloads.compiler import CompiledIntervalModel, compile_workload
 from repro.workloads.workload import Workload
 
-STEP_TIMING_ENV = "REPRO_STEP_TIMING"
-"""Back-compat alias: forces the per-section step-timing breakdown
-(sense / policy / perf / power / thermal) on even when the wider
-observability layer is off.  The timings now record through
-:mod:`repro.obs.trace` as ``step.<section>`` spans; :func:`step_timers`
-reads the same table.  Enabling ``REPRO_OBS`` switches the breakdown on
-too; the env var remains for ``python -m repro bench --profile``
-workflows that want timings without the rest of the telemetry."""
-
 STEP_SECTIONS = ("sense", "policy", "perf", "power", "thermal", "kernel")
 """The per-section names :func:`step_timers` reports.
 
@@ -58,10 +48,11 @@ must not be added to them when computing a total."""
 
 
 def step_timing_enabled() -> bool:
-    """True when the per-section step-timing breakdown is switched on
-    (``REPRO_STEP_TIMING=1`` or the observability layer is enabled)."""
-    if os.environ.get(STEP_TIMING_ENV, "") not in ("", "0"):
-        return True
+    """True when the per-section step-timing breakdown is switched on,
+    i.e. when the observability layer is enabled (``REPRO_OBS=1`` or
+    :func:`repro.obs.metrics.set_enabled`).  The sections record
+    through :mod:`repro.obs.trace` as ``step.<section>`` spans;
+    :func:`step_timers` reads them back."""
     return obs_metrics.enabled()
 
 
@@ -392,6 +383,12 @@ class SimulationEngine(SimEngine):
         n_blocks = len(block_names)
         pos = self._block_pos
         node_idx = self._node_idx
+        # The per-step and per-span reductions call the ufunc methods
+        # directly: the same reductions as ``.max()``/``.sum()``/
+        # ``np.all`` (bit-identical), minus the Python wrapper frames.
+        max_reduce = np.maximum.reduce
+        sum_reduce = np.add.reduce
+        all_reduce = np.logical_and.reduce
         use_vector = self._config.power_path == POWER_PATH_VECTOR
         # Compiled step pipeline: lower the workload's phase schedule to
         # contiguous arrays once per run and drive the loop from reused
@@ -638,7 +635,7 @@ class SimulationEngine(SimEngine):
                     zero_acts, voltage, frequency, block_temps, check=False
                 )
                 power_buffer[node_idx] = blocks_w
-                return power_buffer, float(blocks_w.sum())
+                return power_buffer, float(sum_reduce(blocks_w))
             zero = {name: 0.0 for name in block_names}
             powers = self._power.block_powers_reference(
                 zero, voltage, frequency, block_temps_mapping()
@@ -653,7 +650,7 @@ class SimulationEngine(SimEngine):
             nonlocal max_temp, hottest_block, violations
             nonlocal above_trigger_s, low_time_s, energy_j
             nonlocal above_trigger, trigger_crossings
-            step_max = float(block_temps.max())
+            step_max = float(max_reduce(block_temps))
             if step_max > max_temp:
                 # argmax only when the maximum moved: the hottest block's
                 # identity changes rarely, its temperature every step.
@@ -759,7 +756,7 @@ class SimulationEngine(SimEngine):
                     check=False,
                 )
                 power_buffer[node_idx] = blocks
-                span_power_sum = float(blocks.sum())
+                span_power_sum = float(sum_reduce(blocks))
                 exec_steps += 1
                 stepped = solver_step_kernel(power_buffer, dt, copy=False)
                 stepped.take(node_idx, out=block_temps)
@@ -941,7 +938,7 @@ class SimulationEngine(SimEngine):
                 )
                 power_buffer[node_idx] = blocks_w
                 step_power = power_buffer
-                power_sum = float(blocks_w.sum())
+                power_sum = float(sum_reduce(blocks_w))
             else:
                 if command.domain_gating:
                     from repro.dtm.domains import CLOCK_DOMAINS
@@ -1122,7 +1119,7 @@ class SimulationEngine(SimEngine):
                     # lockstep batch interleaves runs over one
                     # substrate, and they clobber it between our yield
                     # and this attempt.
-                    np.take(power_buffer, node_idx, out=stride_blocks)
+                    power_buffer.take(node_idx, out=stride_blocks)
                     np.subtract(
                         stride_blocks, stride_dyn_w, out=stride_leak0_w
                     )
@@ -1144,7 +1141,7 @@ class SimulationEngine(SimEngine):
                             out=stride_tmp,
                         )
                         np.abs(stride_tmp, out=stride_tmp)
-                        warm = float(stride_tmp.max()) <= stride_tol
+                        warm = float(max_reduce(stride_tmp)) <= stride_tol
                     if not warm:
                         # Cold start: guess the band from the unwidened
                         # constant-power envelope.
@@ -1167,7 +1164,8 @@ class SimulationEngine(SimEngine):
                         )
                         np.maximum(stride_d_lo, 0.0, out=stride_d_lo)
                     drift = max(
-                        float(stride_d_hi.max()), float(stride_d_lo.max())
+                        float(max_reduce(stride_d_hi)),
+                        float(max_reduce(stride_d_lo)),
                     )
                     # Split the span so each segment's frozen-power
                     # error stays below the drift tolerance; the power
@@ -1199,7 +1197,7 @@ class SimulationEngine(SimEngine):
                                     stride_dyn_w,
                                     out=stride_leak0_w,
                                 )
-                                power_sum = float(blocks_seg.sum())
+                                power_sum = float(sum_reduce(blocks_seg))
                             seg_s = k_i * dt
                             if n_seg > 1:
                                 # Re-frozen power or shorter span: the
@@ -1244,8 +1242,8 @@ class SimulationEngine(SimEngine):
                                 # pass and closure -- this is the
                                 # common rejection mode while DTM
                                 # holds the core near a threshold.
-                                g_hi = float(upper.max())
-                                g_lo = float(lower.max())
+                                g_hi = float(max_reduce(upper))
+                                g_lo = float(max_reduce(lower))
                                 if (
                                     g_hi > trigger_c >= g_lo
                                     or g_hi > emergency_c >= g_lo
@@ -1306,8 +1304,8 @@ class SimulationEngine(SimEngine):
                                 out=stride_leak_lo,
                             )
                             safe = bool(
-                                np.all(stride_leak_hi <= stride_b_hi)
-                                and np.all(stride_leak_lo <= stride_b_lo)
+                                all_reduce(stride_leak_hi <= stride_b_hi)
+                                and all_reduce(stride_leak_lo <= stride_b_lo)
                             )
                             span_violations = 0
                             span_trigger_s = 0.0
@@ -1315,8 +1313,8 @@ class SimulationEngine(SimEngine):
                                 # Threshold classification: jump only
                                 # when every jumped step's accounting is
                                 # provably exact.
-                                hot_upper = float(w_upper.max())
-                                hot_lower = float(w_lower.max())
+                                hot_upper = float(max_reduce(w_upper))
+                                hot_lower = float(max_reduce(w_lower))
                                 if hot_upper <= trigger_c:
                                     pass
                                 elif (
@@ -1384,7 +1382,7 @@ class SimulationEngine(SimEngine):
                                 )
                                 if cmd_active:
                                     engaged_s += seg_s
-                                step_max = float(block_temps.max())
+                                step_max = float(max_reduce(block_temps))
                                 if step_max > max_temp:
                                     max_temp = step_max
                                     hottest_block = block_names[

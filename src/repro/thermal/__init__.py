@@ -11,7 +11,8 @@ a convection resistance (1.0 K/W for the paper's low-cost package).
 Heat flow is solved with a dense symmetric conductance matrix: steady state
 via a cached linear factorisation, transients via either the exact
 exponential propagator (default) or backward Euler (regression anchor),
-each with a small LRU of per-time-step operators.
+both reading their per-time-step operators from one LRU-bounded bank per
+network.
 """
 
 from repro.thermal.materials import COPPER, SILICON, Material

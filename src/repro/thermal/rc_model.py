@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 import numpy as np
 
 from repro.errors import ThermalModelError
 from repro.floorplan.floorplan import Floorplan
 from repro.thermal.package import ThermalPackage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.thermal.solver import OperatorBank
 
 SPREADER_NODE = "__spreader__"
 SINK_NODE = "__sink__"
@@ -121,6 +124,21 @@ class ThermalNetwork:
         from scipy.linalg import lu_solve
 
         return lu_solve(self._conductance_factor, np.eye(self.size))
+
+    @cached_property
+    def operator_bank(self) -> "OperatorBank":
+        """The network's read-only transient operators, built once.
+
+        Propagators, factorisations, ``(dt, K)`` powers, the modal basis
+        and the span-probe bases depend only on the network and a step
+        length, so every solver over this network shares one
+        :class:`~repro.thermal.solver.OperatorBank` (the way
+        :attr:`conductance_inverse` is shared) instead of rebuilding
+        them per run.
+        """
+        from repro.thermal.solver import OperatorBank
+
+        return OperatorBank(self)
 
     def solve_steady(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``L x = rhs`` against the cached factorisation."""

@@ -19,16 +19,23 @@ network).  Transients offer two steppers behind one interface:
   time-discretisation error, plus closed-form multi-step fast-forward
   ``T_{k+K} = A_d^K T_k + (I - A_d^K) T_ss`` for constant-power spans.
 
-Both steppers cache per-dt operators (dt rounded to femtosecond
-granularity) behind a small LRU, because DVS changes the cycle time and
-continuous-DVS sweeps can touch many distinct step lengths over a long
-sweep.
+Every operator that depends only on the network and the step length --
+per-dt propagators and factorisations, the ``(dt, K)`` powers, the modal
+basis, the :class:`SpanProbe` basis -- lives in one read-only
+:class:`OperatorBank` per network (:attr:`ThermalNetwork.operator_bank
+<repro.thermal.rc_model.ThermalNetwork.operator_bank>`), so a sweep of
+many runs over one network builds each operator once.  The per-dt
+entries (dt rounded to femtosecond granularity) sit behind small LRUs,
+because DVS changes the cycle time and continuous-DVS sweeps can touch
+many distinct step lengths over a long sweep.  Solvers and probes own
+only their state vector and scratch buffers.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import OrderedDict
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,12 +61,13 @@ health hazards."""
 def _healthy(values: np.ndarray) -> bool:
     """True when every entry is finite and within the divergence limit.
 
-    Written as two ufunc-method reductions (no ``np.all`` wrapper, no
-    ``np.abs`` temporary): a NaN anywhere poisons both reductions, so
+    Written as two direct ufunc reductions (no ``.min()``/``.max()``
+    wrapper frames, no ``np.abs`` temporary; ``axis=None`` covers the
+    lockstep's 2-D stacks): a NaN anywhere poisons both reductions, so
     the comparisons come back False exactly as the predicate form did.
     """
-    lo = values.min()
-    hi = values.max()
+    lo = np.minimum.reduce(values, axis=None)
+    hi = np.maximum.reduce(values, axis=None)
     return bool(-DIVERGENCE_LIMIT_C < lo <= hi < DIVERGENCE_LIMIT_C)
 
 
@@ -82,7 +90,13 @@ POWER_CACHE_SIZE = 128
 
 
 class _LruCache:
-    """A tiny least-recently-used mapping for per-dt solver operators."""
+    """A tiny least-recently-used mapping for per-dt solver operators.
+
+    Safe to share between threads without a lock: each ``OrderedDict``
+    call is atomic under the interpreter lock, and the only effect of
+    two threads interleaving is an entry refreshed or evicted early
+    (the ``KeyError`` of a key another thread just evicted is ignored).
+    """
 
     def __init__(self, maxsize: int):
         if maxsize < 1:
@@ -96,14 +110,201 @@ class _LruCache:
     def get(self, key):
         value = self._data.get(key)
         if value is not None:
-            self._data.move_to_end(key)
+            try:
+                self._data.move_to_end(key)
+            except KeyError:
+                pass
         return value
 
     def put(self, key, value) -> None:
         self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
+        try:
+            self._data.move_to_end(key)
+            while len(self._data) > self._maxsize:
+                self._data.popitem(last=False)
+        except KeyError:
+            pass
+
+
+def _frozen(*arrays: np.ndarray):
+    """Mark bank arrays read-only (so an in-place write raises) and
+    return them: one array as itself, several as a tuple."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
+def _dt_key(dt: float) -> int:
+    return int(round(dt * 1e15))
+
+
+class OperatorBank:
+    """The run-invariant operators of one :class:`ThermalNetwork`.
+
+    Everything here is a pure function of the network and a step or
+    span length: the backward-Euler factorisations and exponential
+    propagators per dt, the binary-exponentiation squarings, the
+    composed ``(dt, K)`` powers, the modal basis of the whitened
+    operator, and the row-restricted :class:`SpanProbe` bases with their
+    decay vectors.  One bank per network
+    (:attr:`~repro.thermal.rc_model.ThermalNetwork.operator_bank`) is
+    shared by every solver and probe over it, so a sweep whose runs
+    share a substrate builds each operator once per process instead of
+    once per run.  Each entry is computed by exactly the expression a
+    per-solver cache used, so every value is bit-identical to a fresh
+    computation.
+
+    Shared means immutable: every bank array is read-only, so a solver
+    writing into one raises instead of corrupting its neighbours, and
+    a cached squaring ladder is extended on a copy, so threads missing
+    on the same dt at once can only duplicate work.  The per-dt LRU
+    bounds (:data:`FACTOR_CACHE_SIZE`, :data:`POWER_CACHE_SIZE`) apply
+    to the bank.
+    """
+
+    def __init__(self, network: ThermalNetwork):
+        self._network = network
+        self.ambient_source = _frozen(_ambient_source(network))
+        #: -C^{-1} L: the generator of the continuous dynamics.
+        self.generator = _frozen(
+            -network.conductance / network.capacitance[:, None]
+        )
+        self.linv = _frozen(network.conductance_inverse.view())
+        #: Capacitance weights for the trajectory envelope bound (see
+        #: :meth:`ExponentialSolver.span_envelope`).
+        self.c_sqrt = _frozen(np.sqrt(network.capacitance))
+        self.inv_c_sqrt = _frozen(1.0 / self.c_sqrt)
+        self._factors = _LruCache(FACTOR_CACHE_SIZE)
+        self._propagators = _LruCache(FACTOR_CACHE_SIZE)
+        self._squarings = _LruCache(FACTOR_CACHE_SIZE)
+        self._powers = _LruCache(POWER_CACHE_SIZE)
+        self._probe_bases = _LruCache(FACTOR_CACHE_SIZE)
+
+    def factorisation(self, dt: float):
+        """``(lu, piv, C/dt, getrs)`` of ``C/dt + L`` for backward Euler."""
+        key = _dt_key(dt)
+        cached = self._factors.get(key)
+        if cached is None:
+            c_over_dt = self._network.capacitance / dt
+            matrix = np.diag(c_over_dt) + self._network.conductance
+            lu, piv = lu_factor(matrix)
+            # Bind the LAPACK triangular solve directly: it is what
+            # lu_solve calls after several layers of validation, which
+            # dominate the cost of solving a ~17-node system once per
+            # thermal step.
+            getrs, = get_lapack_funcs(("getrs",), (lu,))
+            cached = (*_frozen(lu, piv, c_over_dt), getrs)
+            self._factors.put(key, cached)
+        return cached
+
+    def propagator(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``(A_d, B_d)`` for one step of ``dt`` seconds."""
+        key = _dt_key(dt)
+        cached = self._propagators.get(key)
+        if cached is None:
+            a_d = expm(self.generator * dt)
+            b_d = (np.eye(self._network.size) - a_d) @ self.linv
+            cached = _frozen(
+                np.ascontiguousarray(a_d), np.ascontiguousarray(b_d)
+            )
+            self._propagators.put(key, cached)
+        return cached
+
+    def propagator_power(
+        self, dt: float, steps: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(A_d^K, (I - A_d^K) L^{-1})`` composed from cached squarings.
+
+        Run-length spans repeat the same K (steps to the next sensor
+        sample), so the composed pair is cached per ``(dt, K)``; the
+        binary-exponentiation squarings are cached per dt.
+        """
+        key = (_dt_key(dt), steps)
+        cached = self._powers.get(key)
+        if cached is None:
+            # Extend a copy of the cached ladder: the cached list is
+            # shared with any thread composing over the same dt.
+            squarings = list(
+                self._squarings.get(key[0]) or [self.propagator(dt)[0]]
+            )
+            result: Optional[np.ndarray] = None
+            bit = 0
+            remaining = steps
+            while remaining:
+                while bit >= len(squarings):
+                    squarings.append(_frozen(squarings[-1] @ squarings[-1]))
+                if remaining & 1:
+                    power = squarings[bit]
+                    result = power if result is None else power @ result
+                remaining >>= 1
+                bit += 1
+            self._squarings.put(key[0], squarings)
+            b_k = (np.eye(self._network.size) - result) @ self.linv
+            cached = _frozen(
+                np.ascontiguousarray(result), np.ascontiguousarray(b_k)
+            )
+            self._powers.put(key, cached)
+        return cached
+
+    @cached_property
+    def modes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rates, vectors)``: eigendecomposition of the whitened
+        operator ``Ã = C^{-1/2} L C^{-1/2}`` (symmetric positive
+        definite)."""
+        whitened = self._network.conductance * np.outer(
+            self.inv_c_sqrt, self.inv_c_sqrt
+        )
+        rates, vectors = np.linalg.eigh(0.5 * (whitened + whitened.T))
+        return _frozen(rates, vectors)
+
+    def probe_basis(self, rows: np.ndarray) -> "_ProbeBasis":
+        """The :class:`SpanProbe` basis restricted to node ``rows``."""
+        key = rows.tobytes()
+        cached = self._probe_bases.get(key)
+        if cached is None:
+            cached = _ProbeBasis(self, rows)
+            self._probe_bases.put(key, cached)
+        return cached
+
+
+class _ProbeBasis:
+    """Read-only operators of a :class:`SpanProbe` over one row subset,
+    shared through the network's :class:`OperatorBank`."""
+
+    def __init__(self, bank: OperatorBank, rows: np.ndarray):
+        rates, vectors = bank.modes
+        linv = bank.linv
+        self.ambient_source = bank.ambient_source
+        self.linv = linv
+        self.c_sqrt = bank.c_sqrt
+        self.rows = _frozen(rows.copy())
+        self.rates = rates
+        self.vectors_t = _frozen(np.ascontiguousarray(vectors.T))
+        # Row-restricted, capacitance-unwhitened basis: row i of
+        # ``row_basis * coeffs`` is node rows[i]'s modal weight vector.
+        self.row_basis = _frozen(
+            np.ascontiguousarray(vectors[rows] * bank.inv_c_sqrt[rows, None])
+        )
+        # Steady-state response of the row subset to extra power *on*
+        # the row subset: bounds the trajectory shift from a power
+        # perturbation confined to those nodes (see ``response_bound``).
+        self.linv_rows = _frozen(
+            np.ascontiguousarray(linv[np.ix_(rows, rows)])
+        )
+        # Transposed-contiguous copies so the paired (2, n) variants run
+        # as one dgemm each instead of two dgemv dispatches.
+        self.linv_t = _frozen(np.ascontiguousarray(linv.T))
+        self.vectors = _frozen(np.ascontiguousarray(vectors))
+        self._decays = _LruCache(FACTOR_CACHE_SIZE)
+
+    def decay(self, span_s: float) -> np.ndarray:
+        """``exp(-rates * span_s)``, cached per span length."""
+        key = _dt_key(span_s)
+        cached = self._decays.get(key)
+        if cached is None:
+            cached = _frozen(np.exp(-self.rates * span_s))
+            self._decays.put(key, cached)
+        return cached
 
 
 def _ambient_source(network: ThermalNetwork) -> np.ndarray:
@@ -141,9 +342,10 @@ class TransientSolver:
     """Backward-Euler integrator over a thermal RC network.
 
     The solver owns the current temperature vector; callers advance it with
-    :meth:`step` once per power sample.  Factorisations of ``C/dt + L`` are
-    cached per dt (rounded to femtosecond granularity) since a DTM run uses
-    only a handful of distinct frequencies.
+    :meth:`step` once per power sample.  Factorisations of ``C/dt + L``
+    come from the network's :class:`OperatorBank`, cached per dt (rounded
+    to femtosecond granularity) since a DTM run uses only a handful of
+    distinct frequencies.
 
     Every step is health-checked (finite and within
     :data:`DIVERGENCE_LIMIT_C`); backward Euler is the last-resort
@@ -162,9 +364,9 @@ class TransientSolver:
                 f"expected ({network.size},)"
             )
         self._network = network
+        self._bank = network.operator_bank
         self._temps = np.array(initial, dtype=float, copy=True)
-        self._ambient_source = _ambient_source(network)
-        self._factor_cache = _LruCache(FACTOR_CACHE_SIZE)
+        self._ambient_source = self._bank.ambient_source
         self._rhs = np.empty(network.size)
         self._time_s = 0.0
 
@@ -183,22 +385,6 @@ class TransientSolver:
         """Simulated time elapsed since construction, in seconds."""
         return self._time_s
 
-    def _factorisation(self, dt: float):
-        key = int(round(dt * 1e15))
-        cached = self._factor_cache.get(key)
-        if cached is None:
-            c_over_dt = self._network.capacitance / dt
-            matrix = np.diag(c_over_dt) + self._network.conductance
-            lu, piv = lu_factor(matrix)
-            # Bind the LAPACK triangular solve directly: it is what
-            # lu_solve calls after several layers of validation, which
-            # dominate the cost of solving a ~17-node system once per
-            # thermal step.
-            getrs, = get_lapack_funcs(("getrs",), (lu,))
-            cached = (lu, piv, c_over_dt, getrs)
-            self._factor_cache.put(key, cached)
-        return cached
-
     def step(self, power: np.ndarray, dt: float, copy: bool = True) -> np.ndarray:
         """Advance the network by ``dt`` seconds with constant injected
         ``power`` over the step.
@@ -215,7 +401,7 @@ class TransientSolver:
                 f"power vector has shape {power.shape}, "
                 f"expected ({self._network.size},)"
             )
-        lu, piv, c_over_dt, getrs = self._factorisation(dt)
+        lu, piv, c_over_dt, getrs = self._bank.factorisation(dt)
         # Assemble the right-hand side in a reused buffer and let LAPACK
         # solve in place on it; the buffer then *becomes* the state
         # vector (next step's multiply is elementwise, so reading the
@@ -279,24 +465,13 @@ class ExponentialSolver:
                 f"expected ({network.size},)"
             )
         self._network = network
+        self._bank = network.operator_bank
         self._temps = np.array(initial, dtype=float, copy=True)
-        self._ambient_source = _ambient_source(network)
-        # -C^{-1} L: the generator of the continuous dynamics.
-        self._generator = -network.conductance / network.capacitance[:, None]
-        self._linv = network.conductance_inverse
-        self._prop_cache = _LruCache(FACTOR_CACHE_SIZE)
-        self._power_cache = _LruCache(POWER_CACHE_SIZE)
-        self._squarings = _LruCache(FACTOR_CACHE_SIZE)
+        self._ambient_source = self._bank.ambient_source
         n = network.size
         self._u = np.empty(n)
         self._scratch = np.empty(n)
         self._out = np.empty(n)
-        # Capacitance weights for the trajectory envelope bound (see
-        # :meth:`span_envelope`); the modal decomposition of the
-        # whitened operator is computed lazily on first use.
-        self._c_sqrt = np.sqrt(network.capacitance)
-        self._inv_c_sqrt = 1.0 / self._c_sqrt
-        self._modes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._time_s = 0.0
         #: Set when a numerical-health trip forced a backward-Euler
         #: recovery; the engine then disables fast-forward for the rest
@@ -319,51 +494,6 @@ class ExponentialSolver:
         return self._time_s
 
     # --- operators ---------------------------------------------------------------
-
-    @staticmethod
-    def _dt_key(dt: float) -> int:
-        return int(round(dt * 1e15))
-
-    def _propagator(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``(A_d, B_d)`` for one step of ``dt`` seconds, cached per dt."""
-        key = self._dt_key(dt)
-        cached = self._prop_cache.get(key)
-        if cached is None:
-            a_d = expm(self._generator * dt)
-            b_d = (np.eye(self._network.size) - a_d) @ self._linv
-            cached = (np.ascontiguousarray(a_d), np.ascontiguousarray(b_d))
-            self._prop_cache.put(key, cached)
-        return cached
-
-    def _propagator_power(self, dt: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(A_d^K, (I - A_d^K) L^{-1})`` composed from cached squarings.
-
-        Run-length spans repeat the same K (steps to the next sensor
-        sample), so the composed pair is cached per ``(dt, K)``; the
-        binary-exponentiation squarings are cached per dt.
-        """
-        key = (self._dt_key(dt), steps)
-        cached = self._power_cache.get(key)
-        if cached is None:
-            squarings = self._squarings.get(key[0])
-            if squarings is None:
-                squarings = [self._propagator(dt)[0]]
-                self._squarings.put(key[0], squarings)
-            result: Optional[np.ndarray] = None
-            bit = 0
-            remaining = steps
-            while remaining:
-                while bit >= len(squarings):
-                    squarings.append(squarings[-1] @ squarings[-1])
-                if remaining & 1:
-                    power = squarings[bit]
-                    result = power if result is None else power @ result
-                remaining >>= 1
-                bit += 1
-            b_k = (np.eye(self._network.size) - result) @ self._linv
-            cached = (np.ascontiguousarray(result), np.ascontiguousarray(b_k))
-            self._power_cache.put(key, cached)
-        return cached
 
     # --- stepping ----------------------------------------------------------------
 
@@ -399,7 +529,7 @@ class ExponentialSolver:
         :class:`~repro.errors.NumericalError` is raised only when the
         fallback fails too."""
         self._check_step(power, dt)
-        a_d, b_d = self._propagator(dt)
+        a_d, b_d = self._bank.propagator(dt)
         self._apply(a_d, b_d, power)
         if not _healthy(self._temps):
             self._recover(power, dt, 1)
@@ -417,7 +547,7 @@ class ExponentialSolver:
         self._check_step(power, dt)
         if steps < 1:
             raise ThermalModelError(f"fast-forward needs >= 1 step, got {steps}")
-        a_k, b_k = self._propagator_power(dt, steps)
+        a_k, b_k = self._bank.propagator_power(dt, steps)
         self._apply(a_k, b_k, power)
         if not _healthy(self._temps):
             self._recover(power, dt, steps)
@@ -483,18 +613,6 @@ class ExponentialSolver:
                 steps,
             )
 
-    def _mode_basis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the whitened operator
-        ``Ã = C^{-1/2} L C^{-1/2}`` (symmetric positive definite), cached
-        for the solver's lifetime."""
-        if self._modes is None:
-            whitened = self._network.conductance * np.outer(
-                self._inv_c_sqrt, self._inv_c_sqrt
-            )
-            rates, vectors = np.linalg.eigh(0.5 * (whitened + whitened.T))
-            self._modes = (rates, vectors)
-        return self._modes
-
     def span_envelope(
         self, power: np.ndarray, span_s: float
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -521,11 +639,12 @@ class ExponentialSolver:
             )
         if span_s <= 0.0:
             raise ThermalModelError(f"span must be > 0, got {span_s}")
-        rates, vectors = self._mode_basis()
+        bank = self._bank
+        rates, vectors = bank.modes
         u = power + self._ambient_source
-        t_ss = self._linv @ u
-        coeffs = vectors.T @ (self._c_sqrt * (self._temps - t_ss))
-        weights = (vectors * coeffs[None, :]) * self._inv_c_sqrt[:, None]
+        t_ss = bank.linv @ u
+        coeffs = vectors.T @ (bank.c_sqrt * (self._temps - t_ss))
+        weights = (vectors * coeffs[None, :]) * bank.inv_c_sqrt[:, None]
         decayed = weights * np.exp(-rates * span_s)[None, :]
         lower = t_ss + np.minimum(weights, decayed).sum(axis=1)
         upper = t_ss + np.maximum(weights, decayed).sum(axis=1)
@@ -596,10 +715,12 @@ class SpanProbe:
     bounds on the hottest *block* temperature over the coming span.
     :meth:`ExponentialSolver.span_envelope` answers that with ~six fresh
     arrays per call; at a few thousand calls per run the allocator
-    becomes a measurable slice of the hot path.  This probe precomputes
-    the modal basis restricted to the requested rows, caches the span
-    decay vector per span length, and reuses one set of buffers, so a
-    call is a handful of in-place BLAS/ufunc operations.
+    becomes a measurable slice of the hot path.  This probe reads the
+    modal basis restricted to the requested rows and the per-span decay
+    vectors from the network's :class:`OperatorBank` (built once per
+    network and row set, shared by every probe over it), and reuses its
+    own set of buffers, so a call is a handful of in-place BLAS/ufunc
+    operations.
 
     The returned bound arrays are the probe's own buffers: read them
     before the next :meth:`bounds` call.  Bounds are numerically
@@ -610,33 +731,10 @@ class SpanProbe:
 
     def __init__(self, solver: "ExponentialSolver", rows: np.ndarray):
         self._solver = solver
-        rows = np.asarray(rows, dtype=np.intp)
-        self._rows = rows
-        network = solver._network
-        n = network.size
-        m = rows.size
-        rates, vectors = solver._mode_basis()
-        self._rates = rates
-        self._vectors_t = np.ascontiguousarray(vectors.T)
-        # Row-restricted, capacitance-unwhitened basis: row i of
-        # ``row_basis * coeffs`` is node rows[i]'s modal weight vector.
-        self._row_basis = np.ascontiguousarray(
-            vectors[rows] * solver._inv_c_sqrt[rows, None]
-        )
-        self._linv = solver._linv
-        # Steady-state response of the row subset to extra power *on*
-        # the row subset: bounds the trajectory shift from a power
-        # perturbation confined to those nodes (see ``response_bound``).
-        self._linv_rows = np.ascontiguousarray(
-            solver._linv[np.ix_(rows, rows)]
-        )
-        self._c_sqrt = solver._c_sqrt
-        self._ambient_source = solver._ambient_source
-        self._exp_cache = _LruCache(FACTOR_CACHE_SIZE)
-        # Transposed-contiguous copies so the paired (2, n) variants run
-        # as one dgemm each instead of two dgemv dispatches.
-        self._linv_t = np.ascontiguousarray(solver._linv.T)
-        self._vectors = np.ascontiguousarray(vectors)
+        basis = solver._bank.probe_basis(np.asarray(rows, dtype=np.intp))
+        self._basis = basis
+        n = solver._network.size
+        m = basis.rows.size
         # Reused buffers.
         self._u = np.empty(n)
         self._t_ss = np.empty(n)
@@ -653,14 +751,6 @@ class SpanProbe:
         self._pair_diff = np.empty((2, n))
         self._pair_coeffs = np.empty((2, n))
 
-    def _decay(self, span_s: float) -> np.ndarray:
-        key = int(round(span_s * 1e15))
-        cached = self._exp_cache.get(key)
-        if cached is None:
-            cached = np.exp(-self._rates * span_s)
-            self._exp_cache.put(key, cached)
-        return cached
-
     def bounds(
         self, power: np.ndarray, span_s: float
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -668,28 +758,28 @@ class SpanProbe:
         ``power`` trajectory over ``[0, span_s]`` -- the row-restricted
         :meth:`ExponentialSolver.span_envelope`, without allocation.
         Returns internal buffers, overwritten by the next call."""
-        solver = self._solver
+        basis = self._basis
         u = self._u
-        np.add(power, self._ambient_source, out=u)
+        np.add(power, basis.ambient_source, out=u)
         t_ss = self._t_ss
-        np.dot(self._linv, u, out=t_ss)
+        np.dot(basis.linv, u, out=t_ss)
         diff = self._diff
-        np.subtract(solver._temps, t_ss, out=diff)
-        diff *= self._c_sqrt
-        np.dot(self._vectors_t, diff, out=self._coeffs)
+        np.subtract(self._solver._temps, t_ss, out=diff)
+        diff *= basis.c_sqrt
+        np.dot(basis.vectors_t, diff, out=self._coeffs)
         weights = self._weights
-        np.multiply(self._row_basis, self._coeffs[None, :], out=weights)
+        np.multiply(basis.row_basis, self._coeffs[None, :], out=weights)
         decayed = self._decayed
-        np.multiply(weights, self._decay(span_s)[None, :], out=decayed)
+        np.multiply(weights, basis.decay(span_s)[None, :], out=decayed)
         extreme = self._extreme
         np.minimum(weights, decayed, out=extreme)
         lower = self._lower
-        extreme.sum(axis=1, out=lower)
-        lower += t_ss[self._rows]
+        np.add.reduce(extreme, axis=1, out=lower)
+        lower += t_ss[basis.rows]
         np.maximum(weights, decayed, out=extreme)
         upper = self._upper
-        extreme.sum(axis=1, out=upper)
-        upper += t_ss[self._rows]
+        np.add.reduce(extreme, axis=1, out=upper)
+        upper += t_ss[basis.rows]
         return lower, upper
 
     def widened(
@@ -709,31 +799,31 @@ class SpanProbe:
         the same function of the same doubles as the corresponding
         :meth:`bounds` output.  Returns internal buffers, overwritten by
         the next :meth:`bounds` or :meth:`widened` call."""
-        solver = self._solver
+        basis = self._basis
         u = self._pair_u
-        np.add(power_pair, self._ambient_source[None, :], out=u)
+        np.add(power_pair, basis.ambient_source[None, :], out=u)
         t_ss = self._pair_t_ss
-        np.dot(u, self._linv_t, out=t_ss)
+        np.dot(u, basis.linv_t, out=t_ss)
         diff = self._pair_diff
-        np.subtract(solver._temps[None, :], t_ss, out=diff)
-        diff *= self._c_sqrt[None, :]
-        np.dot(diff, self._vectors, out=self._pair_coeffs)
-        decay = self._decay(span_s)
+        np.subtract(self._solver._temps[None, :], t_ss, out=diff)
+        diff *= basis.c_sqrt[None, :]
+        np.dot(diff, basis.vectors, out=self._pair_coeffs)
+        decay = basis.decay(span_s)
         weights = self._weights
         decayed = self._decayed
         extreme = self._extreme
-        np.multiply(self._row_basis, self._pair_coeffs[0][None, :], out=weights)
+        np.multiply(basis.row_basis, self._pair_coeffs[0][None, :], out=weights)
         np.multiply(weights, decay[None, :], out=decayed)
         np.maximum(weights, decayed, out=extreme)
         upper = self._upper
-        extreme.sum(axis=1, out=upper)
-        upper += t_ss[0, self._rows]
-        np.multiply(self._row_basis, self._pair_coeffs[1][None, :], out=weights)
+        np.add.reduce(extreme, axis=1, out=upper)
+        upper += t_ss[0, basis.rows]
+        np.multiply(basis.row_basis, self._pair_coeffs[1][None, :], out=weights)
         np.multiply(weights, decay[None, :], out=decayed)
         np.minimum(weights, decayed, out=extreme)
         lower = self._lower
-        extreme.sum(axis=1, out=lower)
-        lower += t_ss[1, self._rows]
+        np.add.reduce(extreme, axis=1, out=lower)
+        lower += t_ss[1, basis.rows]
         return lower, upper
 
     def response_bound(self, delta_rows: np.ndarray) -> np.ndarray:
@@ -751,7 +841,7 @@ class SpanProbe:
         under power drift of at most ``delta_rows`` -- the a-posteriori
         closure the engine uses for temperature-dependent leakage.
         Returns an internal buffer, overwritten by the next call."""
-        np.dot(self._linv_rows, delta_rows, out=self._resp)
+        np.dot(self._basis.linv_rows, delta_rows, out=self._resp)
         return self._resp
 
 
@@ -786,7 +876,7 @@ def step_lockstep(solvers, powers, dt: float):
     count = len(solvers)
     size = network.size
     if isinstance(first, ExponentialSolver):
-        a_d, b_d = first._propagator(dt)
+        a_d, b_d = first._bank.propagator(dt)
         t_rows = np.empty((count, size))
         u_rows = np.empty((count, size))
         for i, (solver, power) in enumerate(zip(solvers, powers)):
@@ -812,7 +902,7 @@ def step_lockstep(solvers, powers, dt: float):
                 else:
                     solver.step(powers[i], dt, copy=False)
     else:
-        lu, piv, c_over_dt, getrs = first._factorisation(dt)
+        lu, piv, c_over_dt, getrs = first._bank.factorisation(dt)
         rhs = np.empty((size, count), order="F")
         for i, (solver, power) in enumerate(zip(solvers, powers)):
             column = rhs[:, i]

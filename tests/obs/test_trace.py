@@ -22,11 +22,6 @@ class TestSpans:
             pass
         assert trace.totals() == {}
 
-    def test_record_is_unconditional(self, obs_dir):
-        # Step timers run under REPRO_STEP_TIMING even with obs off.
-        trace.record("step.thermal", 0.5)
-        assert trace.totals()["step.thermal"] == (0.5, 1)
-
     def test_run_aggregates_nest(self, obs_on):
         trace.begin_run()
         trace.record("outer.only", 1.0)

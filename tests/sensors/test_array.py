@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sensors import SensorArray, SensorParameters
-from repro.sensors.array import NOISE_CHUNK, NOISE_CHUNK_MAX
+from repro.sensors.array import NOISE_BLOCK_ROWS, NoiseTable
 from repro.sensors.faults import SensorFault
 
 
@@ -87,8 +87,8 @@ class TestVectorPath:
     """The engine's vectorized sensing fast path.
 
     ``sample_vector`` must be *bit-identical* to ``sample``: same fixed
-    offsets, same per-sensor noise streams (pre-drawn in growing
-    chunks), same round-half-even quantisation.
+    offsets, same per-sensor noise streams (read from the shared noise
+    table's blocks), same round-half-even quantisation.
     """
 
     def _vector_temps(self, array, temps):
@@ -100,22 +100,42 @@ class TestVectorPath:
         temps = flat_temps(floorplan)
         vec = self._vector_temps(vector, temps)
         period = scalar.sampling_period_s
-        # Enough samples to cross the first noise-chunk refill and the
-        # doubled second chunk, so buffer turnover is exercised too.
-        count = NOISE_CHUNK + NOISE_CHUNK * 2 + 10
+        # Enough samples to cross several noise-block boundaries, so
+        # block turnover is exercised too.
+        count = NOISE_BLOCK_ROWS + NOISE_BLOCK_ROWS * 2 + 10
         for i in range(count):
             time_s = i * period
             assert scalar.sample(temps, time_s) == vector.sample_vector(
                 vec, time_s
             )
 
-    def test_noise_chunk_growth_is_bounded(self, floorplan):
-        array = SensorArray(floorplan, seed=3)
-        vec = self._vector_temps(array, flat_temps(floorplan))
-        period = array.sampling_period_s
-        for i in range(NOISE_CHUNK * 40):
-            array.sample_vector(vec, i * period)
-        assert array._noise_chunk <= NOISE_CHUNK_MAX
+    def test_noise_table_memory_is_bounded(self):
+        # Every distinct seed adds a stream; past the byte bound the
+        # least recently used streams go, and a stream an array still
+        # reads stays valid for it.
+        params = SensorParameters()
+
+        def seeds(k):
+            return tuple(k * 1009 + i for i in range(4))
+
+        first = None
+        table = NoiseTable(max_bytes=1 << 14)
+        for k in range(200):
+            stream = table.stream(seeds(k), params)
+            block = table.block(stream, 1)
+            if first is None:
+                first, first_block = stream, block
+            assert table.nbytes <= 1 << 14
+        assert len(table) < 200
+        # The evicted first stream is still readable, unchanged and
+        # extensible (outside the table's count); a fresh lookup of its
+        # key re-draws identical noise.
+        assert table.block(first, 1) is first_block
+        table.block(first, 3)
+        assert table.nbytes <= 1 << 14
+        again = table.stream(seeds(0), params)
+        assert again is not first
+        assert np.array_equal(table.block(again, 1), first_block)
 
     def test_fault_free_array_is_vector_eligible(self, array):
         assert array.vector_eligible

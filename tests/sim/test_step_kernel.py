@@ -25,6 +25,7 @@ from repro.sim.config import STEP_KERNEL_ENV
 from repro.sim.faults import FaultPlan
 from repro.sim.kernel import DenseSpanTask, numba_available, resolve_step_kernel
 from repro.thermal import ExponentialSolver
+from repro.thermal.solver import _dt_key
 from repro.workloads import build_benchmark
 from repro.workloads.spec import SPEC_BENCHMARK_NAMES
 
@@ -282,12 +283,11 @@ class TestOperatorCacheAudit:
             network, np.full(network.size, 45.0)
         )
         dt = 1.0e-6
-        a_fine, b_fine = solver._propagator_power(dt, 8)
-        a_coarse, b_coarse = solver._propagator_power(2.0 * dt, 4)
-        assert solver._power_cache.get((solver._dt_key(dt), 8)) is not None
-        assert (
-            solver._power_cache.get((solver._dt_key(2.0 * dt), 4)) is not None
-        )
+        bank = solver._bank
+        a_fine, b_fine = bank.propagator_power(dt, 8)
+        a_coarse, b_coarse = bank.propagator_power(2.0 * dt, 4)
+        assert bank._powers.get((_dt_key(dt), 8)) is not None
+        assert bank._powers.get((_dt_key(2.0 * dt), 4)) is not None
         # Same span: the operators agree to float error...
         np.testing.assert_allclose(a_fine, a_coarse, rtol=1e-9)
         # ...but are separately cached objects, not one aliased entry.
@@ -304,8 +304,8 @@ class TestOperatorCacheAudit:
             network, np.full(network.size, 45.0)
         )
         dt = 3.3e-6
-        first = [solver._propagator_power(dt, k) for k in (7, 7, 9)]
-        second = [solver._propagator_power(dt, k) for k in (7, 7, 9)]
+        first = [solver._bank.propagator_power(dt, k) for k in (7, 7, 9)]
+        second = [solver._bank.propagator_power(dt, k) for k in (7, 7, 9)]
         for (a1, b1), (a2, b2) in zip(first, second):
             assert a1 is a2
             assert b1 is b2

@@ -7,7 +7,8 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.sim.engine import STEP_TIMING_ENV, reset_step_timers
+from repro.obs import metrics as obs_metrics
+from repro.sim.engine import reset_step_timers
 
 BENCH_DIR = Path(repro.__file__).resolve().parents[2] / "benchmarks"
 
@@ -106,7 +107,6 @@ class TestBench:
         """Run the real harness at a tiny budget without clobbering the
         committed result tables, JSON baseline or trajectory log."""
         monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "120000")
-        monkeypatch.setenv(STEP_TIMING_ENV, "0")  # restored on teardown
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         helpers = importlib.import_module("_helpers")
         run_all = importlib.import_module("run_all")
@@ -123,11 +123,15 @@ class TestBench:
     def test_bench_prints_timing_breakdown(
         self, capsys, _sandboxed_harness
     ):
+        obs_before = obs_metrics.enabled()
         code = main([
             "bench", "--only", "fig3b", "--profile", "--profile-limit", "3",
         ])
         out = capsys.readouterr().out
         assert code == 0
+        # The timers ride on the observability switch, which the
+        # command turns on for the harness only.
+        assert obs_metrics.enabled() == obs_before
         assert "per-phase step timing" in out
         for section in ("thermal", "power", "perf", "sense", "policy"):
             assert section in out

@@ -29,12 +29,16 @@ from repro.thermal.solver import (
 )
 
 
-@pytest.fixture(scope="module")
-def network():
+def _private_network():
     fp = Floorplan(
         [Block("a", 0, 0, 2e-3, 2e-3), Block("b", 2e-3, 0, 2e-3, 2e-3)]
     )
     return build_thermal_network(fp, ThermalPackage())
+
+
+@pytest.fixture(scope="module")
+def network():
+    return _private_network()
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +148,8 @@ class TestFastForward:
 
     def test_composed_propagator_is_cached(self, network, power):
         solver = ExponentialSolver(network, _perturbed_start(network))
-        a_first, b_first = solver._propagator_power(3.3e-6, 30)
-        a_again, b_again = solver._propagator_power(3.3e-6, 30)
+        a_first, b_first = solver._bank.propagator_power(3.3e-6, 30)
+        a_again, b_again = solver._bank.propagator_power(3.3e-6, 30)
         assert a_first is a_again and b_first is b_again
 
 
@@ -260,16 +264,18 @@ class TestOperatorCaches:
             _LruCache(0)
 
     @pytest.mark.parametrize("cls", [TransientSolver, ExponentialSolver])
-    def test_per_dt_caches_stay_bounded(self, network, power, cls):
+    def test_per_dt_caches_stay_bounded(self, power, cls):
         # Continuous DVS can touch many distinct step lengths; the
-        # operator caches must not grow without bound.
+        # operator caches must not grow without bound.  The caches live
+        # in the network's shared operator bank, so the test runs on a
+        # private network to count only its own entries.
+        network = _private_network()
         solver = cls(network, _perturbed_start(network))
         for i in range(FACTOR_CACHE_SIZE + 40):
             solver.step(power, 1e-6 + i * 1e-9)
+        bank = network.operator_bank
         cache = (
-            solver._factor_cache
-            if cls is TransientSolver
-            else solver._prop_cache
+            bank._factors if cls is TransientSolver else bank._propagators
         )
         assert len(cache) <= FACTOR_CACHE_SIZE
 
@@ -280,7 +286,7 @@ class TestOperatorCaches:
         fresh = ExponentialSolver(network, _perturbed_start(network))
         survivor.step(power, 1e-6)
         for i in range(FACTOR_CACHE_SIZE + 8):  # evict the 1e-6 entry
-            survivor._propagator(2e-6 + i * 1e-9)
+            survivor._bank.propagator(2e-6 + i * 1e-9)
         survivor.step(power, 1e-6)
         fresh.step(power, 1e-6)
         fresh.step(power, 1e-6)

@@ -9,6 +9,8 @@ from repro.thermal import ThermalPackage, TransientSolver, build_thermal_network
 from repro.thermal.solver import (
     DIVERGENCE_LIMIT_C,
     ExponentialSolver,
+    OperatorBank,
+    _dt_key,
     _healthy,
     step_lockstep,
 )
@@ -28,11 +30,21 @@ def _initial(network):
     return np.full(network.size, network.ambient_c)
 
 
+def _private_bank(solver):
+    """Give ``solver`` an operator bank of its own, so corruption
+    injected into it cannot reach the network's shared bank (and every
+    other solver over the module's network)."""
+    solver._bank = OperatorBank(solver.network)
+    return solver._bank
+
+
 def _poison_propagator(solver, dt, scale=1.0e30):
-    """Corrupt the cached per-dt propagator pair so the next expm step
-    produces a divergent (but finite) result from healthy inputs."""
-    a_d, b_d = solver._propagator(dt)
-    solver._prop_cache.put(solver._dt_key(dt), (a_d * scale, b_d))
+    """Corrupt the solver's private per-dt propagator pair so the next
+    expm step produces a divergent (but finite) result from healthy
+    inputs."""
+    bank = _private_bank(solver)
+    a_d, b_d = bank.propagator(dt)
+    bank._propagators.put(_dt_key(dt), (a_d * scale, b_d))
 
 
 class TestHealthPredicate:
@@ -88,10 +100,9 @@ class TestExponentialFallback:
 
         # Poison only the composed span operator: single steps stay
         # exact, the jump goes through the recovery path.
-        a_k, b_k = solver._propagator_power(DT, steps)
-        solver._power_cache.put(
-            (solver._dt_key(DT), steps), (a_k * 1.0e30, b_k)
-        )
+        bank = _private_bank(solver)
+        a_k, b_k = bank.propagator_power(DT, steps)
+        bank._powers.put((_dt_key(DT), steps), (a_k * 1.0e30, b_k))
         jumped = solver.fast_forward(power, DT, steps)
         for _ in range(steps):
             expected = reference.step(power, DT)
