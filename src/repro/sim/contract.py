@@ -21,12 +21,18 @@ runs inside the generator.  A request is either
   :class:`~repro.sim.kernel.DenseSpanTask`: execute ``count`` fused
   dense steps via the task's pre-bound closure (the engine keeps
   ownership of sampling/power/accounting; the driver just invokes the
-  span), replying with the solver's state array; or
-* a mapping ``{key: (solver, power, dt, count)}``: a *round* of
-  requests from many interleaved runs (the lockstep engine), replying
-  with ``{key: stepped_vector}``.  The driver batches the compatible
-  single-step requests of a round into one BLAS-3 operation
-  (:func:`~repro.thermal.solver.step_lockstep`).
+  span), replying with the solver's state array;
+* a tuple ``(solver, task, dt, count)`` where ``task`` is a
+  :class:`~repro.sim.stride.StrideTask`: prove that a closed-form jump
+  of ``count`` steps crosses no threshold, write the verdict into the
+  task and, when accepted, apply the jump, replying with the solver's
+  state array (``None`` when not accepted); or
+* a mapping ``{key: request}``: a *round* of requests from many
+  interleaved runs (the lockstep engine), replying with
+  ``{key: reply}``.  The driver batches the compatible single-step
+  requests of a round into one BLAS-3 operation
+  (:func:`~repro.thermal.solver.step_lockstep`) and proves the round's
+  stride tasks together (:func:`~repro.sim.stride.serve_strides`).
 
 Because the driver owns nothing but solver stepping, a run driven
 incrementally through :meth:`SimEngine.build` / :meth:`SimEngine.step`
@@ -46,6 +52,7 @@ from repro.errors import SimulationError
 from repro.obs import flightrec as obs_flightrec
 from repro.obs import trace as obs_trace
 from repro.sim.kernel import DenseSpanTask
+from repro.sim.stride import StrideTask, serve_stride, serve_strides
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class EngineEvent:
 def service_request(request: Tuple) -> Any:
     """Advance one solver per a ``(solver, power, dt, count)`` request."""
     solver, power, dt, count = request
+    if isinstance(power, StrideTask):
+        return serve_stride(request)
     if isinstance(power, DenseSpanTask):
         return power.run(solver)
     if count == 1:
@@ -78,21 +87,29 @@ def service_round(requests: Mapping) -> Dict:
 
     Single-step requests sharing (stepper class, network identity, dt)
     advance together through one
-    :func:`~repro.thermal.solver.step_lockstep` BLAS-3 call;
-    fast-forwards and groups of one go through the solver's own
-    methods.  Numerically equivalent to servicing each request alone up
-    to BLAS summation order.
+    :func:`~repro.thermal.solver.step_lockstep` BLAS-3 call, which
+    matches servicing each alone up to BLAS summation order.  Stride
+    requests are proven together by
+    :func:`~repro.sim.stride.serve_strides`, each with the verdict it
+    would get alone.  Fast-forwards, fused dense spans and groups of one
+    go through the solver's own methods.
     """
     from repro.thermal.solver import step_lockstep
 
     groups: Dict[Tuple, List] = {}
     singles: List = []
+    strides: List = []
     for key, (solver, _power, dt, count) in requests.items():
-        if count == 1 and not isinstance(_power, DenseSpanTask):
+        if isinstance(_power, StrideTask):
+            strides.append(key)
+        elif count == 1 and not isinstance(_power, DenseSpanTask):
             groups.setdefault((type(solver), id(solver.network), dt), []).append(key)
         else:
             singles.append(key)
     replies: Dict = {}
+    if strides:
+        served = serve_strides([requests[key] for key in strides])
+        replies.update(zip(strides, served))
     for keys in groups.values():
         if len(keys) == 1:
             singles.extend(keys)
@@ -111,10 +128,13 @@ def drive(steps) -> Any:
     """Run an :meth:`SimEngine.iter_run` generator to completion.
 
     Services every yielded request (tuples and rounds) and returns the
-    generator's return value.  With step timing enabled
-    (observability on), tuple requests record
-    under the ``step.thermal`` span exactly as the pre-contract engine
-    loop did; fused :class:`~repro.sim.kernel.DenseSpanTask` requests
+    generator's return value.  A request that is not a tuple is a round
+    (``isinstance(request, tuple)`` is much cheaper than an instance
+    check against ``typing.Mapping``).  With step timing enabled
+    (observability on), tuple requests record under the
+    ``step.thermal`` span exactly as the pre-contract engine loop did;
+    stride requests record under ``step.stride`` (proof and jump);
+    fused :class:`~repro.sim.kernel.DenseSpanTask` requests
     record under ``step.kernel`` instead (the span covers the whole
     fused pipeline -- the kernel attributes its inner sections itself,
     so ``step.kernel`` is a boundary measure, not an additive one).  If
@@ -130,13 +150,16 @@ def drive(steps) -> Any:
             try:
                 while True:
                     request = steps.send(reply)
-                    if isinstance(request, Mapping):
+                    if not isinstance(request, tuple):
                         reply = service_round(request)
                         continue
                     t0 = perf_counter()
                     reply = service_request(request)
-                    if isinstance(request[1], DenseSpanTask):
+                    task = request[1]
+                    if isinstance(task, DenseSpanTask):
                         record("step.kernel", perf_counter() - t0)
+                    elif isinstance(task, StrideTask):
+                        record("step.stride", perf_counter() - t0)
                     else:
                         record("step.thermal", perf_counter() - t0)
             except StopIteration as stop:
@@ -144,10 +167,10 @@ def drive(steps) -> Any:
         try:
             while True:
                 request = steps.send(reply)
-                if isinstance(request, Mapping):
-                    reply = service_round(request)
-                else:
+                if isinstance(request, tuple):
                     reply = service_request(request)
+                else:
+                    reply = service_round(request)
         except StopIteration as stop:
             return stop.value
     except BaseException:
@@ -231,10 +254,10 @@ class SimEngine(ABC):
             self._active = None
             self._pending_reply = None
             raise
-        if isinstance(request, Mapping):
-            self._pending_reply = service_round(request)
-        else:
+        if isinstance(request, tuple):
             self._pending_reply = service_request(request)
+        else:
+            self._pending_reply = service_round(request)
         return None
 
     # --- events ------------------------------------------------------------

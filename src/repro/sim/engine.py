@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -30,6 +31,7 @@ from repro.sim.config import (
 )
 from repro.sim.contract import SimEngine, drive
 from repro.sim.kernel import DenseSpanTask, resolve_step_kernel
+from repro.sim.stride import ACCEPT, REJECT, REJECT_REASONS, StridePlanner
 from repro.sim.results import RunResult, TracePoint
 from repro.sim.warmup import initial_temperatures
 from repro.thermal.hotspot import HotSpotModel
@@ -38,7 +40,9 @@ from repro.uarch.interval import DtmActuation, IntervalPerformanceModel
 from repro.workloads.compiler import CompiledIntervalModel, compile_workload
 from repro.workloads.workload import Workload
 
-STEP_SECTIONS = ("sense", "policy", "perf", "power", "thermal", "kernel")
+STEP_SECTIONS = (
+    "sense", "policy", "perf", "power", "thermal", "stride", "kernel"
+)
 """The per-section names :func:`step_timers` reports.
 
 ``kernel`` is a *boundary* span: it covers whole fused dense spans
@@ -348,15 +352,18 @@ class SimulationEngine(SimEngine):
         """Generator form of :meth:`run` for lockstep batch execution.
 
         Yields one thermal-step request ``(solver, power, dt, count)``
-        per suspension -- ``count == 1`` for a plain step, ``count > 1``
-        for a constant-power fast-forward -- and expects the stepped
+        per suspension -- a plain step, a fused dense span
+        (:class:`~repro.sim.kernel.DenseSpanTask`) or an event-driven
+        stride attempt (:class:`~repro.sim.stride.StrideTask`), see
+        :mod:`repro.sim.contract` -- and expects the stepped
         node-temperature vector to be sent back (the solver's own state
-        array, as returned by ``step(..., copy=False)``).  Everything
-        else (sensing, policy, power, accounting) runs inside the
-        generator, so a driver that services requests from many runs
-        with one batched operation (see :mod:`repro.sim.lockstep`)
-        produces results identical to :meth:`run`.  The :class:`RunResult`
-        is the generator's return value (``StopIteration.value``).
+        array, as returned by ``step(..., copy=False)``; ``None`` for a
+        stride the driver did not accept).  Everything else (sensing,
+        policy, power, accounting) runs inside the generator, so a
+        driver that services requests from many runs with one batched
+        operation (see :mod:`repro.sim.lockstep`) produces results
+        identical to :meth:`run`.  The :class:`RunResult` is the
+        generator's return value (``StopIteration.value``).
         """
         if instructions <= 0:
             raise SimulationError("instruction budget must be > 0")
@@ -433,8 +440,6 @@ class SimulationEngine(SimEngine):
         cmd_active = False
         dtm_engagements = 0
         engaged_s = 0.0
-        ff_spans_taken = 0
-        ff_spans_rejected = 0
         sensor_samples = 0
         switches = 0
         migrations = 0
@@ -539,9 +544,10 @@ class SimulationEngine(SimEngine):
         # samples) the dynamic power cannot change -- same phase run,
         # actuation and operating point until the next sample -- so only
         # leakage drifts.  The stride below jumps such spans in closed
-        # form after proving, via the solver's span envelope widened by
-        # the worst-case leakage drift, that the jump crosses no
-        # trigger/emergency threshold (docs/MODELING.md section 8).
+        # form once the driver has proved, via the solver's span
+        # envelope widened by the worst-case leakage drift, that the
+        # jump crosses no trigger/emergency threshold
+        # (docs/MODELING.md section 8; repro.sim.stride).
         # One attempt is made per decision region: the flag arms at
         # every sensor sample and disarms when an attempt is rejected,
         # so a rejected region falls through to dense stepping (or the
@@ -554,40 +560,19 @@ class SimulationEngine(SimEngine):
             and fault_corrupt_step is None
         )
         stride_ok = True
-        stride_tol = self._config.stride_drift_tol_w
-        stride_slack_w = 1e-9
-        if ff_enabled:
-            probe = solver.span_probe(node_idx)
-            dynamic_vector_fn = self._power.dynamic_vector_w
-            leakage_vector_fn = self._power.leakage_vector_w
-            stride_dyn_w = np.empty(n_blocks)
-            stride_blocks = np.empty(n_blocks)
-            stride_leak0_w = np.empty(n_blocks)
-            stride_leak_hi = np.empty(n_blocks)
-            stride_leak_lo = np.empty(n_blocks)
-            stride_d_hi = np.empty(n_blocks)
-            stride_d_lo = np.empty(n_blocks)
-            stride_b_hi = np.empty(n_blocks)
-            stride_b_lo = np.empty(n_blocks)
-            stride_tmp = np.empty(n_blocks)
-            # Drift-band cache: while consecutive attempts keep passing
-            # the a-posteriori closure at an unchanged operating point,
-            # the proven band in ``stride_d_hi``/``stride_d_lo`` is
-            # reused instead of re-guessed from a fresh unwidened
-            # envelope (the closure re-verifies it every attempt, so
-            # the cache can go stale but never unsound).
-            stride_band_ok = False
-            stride_band_act = None
-            stride_band_v = 0.0
-            stride_band_f = 0.0
-            stride_band_blocks = np.empty(n_blocks)
-            # Stacked (upper; lower) rows so each envelope's leakage
-            # evaluates in one broadcast call instead of two, and the
-            # (hi; lo) perturbed node powers so both widened envelopes
-            # come from one stacked probe pass.
-            stride_pair = np.empty((2, n_blocks))
-            stride_leak_pair = np.empty((2, n_blocks))
-            stride_power_pair = np.zeros((2, network.size))
+        planner = (
+            StridePlanner(
+                solver,
+                node_idx,
+                self._power,
+                self._config.stride_drift_tol_w,
+                trigger_c,
+                emergency_c,
+                raise_on_violation,
+            )
+            if ff_enabled
+            else None
+        )
         # Fused dense spans: when no decision can occur before the next
         # sensor sample (the stride disarmed, so the remaining steps run
         # dense), the span executes as one DenseSpanTask request through
@@ -1065,10 +1050,8 @@ class SimulationEngine(SimEngine):
                 # final (interpolated) step and the settle crossing, so
                 # every event the dense path would handle still happens
                 # on a densely stepped iteration.
-                k = int(
-                    np.ceil(
-                        (self._sensors.next_due_s - 1e-12 - time_s) / dt
-                    )
+                k = math.ceil(
+                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
                 )
                 k = min(k, perf.run_length(step_cycles, actuation))
                 if measuring:
@@ -1102,292 +1085,75 @@ class SimulationEngine(SimEngine):
                     k = min(k, k_settle)
                 if k >= 2:
                     # Only leakage can move the power before the next
-                    # decision point: freeze the dynamic part and take a
-                    # drift band for the leakage.  The band is verified
-                    # a posteriori below, so where it comes from affects
-                    # stride length only, never correctness -- which
-                    # lets consecutive attempts reuse the last proven
-                    # band (warm path) instead of re-guessing from a
-                    # fresh unwidened envelope every sensor period.
-                    dynamic_vector_fn(
-                        step_acts, voltage, frequency, clock_gate,
-                        out=stride_dyn_w,
+                    # decision point: the driver proves the span with
+                    # the dynamic part frozen (repro.sim.stride) and
+                    # applies the jump or rejects it.  A span whose
+                    # leakage drift exceeds the tolerance comes back
+                    # split into task.n_seg segments, the first one
+                    # already proven.
+                    task = planner.attempt(
+                        power_buffer, step_acts, voltage, frequency,
+                        clock_gate, actuation, k * dt, measuring,
                     )
-                    # Read the frozen step power back from the engine's
-                    # own node buffer: the power model's vector buffer
-                    # (``blocks_w``) is shared with other engines when a
-                    # lockstep batch interleaves runs over one
-                    # substrate, and they clobber it between our yield
-                    # and this attempt.
-                    power_buffer.take(node_idx, out=stride_blocks)
-                    np.subtract(
-                        stride_blocks, stride_dyn_w, out=stride_leak0_w
-                    )
-                    # The cached band only predicts this span when the
-                    # operating point is the one it was proven under and
-                    # the frozen power has barely moved; otherwise a
-                    # warm attempt would mostly fail closure after
-                    # paying for the widened pass (duty-cycled policies
-                    # re-actuate every period, and thrash it).
-                    warm = (
-                        stride_band_ok
-                        and actuation is stride_band_act
-                        and voltage == stride_band_v
-                        and frequency == stride_band_f
-                    )
-                    if warm:
-                        np.subtract(
-                            stride_blocks, stride_band_blocks,
-                            out=stride_tmp,
+                    stepped = yield (solver, task, dt, k)
+                    verdict = planner.settle()
+                    k_seg, k_extra = divmod(k, task.n_seg)
+                    for seg in range(task.n_seg):
+                        k_i = k_seg + 1 if seg < k_extra else k_seg
+                        seg_s = k_i * dt
+                        if seg > 0:
+                            # Re-freeze the power from the jumped
+                            # temperatures: exactly the value the next
+                            # dense step would compute.
+                            blocks_seg = power_vector_fn(
+                                step_acts, voltage, frequency,
+                                block_temps, clock_gate, check=False,
+                            )
+                            power_buffer[node_idx] = blocks_seg
+                            power_sum = float(sum_reduce(blocks_seg))
+                            task = planner.segment(power_buffer, seg_s)
+                            stepped = yield (solver, task, dt, k_i)
+                            verdict = planner.settle()
+                        if verdict != ACCEPT:
+                            break
+                        stride_taken = True
+                        per_step_instr = perf.fast_forward(
+                            step_cycles, actuation, k_i
                         )
-                        np.abs(stride_tmp, out=stride_tmp)
-                        warm = float(max_reduce(stride_tmp)) <= stride_tol
-                    if not warm:
-                        # Cold start: guess the band from the unwidened
-                        # constant-power envelope.
-                        stride_band_ok = False
-                        lower, upper = probe.bounds(power_buffer, k * dt)
-                        stride_pair[0] = upper
-                        stride_pair[1] = lower
-                        leakage_vector_fn(
-                            stride_pair, voltage, frequency,
-                            out=stride_leak_pair,
-                        )
-                        np.subtract(
-                            stride_leak_pair[0], stride_leak0_w,
-                            out=stride_d_hi,
-                        )
-                        np.maximum(stride_d_hi, 0.0, out=stride_d_hi)
-                        np.subtract(
-                            stride_leak0_w, stride_leak_pair[1],
-                            out=stride_d_lo,
-                        )
-                        np.maximum(stride_d_lo, 0.0, out=stride_d_lo)
-                    drift = max(
-                        float(max_reduce(stride_d_hi)),
-                        float(max_reduce(stride_d_lo)),
-                    )
-                    # Split the span so each segment's frozen-power
-                    # error stays below the drift tolerance; the power
-                    # is re-frozen from the jumped temperatures at each
-                    # segment head (exactly the value the next dense
-                    # step would compute).
-                    n_seg = (
-                        1
-                        if drift <= stride_tol
-                        else int(np.ceil(drift / stride_tol))
-                    )
-                    if k // n_seg < 2:
+                        temps_vec = stepped
+                        temps_vec.take(node_idx, out=block_temps)
+                        time_s += seg_s
+                        if measuring:
+                            done += per_step_instr * k_i
+                            cycles_f += step_cycles * k_i
+                            violations += task.violations
+                            # The envelope proved the jumped span either
+                            # uniformly above the trigger (trigger_s ==
+                            # seg_s) or uniformly at-or-below it, so
+                            # crossing state is exact.
+                            if task.trigger_s > 0.0:
+                                above_trigger_s += task.trigger_s
+                                if not above_trigger:
+                                    above_trigger = True
+                                    trigger_crossings += 1
+                            else:
+                                above_trigger = False
+                            if voltage < nominal_v - 1e-12:
+                                low_time_s += seg_s
+                            energy_j += power_sum * seg_s
+                            gating_time_weighted += (
+                                command.gating_fraction * seg_s
+                            )
+                            if cmd_active:
+                                engaged_s += seg_s
+                            step_max = float(max_reduce(block_temps))
+                            if step_max > max_temp:
+                                max_temp = step_max
+                                hottest_block = block_names[
+                                    int(np.argmax(block_temps))
+                                ]
+                    if verdict == REJECT:
                         stride_ok = False
-                        ff_spans_rejected += 1
-                    else:
-                        k_seg = k // n_seg
-                        k_extra = k - k_seg * n_seg
-                        for seg in range(n_seg):
-                            k_i = k_seg + (1 if seg < k_extra else 0)
-                            if seg > 0:
-                                blocks_seg = power_vector_fn(
-                                    step_acts, voltage, frequency,
-                                    block_temps, clock_gate, check=False,
-                                )
-                                power_buffer[node_idx] = blocks_seg
-                                stride_blocks[:] = blocks_seg
-                                np.subtract(
-                                    stride_blocks,
-                                    stride_dyn_w,
-                                    out=stride_leak0_w,
-                                )
-                                power_sum = float(sum_reduce(blocks_seg))
-                            seg_s = k_i * dt
-                            if n_seg > 1:
-                                # Re-frozen power or shorter span: the
-                                # guess envelope does not cover this
-                                # segment, so re-bound and re-guess the
-                                # drift band.
-                                lower, upper = probe.bounds(
-                                    power_buffer, seg_s
-                                )
-                                stride_pair[0] = upper
-                                stride_pair[1] = lower
-                                leakage_vector_fn(
-                                    stride_pair, voltage, frequency,
-                                    out=stride_leak_pair,
-                                )
-                                np.subtract(
-                                    stride_leak_pair[0],
-                                    stride_leak0_w,
-                                    out=stride_d_hi,
-                                )
-                                np.maximum(
-                                    stride_d_hi, 0.0, out=stride_d_hi
-                                )
-                                np.subtract(
-                                    stride_leak0_w,
-                                    stride_leak_pair[1],
-                                    out=stride_d_lo,
-                                )
-                                np.maximum(
-                                    stride_d_lo, 0.0, out=stride_d_lo
-                                )
-                            # else: single segment -- the outer band
-                            # (cold guess or cached from the last proven
-                            # attempt) already describes this span.
-                            if measuring and (n_seg > 1 or not stride_band_ok):
-                                # A fresh unwidened guess envelope is in
-                                # hand: if it already straddles a
-                                # threshold, widening only moves the
-                                # bounds outward, so classification
-                                # below is guaranteed to reject.  Bail
-                                # out before paying for the widened
-                                # pass and closure -- this is the
-                                # common rejection mode while DTM
-                                # holds the core near a threshold.
-                                g_hi = float(max_reduce(upper))
-                                g_lo = float(max_reduce(lower))
-                                if (
-                                    g_hi > trigger_c >= g_lo
-                                    or g_hi > emergency_c >= g_lo
-                                ):
-                                    stride_ok = False
-                                    stride_band_ok = False
-                                    ff_spans_rejected += 1
-                                    break
-                            np.multiply(stride_d_hi, 2.0, out=stride_b_hi)
-                            stride_b_hi += stride_slack_w
-                            np.multiply(stride_d_lo, 2.0, out=stride_b_lo)
-                            stride_b_lo += stride_slack_w
-                            # Widened extremal envelopes: constant
-                            # powers p0 + d_hi and p0 - d_lo pinch any
-                            # power trajectory inside the band
-                            # (Kamke-Müller comparison; the discrete
-                            # propagator is monotone because
-                            # e^{-C^-1 L dt} >= 0 elementwise).  One
-                            # stacked probe pass computes the upper
-                            # envelope of the inflated power and the
-                            # lower envelope of the deflated one.
-                            # The pair rows were zero-initialised and
-                            # only the block-node entries are ever
-                            # written: ``power_buffer`` is nonzero only
-                            # at ``node_idx`` too, so the rows track it
-                            # without full-vector copies.
-                            np.add(
-                                stride_blocks, stride_b_hi,
-                                out=stride_tmp,
-                            )
-                            stride_power_pair[0, node_idx] = stride_tmp
-                            np.subtract(
-                                stride_blocks, stride_b_lo,
-                                out=stride_tmp,
-                            )
-                            stride_power_pair[1, node_idx] = stride_tmp
-                            w_lower, w_upper = probe.widened(
-                                stride_power_pair, seg_s
-                            )
-                            # A-posteriori closure: leakage anywhere in
-                            # the widened box stays inside the assumed
-                            # band, so the box provably traps the true
-                            # drifting-power trajectory.
-                            stride_pair[0] = w_upper
-                            stride_pair[1] = w_lower
-                            leakage_vector_fn(
-                                stride_pair, voltage, frequency,
-                                out=stride_leak_pair,
-                            )
-                            np.subtract(
-                                stride_leak_pair[0],
-                                stride_leak0_w,
-                                out=stride_leak_hi,
-                            )
-                            np.subtract(
-                                stride_leak0_w,
-                                stride_leak_pair[1],
-                                out=stride_leak_lo,
-                            )
-                            safe = bool(
-                                all_reduce(stride_leak_hi <= stride_b_hi)
-                                and all_reduce(stride_leak_lo <= stride_b_lo)
-                            )
-                            span_violations = 0
-                            span_trigger_s = 0.0
-                            if safe and measuring:
-                                # Threshold classification: jump only
-                                # when every jumped step's accounting is
-                                # provably exact.
-                                hot_upper = float(max_reduce(w_upper))
-                                hot_lower = float(max_reduce(w_lower))
-                                if hot_upper <= trigger_c:
-                                    pass
-                                elif (
-                                    hot_lower > emergency_c
-                                    and not raise_on_violation
-                                ):
-                                    span_violations = k_i
-                                    span_trigger_s = seg_s
-                                elif (
-                                    hot_lower > trigger_c
-                                    and hot_upper <= emergency_c
-                                ):
-                                    span_trigger_s = seg_s
-                                else:
-                                    safe = False
-                            if not safe:
-                                # Re-guess from a fresh envelope next
-                                # time: the band was either too small
-                                # (closure failed) or wide enough to
-                                # blur a threshold decision a tighter
-                                # guess might still make.
-                                stride_band_ok = False
-                                stride_ok = False
-                                ff_spans_rejected += 1
-                                break
-                            ff_spans_taken += 1
-                            stride_taken = True
-                            # The closure just proved this band over
-                            # this span: reuse it on the next attempt
-                            # at this operating point (it is re-verified
-                            # there, so staleness costs a rejection at
-                            # worst, never soundness).
-                            stride_band_ok = True
-                            stride_band_act = actuation
-                            stride_band_v = voltage
-                            stride_band_f = frequency
-                            stride_band_blocks[:] = stride_blocks
-                            per_step_instr = perf.fast_forward(
-                                step_cycles, actuation, k_i
-                            )
-                            temps_vec = yield (solver, power_buffer, dt, k_i)
-                            temps_vec.take(node_idx, out=block_temps)
-                            time_s += seg_s
-                            if measuring:
-                                done += per_step_instr * k_i
-                                cycles_f += step_cycles * k_i
-                                violations += span_violations
-                                # The envelope proved the jumped span
-                                # either uniformly above the trigger
-                                # (span_trigger_s == seg_s) or uniformly
-                                # at-or-below it, so crossing state is
-                                # exact.
-                                if span_trigger_s > 0.0:
-                                    above_trigger_s += span_trigger_s
-                                    if not above_trigger:
-                                        above_trigger = True
-                                        trigger_crossings += 1
-                                else:
-                                    above_trigger = False
-                                if voltage < nominal_v - 1e-12:
-                                    low_time_s += seg_s
-                                energy_j += power_sum * seg_s
-                                gating_time_weighted += (
-                                    command.gating_fraction * seg_s
-                                )
-                                if cmd_active:
-                                    engaged_s += seg_s
-                                step_max = float(max_reduce(block_temps))
-                                if step_max > max_temp:
-                                    max_temp = step_max
-                                    hottest_block = block_names[
-                                        int(np.argmax(block_temps))
-                                    ]
 
             # --- fused dense span ------------------------------------------
             # With the stride disarmed (or event-driven stepping off
@@ -1402,10 +1168,8 @@ class SimulationEngine(SimEngine):
                 and pending_voltage is None
                 and done < instructions
             ):
-                k = int(
-                    np.ceil(
-                        (self._sensors.next_due_s - 1e-12 - time_s) / dt
-                    )
+                k = math.ceil(
+                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
                 )
                 if k >= 2:
                     temps_vec = yield (
@@ -1417,6 +1181,11 @@ class SimulationEngine(SimEngine):
 
         elapsed_s = time_s - measure_start_s
         if obs_metrics.enabled():
+            rejected = (
+                planner.rejected
+                if planner is not None
+                else dict.fromkeys(REJECT_REASONS, 0)
+            )
             # One batch publish per run: registry counters for the
             # process view, run-context metrics for the spill record the
             # sweep report aggregates, and one completion event.
@@ -1427,12 +1196,16 @@ class SimulationEngine(SimEngine):
                 "engine.trigger_crossings": float(trigger_crossings),
                 "engine.sensor_samples": float(sensor_samples),
                 "engine.violations": float(violations),
-                "engine.ff_spans_taken": float(ff_spans_taken),
-                "engine.ff_spans_rejected": float(ff_spans_rejected),
+                "engine.ff_spans_taken": float(
+                    planner.taken if planner is not None else 0
+                ),
+                "engine.ff_spans_rejected": float(sum(rejected.values())),
                 "dtm.engagements": float(dtm_engagements),
                 "dtm.dvs_switches": float(switches),
                 "dtm.migrations": float(migrations),
             }
+            for reason, count in rejected.items():
+                counters["engine.ff_rejected." + reason] = float(count)
             if solver.fallback_active:
                 counters["thermal.fallback_runs"] = 1.0
             registry = obs_metrics.REGISTRY

@@ -10,11 +10,16 @@ and yields them as one *round* (a mapping of index -> request); the
 contract driver (:func:`~repro.sim.contract.service_round`) groups the
 compatible ones (same stepper class, same shared network, same dt) and
 services each group with one batched BLAS-3 operation via
-:func:`~repro.thermal.solver.step_lockstep`; fast-forward jumps, odd
-time steps and the last survivors of a draining batch are serviced
-individually.  Per-run physics is untouched -- sensing, policy, power
-and accounting all run inside the generators -- so lockstep results
-match :func:`~repro.sim.batch.run_one` to BLAS summation order.
+:func:`~repro.thermal.solver.step_lockstep`; odd time steps and the
+last survivors of a draining batch are serviced individually.  Before
+each round, the runs waiting on an event-driven stride attempt are
+yielded as stride-only sub-rounds, whose proofs the driver batches
+(:func:`~repro.sim.stride.serve_strides`); each verdict is the one the
+run would get alone, and the rounds hold the same single-step
+requests as when every run proved its strides by itself.  Per-run physics is untouched
+-- sensing, policy, power and accounting all run inside the generators
+-- so lockstep results match :func:`~repro.sim.batch.run_one` to BLAS
+summation order.
 
 Because runs under DVS change their cycle time independently, grouping
 is re-derived every round from the requests actually pending: runs
@@ -42,6 +47,7 @@ from repro.obs import runctx as obs_runctx
 from repro.obs import spill as obs_spill
 from repro.sim.contract import SimEngine, drive
 from repro.sim.results import RunResult
+from repro.sim.stride import ACCEPT, StrideTask
 
 # Sequence number for chunk record ids within one process.
 _CHUNK_SEQ = 0
@@ -51,10 +57,11 @@ class LockstepEngine(SimEngine):
     """Advances a batch of specs together under the engine contract.
 
     :meth:`iter_run` yields *rounds* -- mappings of spec index to the
-    ``(solver, power, dt, count)`` request that run is suspended on --
-    and expects a mapping of stepped temperature vectors back.  The
-    batch's result (a list of :class:`~repro.sim.results.RunResult` in
-    spec order) is the generator's return value.
+    request that run is suspended on -- and expects a mapping of
+    replies back; a round made only of stride requests comes first
+    whenever some run is waiting on one.  The batch's result (a list of
+    :class:`~repro.sim.results.RunResult` in spec order) is the
+    generator's return value.
 
     The engine holds no state between runs beyond the spec list itself
     (per-run engines, solvers and sensor arrays are built fresh inside
@@ -132,6 +139,23 @@ class LockstepEngine(SimEngine):
         error: Optional[str] = None
         self._emit("run.start", 0.0, runs=len(specs))
 
+        # Runs whose pending request is a stride attempt.
+        strides: Dict[int, tuple] = {}
+
+        def advance(index, reply):
+            """Resume one run; note a stride request, finish a run."""
+            try:
+                request = generators[index].send(reply)
+            except StopIteration as stop:
+                results[index] = stop.value
+                pending.pop(index, None)
+                del generators[index]
+                obs_heartbeat.finish(heartbeats.pop(index, None))
+                return
+            pending[index] = request
+            if isinstance(request[1], StrideTask):
+                strides[index] = request
+
         floorplan, hotspot, power_model = _default_substrate()
         try:
             for index, spec in enumerate(specs):
@@ -165,19 +189,31 @@ class LockstepEngine(SimEngine):
                 publisher = _begin_heartbeat(spec)
                 if publisher is not None:
                     heartbeats[index] = publisher
-                _advance(index, None, generators, pending, results)
+                advance(index, None)
                 obs_heartbeat.release(publisher)
-                if index not in generators:
-                    obs_heartbeat.finish(heartbeats.pop(index, None))
 
             while pending:
-                replies = yield dict(pending)
+                # Stride attempts are proven first, in sub-rounds of
+                # their own, so the round's single steps are exactly
+                # those it would hold had each proof run inside its
+                # generator: an accepted jump is applied in the
+                # sub-round and only its reply waits for the round; a
+                # rejected attempt resumes its run at once.
+                jumped = {}
+                while strides:
+                    batch = dict(strides)
+                    strides.clear()
+                    replies = yield batch
+                    for index in sorted(replies):
+                        if batch[index][1].verdict == ACCEPT:
+                            jumped[index] = replies[index]
+                            del pending[index]
+                        else:
+                            advance(index, replies[index])
+                replies = (yield dict(pending)) if pending else {}
+                replies.update(jumped)
                 for index in sorted(replies):
-                    _advance(
-                        index, replies[index], generators, pending, results
-                    )
-                    if index not in generators:
-                        obs_heartbeat.finish(heartbeats.pop(index, None))
+                    advance(index, replies[index])
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
@@ -211,19 +247,3 @@ def run_lockstep(specs) -> List[RunResult]:
     and matrix-matrix arithmetic across the batch.
     """
     return LockstepEngine(specs).run()
-
-
-def _advance(
-    index: int,
-    reply: Optional[np.ndarray],
-    generators: Dict[int, object],
-    pending: Dict[int, tuple],
-    results: List[Optional[RunResult]],
-) -> None:
-    """Resume one run until its next thermal-step request or completion."""
-    try:
-        pending[index] = generators[index].send(reply)
-    except StopIteration as stop:
-        results[index] = stop.value
-        pending.pop(index, None)
-        del generators[index]

@@ -285,12 +285,6 @@ class _ProbeBasis:
         self.row_basis = _frozen(
             np.ascontiguousarray(vectors[rows] * bank.inv_c_sqrt[rows, None])
         )
-        # Steady-state response of the row subset to extra power *on*
-        # the row subset: bounds the trajectory shift from a power
-        # perturbation confined to those nodes (see ``response_bound``).
-        self.linv_rows = _frozen(
-            np.ascontiguousarray(linv[np.ix_(rows, rows)])
-        )
         # Transposed-contiguous copies so the paired (2, n) variants run
         # as one dgemm each instead of two dgemv dispatches.
         self.linv_t = _frozen(np.ascontiguousarray(linv.T))
@@ -691,10 +685,10 @@ class ExponentialSolver:
         return lower, upper
 
     def span_probe(self, rows: np.ndarray) -> "SpanProbe":
-        """An allocation-free span-envelope evaluator restricted to the
-        node subset ``rows`` (the engine passes its block-node indices).
-        See :class:`SpanProbe`."""
-        return SpanProbe(self, rows)
+        """A row-batched span-envelope evaluator over this solver's
+        network, restricted to the node subset ``rows`` (the engine
+        passes its block-node indices).  See :class:`SpanProbe`."""
+        return SpanProbe(self._network, rows)
 
     def reset(self, temperatures: np.ndarray) -> None:
         """Overwrite the state with ``temperatures`` and zero the clock."""
@@ -709,140 +703,213 @@ class ExponentialSolver:
 
 
 class SpanProbe:
-    """Allocation-free span-envelope evaluator over a fixed row subset.
+    """Row-batched span-envelope evaluator over a fixed node subset.
 
-    The engine's event-driven stride asks, once per sensor period, for
-    bounds on the hottest *block* temperature over the coming span.
-    :meth:`ExponentialSolver.span_envelope` answers that with ~six fresh
-    arrays per call; at a few thousand calls per run the allocator
-    becomes a measurable slice of the hot path.  This probe reads the
-    modal basis restricted to the requested rows and the per-span decay
-    vectors from the network's :class:`OperatorBank` (built once per
-    network and row set, shared by every probe over it), and reuses its
-    own set of buffers, so a call is a handful of in-place BLAS/ufunc
-    operations.
+    The event-driven stride asks, once per sensor period per run, for
+    bounds on the *block* temperatures over the coming span.
+    :meth:`ExponentialSolver.span_envelope` answers for one run with
+    ~six fresh full-node arrays per call; this probe answers for a batch
+    of R runs over one network at once.  It reads the modal basis
+    restricted to the requested rows and the per-span decay vectors from
+    the network's :class:`OperatorBank` (built once per network and row
+    set, shared by every probe over it), and keeps its own scratch,
+    regrown to the largest batch it has seen.  A call is a dozen stacked
+    BLAS/ufunc operations writing into that scratch; it is not
+    allocation-free: :meth:`gather` stacks its rows into new arrays.
 
-    The returned bound arrays are the probe's own buffers: read them
-    before the next :meth:`bounds` call.  Bounds are numerically
-    identical to ``span_envelope(power, span_s)`` restricted to
-    ``rows`` (same operations on the same doubles, reassociated only
-    where float addition order is already unspecified upstream).
+    **Bit-identity per row.**  A row's bounds are the same doubles
+    whatever other rows share its batch (and so the same as for R = 1):
+    the steady-state and modal projections of :meth:`bounds` are stacked
+    ``(n, n) @ (R, n, 1)`` products, which run one GEMV per row, and
+    those of :meth:`widened` are ``(R, 2, n) @ (n, n)`` products, one
+    2-row GEMM per row; everything else is elementwise or a reduction
+    along the last axis.  A plain ``(R, n) @ B`` GEMM is not used: for
+    R >= 2 it can round rows differently from a GEMV.
+
+    Both passes return an ``(R, 2, m)`` *envelope*: ``[:, 0]`` the upper
+    bounds, ``[:, 1]`` the lower bounds, one row per run.  It is the
+    probe's scratch: read it before the next call.
     """
 
-    def __init__(self, solver: "ExponentialSolver", rows: np.ndarray):
-        self._solver = solver
-        basis = solver._bank.probe_basis(np.asarray(rows, dtype=np.intp))
-        self._basis = basis
-        n = solver._network.size
-        m = basis.rows.size
-        # Reused buffers.
-        self._u = np.empty(n)
-        self._t_ss = np.empty(n)
-        self._diff = np.empty(n)
-        self._coeffs = np.empty(n)
-        self._weights = np.empty((m, n))
-        self._decayed = np.empty((m, n))
-        self._extreme = np.empty((m, n))
-        self._lower = np.empty(m)
-        self._upper = np.empty(m)
-        self._resp = np.empty(m)
-        self._pair_u = np.empty((2, n))
-        self._pair_t_ss = np.empty((2, n))
-        self._pair_diff = np.empty((2, n))
-        self._pair_coeffs = np.empty((2, n))
+    def __init__(self, network: ThermalNetwork, rows: np.ndarray):
+        self._basis = network.operator_bank.probe_basis(
+            np.asarray(rows, dtype=np.intp)
+        )
+        self._capacity = 0
+        self._views: dict = {}
+        self._scratch(1)
+
+    @property
+    def basis(self) -> "_ProbeBasis":
+        """The shared row-restricted operators (``basis.rows`` are the
+        probe's node rows).  Probes with the same basis may evaluate
+        each other's rows."""
+        return self._basis
+
+    def _scratch(self, count: int) -> "_ProbeScratch":
+        """Scratch views for ``count`` rows, regrown when too small."""
+        scratch = self._views.get(count)
+        if scratch is None:
+            if count > self._capacity:
+                self._capacity = count
+                self._buffers = _ProbeScratch(self._capacity, self._basis)
+                self._views.clear()
+            scratch = self._buffers
+            if count < self._capacity:
+                scratch = scratch.head(count)
+            self._views[count] = scratch
+        return scratch
+
+    def gather(self, solvers, spans) -> Tuple[np.ndarray, np.ndarray]:
+        """``(temps, decay)``, each ``(R, n)``: the current states of
+        ``solvers`` and the modal decay over each of ``spans`` -- the
+        row inputs of :meth:`bounds` and :meth:`widened`, in new
+        arrays."""
+        decay = self._basis.decay
+        return (
+            np.concatenate([solver._temps[None] for solver in solvers]),
+            np.concatenate([decay(span_s)[None] for span_s in spans]),
+        )
 
     def bounds(
-        self, power: np.ndarray, span_s: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` over the probe's rows for the constant-
-        ``power`` trajectory over ``[0, span_s]`` -- the row-restricted
-        :meth:`ExponentialSolver.span_envelope`, without allocation.
-        Returns internal buffers, overwritten by the next call."""
+        self, temps: np.ndarray, power: np.ndarray, decay: np.ndarray
+    ) -> np.ndarray:
+        """Envelope of each row's constant-``power[i]`` trajectory from
+        ``temps[i]`` over the span whose modal decay is ``decay[i]``
+        (all ``(R, n)``): the row-restricted
+        :meth:`ExponentialSolver.span_envelope` of each run."""
+        s = self._scratch(len(temps))
         basis = self._basis
-        u = self._u
-        np.add(power, basis.ambient_source, out=u)
-        t_ss = self._t_ss
-        np.dot(basis.linv, u, out=t_ss)
-        diff = self._diff
-        np.subtract(self._solver._temps, t_ss, out=diff)
-        diff *= basis.c_sqrt
-        np.dot(basis.vectors_t, diff, out=self._coeffs)
-        weights = self._weights
-        np.multiply(basis.row_basis, self._coeffs[None, :], out=weights)
-        decayed = self._decayed
-        np.multiply(weights, basis.decay(span_s)[None, :], out=decayed)
-        extreme = self._extreme
-        np.minimum(weights, decayed, out=extreme)
-        lower = self._lower
-        np.add.reduce(extreme, axis=1, out=lower)
-        lower += t_ss[basis.rows]
-        np.maximum(weights, decayed, out=extreme)
-        upper = self._upper
-        np.add.reduce(extreme, axis=1, out=upper)
-        upper += t_ss[basis.rows]
-        return lower, upper
+        np.add(power, s.ambient_row, out=s.u_row)
+        np.matmul(basis.linv, s.u_col, out=s.t_ss_col)
+        np.subtract(temps, s.t_ss_row, out=s.diff_row)
+        np.multiply(s.diff_row, s.c_sqrt_row, out=s.diff_row)
+        np.matmul(basis.vectors_t, s.diff_col, out=s.coeffs_col)
+        weights, decayed = s.weights_row, s.extreme_row
+        np.multiply(basis.row_basis, s.coeffs_row, out=weights)
+        np.multiply(weights, decay[:, None, :], out=decayed)
+        np.maximum(weights, decayed, out=s.decayed_row)
+        np.minimum(weights, decayed, out=decayed)
+        envelope = s.envelope
+        np.add.reduce(s.decayed_flat, axis=-1, out=s.envelope_flat)
+        s.t_ss_flat.take(s.upper_index, out=s.upper_flat)
+        envelope += s.upper_rows
+        return envelope
 
     def widened(
-        self, power_pair: np.ndarray, span_s: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` where ``upper`` bounds the constant-
-        ``power_pair[0]`` trajectory from above and ``lower`` bounds the
-        constant-``power_pair[1]`` trajectory from below, over
-        ``[0, span_s]`` on the probe's rows.
+        self, temps: np.ndarray, power_pairs: np.ndarray, decay: np.ndarray
+    ) -> np.ndarray:
+        """Envelope whose upper row ``[i, 0]`` bounds the
+        constant-power trajectory from ``temps[i]`` under
+        ``power_pairs[i, 0]`` from above and whose lower row ``[i, 1]``
+        bounds the one under ``power_pairs[i, 1]`` from below, over the
+        span whose modal decay is ``decay[i]``.  ``power_pairs`` is
+        ``(R, 2, m)``: power at the probe's rows, zero elsewhere.
 
-        This is the half of two :meth:`bounds` calls the engine's
-        widened-envelope closure actually consumes (the upper bound of
-        the leakage-inflated power, the lower bound of the deflated
-        one), computed in one stacked pass so the two steady-state and
-        modal projections run as single (2, n) x (n, n) matmuls instead
-        of four matvec dispatches.  Each returned bound is numerically
-        the same function of the same doubles as the corresponding
-        :meth:`bounds` output.  Returns internal buffers, overwritten by
-        the next :meth:`bounds` or :meth:`widened` call."""
+        This is the half of two :meth:`bounds` calls the stride's
+        widened-envelope closure consumes (the upper bound of the
+        leakage-inflated power, the lower bound of the deflated one),
+        with the two steady-state and modal projections of a row run as
+        one 2-row GEMM each."""
+        s = self._scratch(len(temps))
         basis = self._basis
-        u = self._pair_u
-        np.add(power_pair, basis.ambient_source[None, :], out=u)
-        t_ss = self._pair_t_ss
-        np.dot(u, basis.linv_t, out=t_ss)
-        diff = self._pair_diff
-        np.subtract(self._solver._temps[None, :], t_ss, out=diff)
-        diff *= basis.c_sqrt[None, :]
-        np.dot(diff, basis.vectors, out=self._pair_coeffs)
-        decay = basis.decay(span_s)
-        weights = self._weights
-        decayed = self._decayed
-        extreme = self._extreme
-        np.multiply(basis.row_basis, self._pair_coeffs[0][None, :], out=weights)
-        np.multiply(weights, decay[None, :], out=decayed)
-        np.maximum(weights, decayed, out=extreme)
-        upper = self._upper
-        np.add.reduce(extreme, axis=1, out=upper)
-        upper += t_ss[0, basis.rows]
-        np.multiply(basis.row_basis, self._pair_coeffs[1][None, :], out=weights)
-        np.multiply(weights, decay[None, :], out=decayed)
-        np.minimum(weights, decayed, out=extreme)
-        lower = self._lower
-        np.add.reduce(extreme, axis=1, out=lower)
-        lower += t_ss[1, basis.rows]
-        return lower, upper
+        s.pairs_flat[s.rows_index] = power_pairs.reshape(-1)
+        np.add(s.pairs, s.ambient, out=s.u)
+        np.matmul(s.u, basis.linv_t, out=s.t_ss)
+        np.subtract(temps[:, None, :], s.t_ss, out=s.diff)
+        np.multiply(s.diff, s.c_sqrt, out=s.diff)
+        np.matmul(s.diff, basis.vectors, out=s.coeffs)
+        np.multiply(basis.row_basis, s.coeffs_pair, out=s.weights_pair)
+        np.multiply(s.weights_run, decay[:, None, :], out=s.decayed_run)
+        np.maximum(s.weights_row, s.decayed_row, out=s.decayed_row)
+        np.minimum(s.weights_low, s.extreme_row, out=s.extreme_row)
+        envelope = s.envelope
+        np.add.reduce(s.decayed_flat, axis=-1, out=s.envelope_flat)
+        s.t_ss_flat.take(s.rows_index, out=s.rows_flat)
+        envelope += s.t_ss_rows
+        return envelope
 
-    def response_bound(self, delta_rows: np.ndarray) -> np.ndarray:
-        """Elementwise bound on the extra trajectory movement caused by
-        adding a constant power perturbation ``delta_rows >= 0`` (one
-        entry per probe row, applied at those nodes) on top of any
-        profile already covered by :meth:`bounds`.
 
-        By linearity the perturbed trajectory is the unperturbed one
-        plus the zero-state response ``(I - e^{-C^{-1}L t}) L^{-1} d``,
-        which for ``d >= 0`` is elementwise nonnegative, monotone in
-        ``t`` and bounded by its asymptote ``L^{-1} d``.  Adding the
-        returned vector to an upper bound (or subtracting the bound for
-        ``-d`` from a lower bound) therefore keeps the envelope rigorous
-        under power drift of at most ``delta_rows`` -- the a-posteriori
-        closure the engine uses for temperature-dependent leakage.
-        Returns an internal buffer, overwritten by the next call."""
-        np.dot(self._basis.linv_rows, delta_rows, out=self._resp)
-        return self._resp
+class _ProbeScratch:
+    """A :class:`SpanProbe`'s scratch for ``count`` rows, with the views
+    its passes write through (built once per batch size).  ``[:, 0]`` of
+    the paired arrays serves :meth:`SpanProbe.bounds`."""
+
+    def __init__(self, count: int, basis: "_ProbeBasis", arrays=None):
+        rows = basis.rows
+        n, m = basis.c_sqrt.size, rows.size
+        if arrays is None:
+            arrays = (
+                np.zeros((count, 2, n)),
+                np.empty((count, 2, n)),
+                np.empty((count, 2, n)),
+                np.empty((count, 2, n)),
+                np.empty((count, 2, n)),
+                np.empty((count, 2, m, n)),
+                np.empty((count, 2, m, n)),
+                np.empty((count, 2, m)),
+                np.empty((count, 2, m)),
+                # The node-vector constants, repeated per row: ufuncs on
+                # operands of one shape dispatch faster than broadcasts.
+                np.tile(basis.ambient_source, (count, 2, 1)),
+                np.tile(basis.c_sqrt, (count, 2, 1)),
+            )
+        self._arrays = arrays
+        self._basis = basis
+        (
+            self.pairs,
+            self.u,
+            self.t_ss,
+            self.diff,
+            self.coeffs,
+            self.weights,
+            self.decayed,
+            self.envelope,
+            self.t_ss_rows,
+            self.ambient,
+            self.c_sqrt,
+        ) = arrays
+        self.ambient_row, self.c_sqrt_row = self.ambient[:, 0], self.c_sqrt[:, 0]
+        # Flat positions of the probe's rows in the (count, 2, n) node
+        # arrays: the widened pass scatters its powers (zero off those
+        # rows) and both passes gather the steady state through them.
+        self.pairs_flat = self.pairs.reshape(-1)
+        self.rows_index = (
+            np.arange(2 * count)[:, None] * n + rows[None, :]
+        ).ravel()
+        self.upper_index = self.rows_index.reshape(count, 2, m)[:, 0].ravel()
+        self.t_ss_flat = self.t_ss.reshape(-1)
+        self.rows_flat = self.t_ss_rows.reshape(-1)
+        self.upper_flat = self.rows_flat[: count * m]
+        self.upper_rows = self.upper_flat.reshape(count, 1, m)
+        self.u_row = self.u[:, 0]
+        self.u_col = self.u_row[:, :, None]
+        self.t_ss_row = self.t_ss[:, 0]
+        self.t_ss_col = self.t_ss_row[:, :, None]
+        self.diff_row = self.diff[:, 0]
+        self.diff_col = self.diff_row[:, :, None]
+        self.coeffs_col = self.coeffs[:, 0, :, None]
+        self.coeffs_row = self.coeffs[:, :1]
+        # Products and sums over the fewest axes that keep each node
+        # row's operands and summation order.
+        self.coeffs_pair = self.coeffs.reshape(2 * count, 1, n)
+        self.weights_pair = self.weights.reshape(2 * count, m, n)
+        self.weights_run = self.weights.reshape(count, 2 * m, n)
+        self.decayed_run = self.decayed.reshape(count, 2 * m, n)
+        self.decayed_flat = self.decayed.reshape(-1, n)
+        self.envelope_flat = self.envelope.reshape(-1)
+        self.weights_row = self.weights[:, 0]
+        self.weights_low = self.weights[:, 1]
+        self.decayed_row = self.decayed[:, 0]
+        self.extreme_row = self.decayed[:, 1]
+        # Both passes put the maxima in [:, 0] and the minima in [:, 1],
+        # so the envelope's [:, 0] is the upper bound.
+
+    def head(self, count: int) -> "_ProbeScratch":
+        """The same buffers' first ``count`` rows."""
+        return _ProbeScratch(
+            count, self._basis, tuple(array[:count] for array in self._arrays)
+        )
 
 
 def step_lockstep(solvers, powers, dt: float):

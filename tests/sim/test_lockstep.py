@@ -176,3 +176,73 @@ class TestRaiseOnViolationFallback:
         assert all(r is not None for r in results)
         (reference,) = run_many([guarded])
         _assert_equivalent(results[1], reference)
+
+
+def _stride_specs():
+    # Runs that reject stride attempts for three different reasons, with
+    # different instruction budgets so the batch shrinks while the
+    # survivors are still striding.
+    from functools import partial
+
+    from repro.dtm.fetch_gating import (
+        FixedFetchGatingPolicy,
+        duty_cycle_to_gating_fraction,
+    )
+
+    def fixed(duty):
+        return partial(
+            FixedFetchGatingPolicy, duty_cycle_to_gating_fraction(duty)
+        )
+
+    stall = EngineConfig(dvs_mode="stall")
+    rows = [
+        ("art", "none", None, 20_000_000),
+        ("art", fixed(10.0), stall, 14_000_000),
+        ("gcc", fixed(5.0), stall, 20_000_000),
+        ("gzip", "FG", stall, 9_000_000),
+        ("bzip2", "PI-Hyb", stall, 20_000_000),
+        ("eon", fixed(1.5), stall, 16_000_000),
+    ]
+    return [
+        RunSpec(
+            workload=workload,
+            policy=policy,
+            instructions=instructions,
+            settle_time_s=2.0e-3,
+            engine_config=config,
+        )
+        for workload, policy, config, instructions in rows
+    ]
+
+
+def _stride_counters(lockstep):
+    from repro.obs import metrics as obs_metrics
+
+    previous = obs_metrics.set_enabled(True)
+    try:
+        before = obs_metrics.REGISTRY.counter_values()
+        run_many(_stride_specs(), lockstep=lockstep)
+        after = obs_metrics.REGISTRY.counter_values()
+    finally:
+        obs_metrics.set_enabled(previous)
+    return {
+        name: after[name] - before.get(name, 0.0)
+        for name in after
+        if name.startswith("engine.ff_")
+    }
+
+
+class TestStrideCounters:
+    def test_lockstep_counts_equal_the_serial_sum(self):
+        from repro.sim.stride import REJECT_REASONS
+
+        serial = _stride_counters(lockstep=False)
+        batched = _stride_counters(lockstep=True)
+        assert batched == serial
+        reasons = {
+            reason: serial["engine.ff_rejected." + reason]
+            for reason in REJECT_REASONS
+        }
+        assert serial["engine.ff_spans_rejected"] == sum(reasons.values())
+        assert serial["engine.ff_spans_taken"] > 0
+        assert sum(1 for count in reasons.values() if count) >= 3

@@ -67,7 +67,7 @@ class TestSharing:
         two = ExponentialSolver(network, _start(network)).span_probe(rows)
         assert one._basis is two._basis
         # ... but not their buffers.
-        assert one._weights is not two._weights
+        assert one._buffers.weights is not two._buffers.weights
 
     def test_entries_equal_a_fresh_computation(self, network):
         bank = network.operator_bank
@@ -107,7 +107,6 @@ class TestReadOnly:
             basis.vectors_t,
             basis.vectors,
             basis.linv_t,
-            basis.linv_rows,
             basis.decay(7 * DT),
         ]
         return arrays
@@ -126,8 +125,10 @@ class TestReadOnly:
         solver = ExponentialSolver(network, _start(network))
         _trajectory(solver, power)
         probe = solver.span_probe(network.block_node_indices)
-        probe.bounds(power, 7 * DT)
-        probe.widened(np.stack([power, power]), 7 * DT)
+        temps, decay = probe.gather([solver], [7 * DT])
+        probe.bounds(temps, power[None], decay)
+        rows = network.block_node_indices
+        probe.widened(temps, np.stack([power, power])[None][..., rows], decay)
         TransientSolver(network, _start(network)).step(power, DT)
         for kept, array in zip(before, self._bank_arrays(network)):
             assert np.array_equal(kept, array)
