@@ -12,8 +12,8 @@ Environment knobs:
   fan independent runs out over a process pool; results are identical
   to the serial path.
 * ``REPRO_BENCH_LOCKSTEP`` -- set to 1 to advance each batch's runs in
-  lockstep, servicing their thermal steps with one batched BLAS-3
-  operation per step group (:mod:`repro.sim.lockstep`); composes with
+  lockstep, servicing their thermal steps with one batched call per
+  step group (:mod:`repro.sim.lockstep`); composes with
   ``REPRO_BENCH_PROCESSES``.  Default 0.
 """
 

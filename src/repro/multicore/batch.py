@@ -18,7 +18,7 @@ the sweep machinery calls:
   :func:`~repro.sim.batch.run_one`, so serial, pooled, retried and
   lockstep-delegated paths all execute a dual-core spec identically.
 
-Dual-core specs never enter a BLAS-3 lockstep group (each engine owns a
+Dual-core specs never enter a lockstep step group (each engine owns a
 private thermal network) and never ride the shared-memory sweep segment
 (whose layout is single-core); both paths detect the spec type and fall
 back to per-spec dispatch.

@@ -564,11 +564,11 @@ def run_many(
         policy factory) trigger a warning and a serial fallback.
     lockstep:
         Advance the batch's runs together, servicing their thermal
-        steps with one batched BLAS-3 operation per step group (see
-        :mod:`repro.sim.lockstep`).  Composes with ``processes``: each
-        worker receives one contiguous chunk of specs and runs it in
-        lockstep.  Results match the non-lockstep path to BLAS
-        summation order.  ``None`` (default) resolves via the
+        steps with one batched call per step group and proving their
+        stride attempts together (see :mod:`repro.sim.lockstep`).
+        Composes with ``processes``: each worker receives one contiguous
+        chunk of specs and runs it in lockstep.  Results are
+        bit-identical to ``run_one``.  ``None`` (default) resolves via the
         ``REPRO_SWEEP_LOCKSTEP`` environment variable when set, else
         turns lockstep on automatically for sweeps of two or more
         plain :class:`RunSpec` runs without fault plans,

@@ -1,7 +1,7 @@
 """The engine contract: one stepping protocol for every simulation loop.
 
 Three step loops grew in this tree -- the single-core generator engine
-(:class:`~repro.sim.engine.SimulationEngine`), the BLAS-3 lockstep
+(:class:`~repro.sim.engine.SimulationEngine`), the batched lockstep
 runner (:mod:`repro.sim.lockstep`) and the dual-core engine
 (:mod:`repro.multicore.engine`) -- and only the first was wired to the
 batch/supervisor/fault/observability stack.  This module extracts the
@@ -30,7 +30,7 @@ runs inside the generator.  A request is either
 * a mapping ``{key: request}``: a *round* of requests from many
   interleaved runs (the lockstep engine), replying with
   ``{key: reply}``.  The driver batches the compatible single-step
-  requests of a round into one BLAS-3 operation
+  requests of a round into one call
   (:func:`~repro.thermal.solver.step_lockstep`) and proves the round's
   stride tasks together (:func:`~repro.sim.stride.serve_strides`).
 
@@ -87,8 +87,8 @@ def service_round(requests: Mapping) -> Dict:
 
     Single-step requests sharing (stepper class, network identity, dt)
     advance together through one
-    :func:`~repro.thermal.solver.step_lockstep` BLAS-3 call, which
-    matches servicing each alone up to BLAS summation order.  Stride
+    :func:`~repro.thermal.solver.step_lockstep` call, each row
+    bit-identical to servicing it alone.  Stride
     requests are proven together by
     :func:`~repro.sim.stride.serve_strides`, each with the verdict it
     would get alone.  Fast-forwards, fused dense spans and groups of one

@@ -9,17 +9,18 @@ step and asks the driver to advance its solver.  The
 and yields them as one *round* (a mapping of index -> request); the
 contract driver (:func:`~repro.sim.contract.service_round`) groups the
 compatible ones (same stepper class, same shared network, same dt) and
-services each group with one batched BLAS-3 operation via
+services each group with one batched call to
 :func:`~repro.thermal.solver.step_lockstep`; odd time steps and the
 last survivors of a draining batch are serviced individually.  Before
 each round, the runs waiting on an event-driven stride attempt are
 yielded as stride-only sub-rounds, whose proofs the driver batches
-(:func:`~repro.sim.stride.serve_strides`); each verdict is the one the
-run would get alone, and the rounds hold the same single-step
-requests as when every run proved its strides by itself.  Per-run physics is untouched
--- sensing, policy, power and accounting all run inside the generators
--- so lockstep results match :func:`~repro.sim.batch.run_one` to BLAS
-summation order.
+(:func:`~repro.sim.stride.serve_strides`); every run resumes as soon
+as its attempt is served, so its next request joins the same round.
+Each stride verdict and each batched step row is computed exactly as
+for the run alone, and per-run physics is untouched -- sensing,
+policy, power and accounting all run inside the generators -- so
+lockstep results are bit-identical to :func:`~repro.sim.batch.run_one`
+whichever runs share a batch.
 
 Because runs under DVS change their cycle time independently, grouping
 is re-derived every round from the requests actually pending: runs
@@ -29,7 +30,7 @@ nominal frequency for long stretches).
 
 Specs with ``raise_on_violation``, and specs that are not single-core
 :class:`~repro.sim.batch.RunSpec` instances (e.g. dual-core specs,
-whose engines own private thermal networks and cannot share a BLAS-3
+whose engines own private thermal networks and cannot share a step
 group), fall back to the serial runner: an emergency must abort only
 its own run, not the whole batch.
 """
@@ -47,7 +48,7 @@ from repro.obs import runctx as obs_runctx
 from repro.obs import spill as obs_spill
 from repro.sim.contract import SimEngine, drive
 from repro.sim.results import RunResult
-from repro.sim.stride import ACCEPT, StrideTask
+from repro.sim.stride import StrideTask
 
 # Sequence number for chunk record ids within one process.
 _CHUNK_SEQ = 0
@@ -141,6 +142,8 @@ class LockstepEngine(SimEngine):
 
         # Runs whose pending request is a stride attempt.
         strides: Dict[int, tuple] = {}
+        # Execution-path counts, published with the chunk's record.
+        rounds = stride_rounds = rows = 0
 
         def advance(index, reply):
             """Resume one run; note a stride request, finish a run."""
@@ -161,7 +164,7 @@ class LockstepEngine(SimEngine):
             for index, spec in enumerate(specs):
                 if not isinstance(spec, RunSpec) or spec.config.raise_on_violation:
                     # Engines with private thermal networks gain nothing
-                    # from BLAS-3 grouping, and raise_on_violation must
+                    # from step grouping, and raise_on_violation must
                     # abort one run, not the round -- both take the
                     # one-spec path.
                     results[index] = run_one(spec)
@@ -194,24 +197,23 @@ class LockstepEngine(SimEngine):
 
             while pending:
                 # Stride attempts are proven first, in sub-rounds of
-                # their own, so the round's single steps are exactly
-                # those it would hold had each proof run inside its
-                # generator: an accepted jump is applied in the
-                # sub-round and only its reply waits for the round; a
-                # rejected attempt resumes its run at once.
-                jumped = {}
+                # their own; every run resumes as soon as its attempt is
+                # served (jumped or not), so its next request joins this
+                # round and the runs stay in phase.
                 while strides:
                     batch = dict(strides)
                     strides.clear()
                     replies = yield batch
                     for index in sorted(replies):
-                        if batch[index][1].verdict == ACCEPT:
-                            jumped[index] = replies[index]
-                            del pending[index]
-                        else:
-                            advance(index, replies[index])
-                replies = (yield dict(pending)) if pending else {}
-                replies.update(jumped)
+                        advance(index, replies[index])
+                    if obs_on:
+                        stride_rounds += 1
+                if not pending:
+                    break
+                if obs_on:
+                    rounds += 1
+                    rows += len(pending)
+                replies = yield dict(pending)
                 for index in sorted(replies):
                     advance(index, replies[index])
         except BaseException as exc:
@@ -234,6 +236,14 @@ class LockstepEngine(SimEngine):
                 obs_heartbeat.finish(publisher, error=error or "aborted")
             heartbeats.clear()
             if obs_on:
+                counters = {
+                    "engine.lockstep.rounds": float(rounds),
+                    "engine.lockstep.stride_rounds": float(stride_rounds),
+                    "engine.lockstep.rows": float(rows),
+                }
+                for name, value in counters.items():
+                    obs_metrics.REGISTRY.counter(name).inc(value)
+                obs_runctx.add_metrics(counters)
                 obs_spill.record(obs_runctx.end(error=error))
         self._emit("run.complete", 0.0, runs=len(specs))
         return results
@@ -242,8 +252,8 @@ class LockstepEngine(SimEngine):
 def run_lockstep(specs) -> List[RunResult]:
     """Execute ``specs`` in lockstep and return results in spec order.
 
-    Equivalent to ``[run_one(s) for s in specs]`` up to BLAS summation
-    order (see module docstring); the wins are shared per-step overhead
-    and matrix-matrix arithmetic across the batch.
+    Bit-identical to ``[run_one(s) for s in specs]`` (see module
+    docstring); the wins are shared per-step overhead and batched
+    stride proofs and dense steps across the batch.
     """
     return LockstepEngine(specs).run()

@@ -917,15 +917,14 @@ def step_lockstep(solvers, powers, dt: float):
 
     All solvers must be the same stepper class over the *same*
     :class:`~repro.thermal.rc_model.ThermalNetwork` object (the lockstep
-    batch runner builds its engines on one shared substrate).  The R
-    state vectors are stacked into an ``(R, n)`` matrix and advanced
-    with one BLAS-3 operation -- a matrix-matrix product pair for the
-    exponential stepper, a multi-right-hand-side triangular solve for
-    backward Euler -- instead of R separate matvec/solve dispatches.
-    Numerically this touches each run with exactly the operators
-    :meth:`ExponentialSolver.step` / :meth:`TransientSolver.step` would
-    use, so per-run trajectories match the serial path to BLAS summation
-    order.
+    batch runner builds its engines on one shared substrate).  For the
+    exponential stepper the R states and inputs are stacked as
+    ``(R, n, 1)`` and advanced by two stacked products, ``A_d @ T`` then
+    ``+= B_d @ U``: each row is the same matrix-vector product, in the
+    same order, as :meth:`ExponentialSolver.step`, so every row is
+    bit-identical to stepping its solver alone, whichever other rows
+    share the batch.  Backward Euler (the opt-in anchor) steps each
+    solver through :meth:`TransientSolver.step`.
 
     Returns the list of the solvers' own state arrays (no copies), in
     input order.
@@ -940,56 +939,37 @@ def step_lockstep(solvers, powers, dt: float):
                 "lockstep stepping needs solvers of one class over one "
                 "shared network"
             )
-    count = len(solvers)
-    size = network.size
-    if isinstance(first, ExponentialSolver):
-        a_d, b_d = first._bank.propagator(dt)
-        t_rows = np.empty((count, size))
-        u_rows = np.empty((count, size))
-        for i, (solver, power) in enumerate(zip(solvers, powers)):
-            t_rows[i] = solver._temps
-            np.add(power, solver._ambient_source, out=u_rows[i])
-        out = t_rows @ a_d.T
-        out += u_rows @ b_d.T
-        if _healthy(out):
-            for i, solver in enumerate(solvers):
+    if not isinstance(first, ExponentialSolver):
+        for solver, power in zip(solvers, powers):
+            solver.step(power, dt, copy=False)
+        return [solver._temps for solver in solvers]
+    a_d, b_d = first._bank.propagator(dt)
+    shape = (len(solvers), network.size, 1)
+    t_rows = np.empty(shape)
+    u_rows = np.empty(shape)
+    for i, (solver, power) in enumerate(zip(solvers, powers)):
+        t_rows[i, :, 0] = solver._temps
+        np.add(power, solver._ambient_source, out=u_rows[i, :, 0])
+    out = np.matmul(a_d, t_rows)
+    out += np.matmul(b_d, u_rows)
+    out = out[:, :, 0]
+    if _healthy(out):
+        for i, solver in enumerate(solvers):
+            solver._temps[:] = out[i]
+            solver._time_s += dt
+    else:
+        # One or more runs went unhealthy: adopt the healthy rows, and
+        # push each unhealthy run through its own solver's guarded step
+        # (backward-Euler recovery, or NumericalError when that fails
+        # too).  The solvers' states are untouched so far, so the
+        # individual re-step sees the pre-step state.
+        row_ok = np.all(np.abs(out) < DIVERGENCE_LIMIT_C, axis=1)
+        for i, solver in enumerate(solvers):
+            if row_ok[i]:
                 solver._temps[:] = out[i]
                 solver._time_s += dt
-        else:
-            # One or more runs went unhealthy: adopt the healthy rows,
-            # and push each unhealthy run through its own solver's
-            # guarded step (backward-Euler recovery, or NumericalError
-            # when that fails too).  The solvers' states are untouched
-            # so far, so the individual re-step sees the pre-step state.
-            row_ok = np.all(np.abs(out) < DIVERGENCE_LIMIT_C, axis=1)
-            for i, solver in enumerate(solvers):
-                if row_ok[i]:
-                    solver._temps[:] = out[i]
-                    solver._time_s += dt
-                else:
-                    solver.step(powers[i], dt, copy=False)
-    else:
-        lu, piv, c_over_dt, getrs = first._bank.factorisation(dt)
-        rhs = np.empty((size, count), order="F")
-        for i, (solver, power) in enumerate(zip(solvers, powers)):
-            column = rhs[:, i]
-            np.multiply(c_over_dt, solver._temps, out=column)
-            column += power
-            column += solver._ambient_source
-        solution, info = getrs(lu, piv, rhs, overwrite_b=1)
-        if info != 0:  # pragma: no cover - defensive
-            raise ThermalModelError(f"lockstep solve failed (info={info})")
-        for i, solver in enumerate(solvers):
-            column = solution[:, i]
-            if not _healthy(column):
-                # Backward Euler is the last resort: no recovery path.
-                raise NumericalError(
-                    _bad_node_name(network, column),
-                    solver._time_s,
-                    STEPPER_BACKWARD_EULER,
-                )
-            solver._temps[:] = column
-            solver._time_s += dt
+            else:
+                solver.step(powers[i], dt, copy=False)
     return [solver._temps for solver in solvers]
 
 

@@ -146,8 +146,7 @@ class TestLockstepDefault:
 class TestRunMany:
     # These tests pin the per-run scheduling invariance of the classic
     # serial/pool paths, so they opt out of the lockstep sweep default
-    # (lockstep matches per-run only to BLAS summation order, and its
-    # grouping varies with chunking).
+    # (tests/sim/test_lockstep.py pins lockstep's bit-identity).
     def test_parallel_matches_serial_exactly(self):
         serial = run_many(_specs(), processes=1, lockstep=False)
         parallel = run_many(_specs(), processes=4, lockstep=False)

@@ -1,7 +1,7 @@
 """Conformance suite for the :class:`repro.sim.contract.SimEngine` contract.
 
 One parametrized suite, three engines -- the single-core generator
-engine, the BLAS-3 lockstep runner and the dual-core engine -- pinning
+engine, the batched lockstep runner and the dual-core engine -- pinning
 the guarantees the contract docstring promises: reset-reentrancy, seed
 determinism, bit-identity of externally driven ``iter_run`` against
 ``run``, incremental ``build``/``step`` driving, the event channel, and

@@ -376,8 +376,8 @@ class TestPoolSupervision:
 class TestLockstepSupervision:
     def test_lockstep_serial_heals_mid_batch_failure(self):
         # A failed batch falls back to per-spec serial execution, whose
-        # numbers are the run_one numbers (lockstep matches them only to
-        # BLAS summation order), so that is the fault-free reference.
+        # numbers are the run_one numbers (lockstep reproduces them bit
+        # for bit), so that is the fault-free reference.
         faulty = [
             _spec(),
             _spec(seed=1, plan=FaultPlan(crash_worker=True)),
@@ -393,7 +393,7 @@ class TestLockstepSupervision:
     def test_lockstep_pool_heals_worker_crash(self):
         # Only the chunk containing the crash falls back to per-spec
         # execution; every healed outcome must be bit-identical to the
-        # fault-free run under one of the two execution modes.
+        # fault-free run, which is the same under both execution modes.
         faulty = [
             _spec(seed=s) if s != 2
             else _spec(seed=2, plan=FaultPlan(crash_worker=True))
@@ -406,4 +406,4 @@ class TestLockstepSupervision:
         lockstep_ref = run_many(clean, lockstep=True)
         serial_ref = run_many(clean, lockstep=False)
         for got, a, b in zip(healed, lockstep_ref, serial_ref):
-            assert _as_tuple(got) in (_as_tuple(a), _as_tuple(b))
+            assert _as_tuple(got) == _as_tuple(a) == _as_tuple(b)
