@@ -11,10 +11,10 @@ Environment knobs:
   (:func:`repro.sim.batch.run_many`); default 1 (serial).  Values > 1
   fan independent runs out over a process pool; results are identical
   to the serial path.
-* ``REPRO_BENCH_LOCKSTEP`` -- set to 1 to advance each batch's runs in
-  lockstep, servicing their thermal steps with one batched call per
-  step group (:mod:`repro.sim.lockstep`); composes with
-  ``REPRO_BENCH_PROCESSES``.  Default 0.
+
+Sweeps run on :func:`~repro.sim.batch.run_many`'s default execution
+path, which advances homogeneous batches in lockstep
+(:mod:`repro.sim.lockstep`), as it does for every other caller.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def bench_processes() -> Optional[int]:
     return value if value > 1 else None
 
 
-def bench_lockstep() -> bool:
-    """Whether sweeps should use the lockstep batched runner."""
-    return os.environ.get("REPRO_BENCH_LOCKSTEP", "0") not in ("0", "", "false")
-
-
 def throughput_report() -> str:
     """One-line thermal-step throughput summary of the runs executed via
     :mod:`repro.sim.batch` since the last :func:`reset_throughput`."""
@@ -49,12 +44,11 @@ def throughput_report() -> str:
 
     snapshot = stats()
     processes = bench_processes() or 1
-    mode = ", lockstep" if bench_lockstep() else ""
     return (
         f"[throughput: {snapshot.runs} runs, "
         f"{snapshot.thermal_steps:,.0f} thermal steps in "
         f"{snapshot.wall_s:.1f} s = {snapshot.steps_per_second:,.0f} "
-        f"steps/s, processes={processes}{mode}]"
+        f"steps/s, processes={processes}]"
     )
 
 

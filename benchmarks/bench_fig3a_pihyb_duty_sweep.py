@@ -7,7 +7,6 @@ the mild end of the sweep is nearly flat.
 
 from _helpers import (
     bench_instructions,
-    bench_lockstep,
     bench_processes,
     reset_throughput,
     save_table,
@@ -25,7 +24,6 @@ def _run(dvs_mode: str) -> str:
         dvs_mode=dvs_mode,
         instructions=bench_instructions(),
         processes=bench_processes(),
-        lockstep=bench_lockstep(),
     )
     rows = []
     for duty, evaluation in sorted(result.evaluations.items(), reverse=True):

@@ -8,7 +8,6 @@ violations (which is why stand-alone FG needs feedback control).
 
 from _helpers import (
     bench_instructions,
-    bench_lockstep,
     bench_processes,
     reset_throughput,
     save_table,
@@ -24,7 +23,6 @@ def _run() -> str:
     result = fig3b_fg_vs_dvs(
         instructions=bench_instructions(),
         processes=bench_processes(),
-        lockstep=bench_lockstep(),
     )
     rows = []
     for duty in sorted(result.fg_mean_slowdowns, reverse=True):

@@ -7,7 +7,6 @@ the differences significant at the 99 % confidence level.
 
 from _helpers import (
     bench_instructions,
-    bench_lockstep,
     bench_processes,
     reset_throughput,
     save_table,
@@ -25,7 +24,6 @@ def _run() -> str:
         dvs_mode="stall",
         instructions=bench_instructions(),
         processes=bench_processes(),
-        lockstep=bench_lockstep(),
     )
     benchmarks = sorted(results["DVS"].slowdowns)
     rows = []

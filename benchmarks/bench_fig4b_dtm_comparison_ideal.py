@@ -7,7 +7,6 @@ overhead) -- but they still win.
 
 from _helpers import (
     bench_instructions,
-    bench_lockstep,
     bench_processes,
     reset_throughput,
     save_table,
@@ -25,7 +24,6 @@ def _run() -> str:
         dvs_mode="ideal",
         instructions=bench_instructions(),
         processes=bench_processes(),
-        lockstep=bench_lockstep(),
     )
     rows = []
     for name in ("FG", "DVS", "PI-Hyb", "Hyb"):

@@ -12,13 +12,12 @@ Throughput is per-run steps/second, so it is only weakly sensitive to
 the instruction budget; CI uses a reduced budget and the slack in
 ``--max-drop`` absorbs the residual difference plus runner noise.
 
-With ``--kernel-identity`` the bench is run twice -- once with the
-fused step kernel forced on (``REPRO_STEP_KERNEL=numba`` when numba is
-importable, else ``numpy``) and once with it ``off`` -- and the two
-result tables must be bit-identical; the fused run is the one gated
-against the baseline.  When numba is absent the fused leg degrades to
-the numpy backend with a printed note rather than failing, so the check
-is meaningful on minimal installs too.
+With ``--kernel-identity`` the bench is run twice -- once on the
+default path, which runs decision-free dense spans as fused kernel
+calls, and once with fusion switched off through the engine's private
+``_FUSE_DENSE_SPANS`` seam, so every dense step goes through the
+per-step path -- and the two result tables must be bit-identical; the
+fused run is the one gated against the baseline.
 
 Usage::
 
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -54,19 +52,16 @@ def _table_body(record: dict) -> str:
     )
 
 
-def _run_with_kernel(bench: str, mode: str) -> dict:
-    """Run one bench with ``REPRO_STEP_KERNEL`` pinned to ``mode``."""
-    from repro.sim.config import STEP_KERNEL_ENV
+def _run_per_step(bench: str) -> dict:
+    """Run one bench with fused dense spans switched off."""
+    from repro.sim import engine
 
-    previous = os.environ.get(STEP_KERNEL_ENV)
-    os.environ[STEP_KERNEL_ENV] = mode
+    previous = engine._FUSE_DENSE_SPANS
+    engine._FUSE_DENSE_SPANS = False
     try:
         return _run_bench(bench)
     finally:
-        if previous is None:
-            del os.environ[STEP_KERNEL_ENV]
-        else:
-            os.environ[STEP_KERNEL_ENV] = previous
+        engine._FUSE_DENSE_SPANS = previous
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -107,23 +102,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     base_sps = float(base["steps_per_second"])
 
     if options.kernel_identity:
-        from repro.sim.kernel import numba_available
-
-        if numba_available():
-            backend = "numba"
-        else:
-            backend = "numpy"
-            print(
-                "perf-smoke: numba not installed; fused-kernel leg "
-                "uses the numpy backend"
-            )
-        record = _run_with_kernel(options.bench, backend)
-        plain = _run_with_kernel(options.bench, "off")
+        record = _run_bench(options.bench)
+        plain = _run_per_step(options.bench)
         if _table_body(record) != _table_body(plain):
             print(
                 f"perf-smoke: FAIL -- {options.bench} result table "
-                f"with step_kernel={backend!r} differs from the "
-                f"kernel-off run",
+                f"with fused dense spans differs from the per-step run",
                 file=sys.stderr,
             )
             return 1
@@ -132,7 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         speedup = fused_sps / plain_sps if plain_sps > 0 else float("inf")
         print(
             f"\n[perf-smoke: kernel identity OK -- {options.bench} table "
-            f"bit-identical with step_kernel={backend!r} and 'off'; "
+            f"bit-identical with fused and per-step dense spans; "
             f"fused {fused_sps:,.0f} vs per-step {plain_sps:,.0f} "
             f"steps/s ({speedup:.2f}x)]"
         )

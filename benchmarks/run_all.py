@@ -11,9 +11,8 @@ Usage::
     PYTHONPATH=src python benchmarks/run_all.py --json     # + BENCH_results.json
     PYTHONPATH=src python benchmarks/run_all.py --only fig3b fig4a
 
-The instruction budget, process count and lockstep mode come from the
-usual harness knobs (``REPRO_BENCH_INSTRUCTIONS``,
-``REPRO_BENCH_PROCESSES``, ``REPRO_BENCH_LOCKSTEP``; see
+The instruction budget and process count come from the usual harness
+knobs (``REPRO_BENCH_INSTRUCTIONS``, ``REPRO_BENCH_PROCESSES``; see
 ``_helpers.py``).  ``--json`` writes ``BENCH_results.json`` at the
 repository root: per-bench wall time, simulated thermal steps,
 steps/second and the rendered result table, plus the harness
@@ -38,7 +37,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _helpers import (
     bench_instructions,
-    bench_lockstep,
     bench_processes,
     save_table,
 )
@@ -166,7 +164,6 @@ def main(argv: List[str] = None) -> int:
     config = {
         "instructions": bench_instructions(),
         "processes": bench_processes() or 1,
-        "lockstep": bench_lockstep(),
         "thermal_stepper": "default (expm + fast-forward)",
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],

@@ -39,7 +39,7 @@ def fig3a_pihyb_duty_sweep(
     duty_cycles: Sequence[float] = PAPER_DUTY_CYCLES,
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> CrossoverResult:
     """PI-Hyb slowdown as a function of the maximum fetch-gating duty
     cycle (Figure 3a)."""
@@ -71,7 +71,7 @@ def fig3b_fg_vs_dvs(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> Fig3bResult:
     """Fixed-duty stand-alone FG sweep with the DVS overhead superimposed
     (Figure 3b).
@@ -111,7 +111,7 @@ def fig4_technique_comparison(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> Dict[str, SuiteEvaluation]:
     """FG / DVS / PI-Hyb / Hyb across the suite (Figure 4a or 4b by
     ``dvs_mode``)."""
@@ -130,7 +130,7 @@ def t1_dvs_step_sensitivity(
     dvs_modes: Sequence[str] = ("stall", "ideal"),
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Mean slowdown of DVS per level count and mode.
 
@@ -176,7 +176,7 @@ def t2_voltage_floor(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> VoltageFloorResult:
     """Binary-DVS low-voltage sweep: the paper reports 85 % of nominal as
     the largest setting that eliminates thermal violations."""
@@ -216,7 +216,7 @@ class BenchmarkCharacter:
 def t4_benchmark_characterisation(
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> List[BenchmarkCharacter]:
     """No-DTM thermal characterisation of the nine benchmarks (paper,
     Section 3: all operate above the trigger most of the time, integer

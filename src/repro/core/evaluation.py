@@ -81,7 +81,7 @@ class _Baselines:
         settle_time_s: float,
         seed: int,
         processes: Optional[int] = None,
-        lockstep: bool = False,
+        lockstep: Optional[bool] = None,
     ):
         self.suite = list(suite)
         self.instructions = instructions
@@ -119,7 +119,7 @@ def run_baselines(
     settle_time_s: float = DEFAULT_SETTLE_TIME_S,
     seed: int = 0,
     processes: Optional[int] = None,
-    lockstep: bool = False,
+    lockstep: Optional[bool] = None,
 ) -> _Baselines:
     """Compute (and cache in the returned object) the no-DTM baselines.
 
@@ -128,7 +128,8 @@ def run_baselines(
     ``processes`` fans the baseline runs out over a process pool and is
     remembered as the default for evaluations built on this object;
     ``lockstep`` likewise selects the batched lockstep runner (see
-    :func:`repro.sim.batch.run_many`) and is remembered as the default.
+    :func:`repro.sim.batch.run_many`; ``None`` lets it choose) and is
+    remembered as the default.
     """
     if suite is None:
         suite = build_spec_suite()
@@ -225,7 +226,7 @@ def evaluate_techniques(
             instructions=instructions,
             settle_time_s=settle_time_s,
             processes=processes,
-            lockstep=bool(lockstep),
+            lockstep=lockstep,
         )
     return {
         name: evaluate_policy(

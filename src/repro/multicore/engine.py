@@ -15,14 +15,13 @@ gating time under the commands in force, violation checks included.
 
 The engine implements the :class:`~repro.sim.contract.SimEngine`
 contract and composes with the same stack layers as the single-core
-engine: compiled workload traces (``REPRO_COMPILED_TRACE``), the expm
-stepper with NaN/divergence guards and backward-Euler fallback,
-deterministic fault injection via
-:attr:`~repro.sim.config.EngineConfig.fault_plan`, and
-:mod:`repro.obs` metrics/events.  Constant-power fast-forward is not
-used here: with two independently phased workloads plus a hopper, the
-chip power vector essentially never holds still long enough for a span
-to pay (see docs/ENGINES.md).
+engine: compiled workload traces, the expm stepper with NaN/divergence
+guards and backward-Euler fallback, deterministic fault injection via
+:attr:`~repro.sim.config.EngineConfig.fault_plan`, and :mod:`repro.obs`
+metrics/events.  Constant-power fast-forward is not used here: with two
+independently phased workloads plus a hopper, the chip power vector
+essentially never holds still long enough for a span to pay (see
+docs/ENGINES.md).
 """
 
 from __future__ import annotations
@@ -52,18 +51,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
-from repro.sim.config import (
-    COMPILED_TRACE_OFF,
-    COMPILED_TRACE_VERIFY,
-    POWER_PATH_VECTOR,
-    EngineConfig,
-)
+from repro.sim.config import EngineConfig
 from repro.sim.contract import SimEngine
 from repro.sim.warmup import average_activities, leakage_fixed_point
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
 from repro.thermal.solver import make_transient_solver
-from repro.uarch.interval import DtmActuation, IntervalPerformanceModel
+from repro.uarch.interval import DtmActuation
 from repro.workloads.compiler import CompiledIntervalModel, compile_workload
 from repro.workloads.workload import Workload
 
@@ -172,12 +166,10 @@ class MultiCoreEngine(SimEngine):
     requests serviced by the shared driver, so the dual-core loop
     composes with the same fault/guard/observability stack as the
     single-core engine.  The inner loop is array-native like the
-    single-core one: per-workload activity vectors (compiled from the
-    phase schedule when ``REPRO_COMPILED_TRACE`` is on) are scattered
-    into chip block order, power is evaluated with
-    :meth:`~repro.power.model.PowerModel.block_powers_vector`, and the
-    ``power_path="mapping"`` regression mode replays the original
-    per-block dict pipeline.
+    single-core one: per-workload activity vectors (compiled from each
+    phase schedule once per run) are scattered into chip block order and
+    power is evaluated with
+    :meth:`~repro.power.model.PowerModel.block_powers_vector`.
     """
 
     def __init__(
@@ -390,24 +382,12 @@ class MultiCoreEngine(SimEngine):
         l2_pos = self._l2_pos
         l2_slot = len(CORE_BLOCKS)  # L2 demand index in a workload vector
 
-        use_vector = self._config.power_path == POWER_PATH_VECTOR
-        trace_mode = self._config.resolved_compiled_trace()
-        compiled = use_vector and trace_mode != COMPILED_TRACE_OFF
-        verify_compiled = trace_mode == COMPILED_TRACE_VERIFY
-        if compiled:
-            perf: List[IntervalPerformanceModel] = [
-                CompiledIntervalModel(
-                    compile_workload(w, _WORKLOAD_BLOCK_ORDER),
-                    loop=True,
-                    verify=verify_compiled,
-                )
-                for w in self._workloads
-            ]
-        else:
-            perf = [
-                IntervalPerformanceModel(w.phases, loop=True)
-                for w in self._workloads
-            ]
+        perf = [
+            CompiledIntervalModel(
+                compile_workload(w, _WORKLOAD_BLOCK_ORDER), loop=True
+            )
+            for w in self._workloads
+        ]
 
         assignment = list(CORE_INSTANCES)  # workload index running on core i
         for policy in self._policies:
@@ -453,8 +433,7 @@ class MultiCoreEngine(SimEngine):
         f_nominal = self._tech.frequency_nominal
         power_vector_fn = self._power.block_powers_vector
         vector_sensors = (
-            use_vector
-            and self._sensors.vector_eligible
+            self._sensors.vector_eligible
             and tuple(self._sensors.block_names) == tuple(block_names)
         )
         sensors_sample_vector = (
@@ -484,10 +463,6 @@ class MultiCoreEngine(SimEngine):
         chip_acts = np.zeros(n_blocks)
         zero_acts = np.zeros(n_blocks)
         power_buffer = np.zeros(network.size)
-        # Interpreted-trace vector mode: per-workload id-keyed cache of
-        # {block: activity} dict -> _WORKLOAD_BLOCK_ORDER vector (the
-        # interval model memoizes its dicts, so hits dominate).
-        act_caches: List[Dict[int, tuple]] = [{} for _ in CORE_INSTANCES]
         # Per-core actuation reuse while the command and frequency hold.
         actuations: List[Optional[DtmActuation]] = [None, None]
         actuation_cmds = [None, None]
@@ -526,17 +501,11 @@ class MultiCoreEngine(SimEngine):
         def idle_step_power():
             """Node power vector (and block total) with zero switching
             activity at the current operating point."""
-            if use_vector:
-                blocks_w = power_vector_fn(
-                    zero_acts, voltage, frequency, block_temps, check=False
-                )
-                power_buffer[node_idx] = blocks_w
-                return power_buffer, float(blocks_w.sum())
-            zeros = {name: 0.0 for name in block_names}
-            powers = self._power.block_powers(
-                zeros, voltage, frequency, block_temps_mapping()
+            blocks_w = power_vector_fn(
+                zero_acts, voltage, frequency, block_temps, check=False
             )
-            return network.power_vector(powers), float(sum(powers.values()))
+            power_buffer[node_idx] = blocks_w
+            return power_buffer, float(blocks_w.sum())
 
         def hop_stall_substep(dt_sub: float):
             """Advance the thermal state through a hop stall at idle
@@ -556,23 +525,6 @@ class MultiCoreEngine(SimEngine):
                     gating_weighted[core] += (
                         commands[core].gating_fraction * dt_sub
                     )
-
-        def acts_vector(core: int, sample) -> np.ndarray:
-            """The step's activity vector in _WORKLOAD_BLOCK_ORDER."""
-            if compiled:
-                return sample.acts
-            acts_map = sample.activities
-            cache = act_caches[assignment[core]]
-            entry = cache.get(id(acts_map))
-            if entry is not None and entry[0] is acts_map:
-                return entry[1]
-            vec = np.zeros(l2_slot + 1)
-            for b, base in enumerate(_WORKLOAD_BLOCK_ORDER):
-                vec[b] = acts_map.get(base, 0.0)
-            if len(cache) >= 2048:
-                cache.clear()
-            cache[id(acts_map)] = (acts_map, vec)
-            return vec
 
         # Progress heartbeat: captured once per run; heartbeat-off cost
         # is one ``is not None`` compare per sensor sample.  This engine
@@ -633,63 +585,36 @@ class MultiCoreEngine(SimEngine):
                 actuation_f_rel = f_rel
             dt = step_cycles / frequency
             step_instr = [0.0, 0.0]
-            if use_vector:
-                # Scatter both cores' activity vectors into chip block
-                # order; the shared L2 banks see the sum of both cores'
-                # L2 demand (min-clamped to 1), exactly like the
-                # mapping path's dict assembly.
-                l2_demand = 0.0
-                for core in CORE_INSTANCES:
-                    command = commands[core]
-                    if command is not actuation_cmds[core]:
-                        actuations[core] = DtmActuation(
-                            gating_fraction=command.gating_fraction,
-                            relative_frequency=f_rel,
-                            clock_enabled_fraction=(
-                                command.clock_enabled_fraction
-                            ),
-                        )
-                        actuation_cmds[core] = command
-                    sample = perf[assignment[core]].advance(
-                        step_cycles, actuations[core]
+            # Scatter both cores' activity vectors (in
+            # _WORKLOAD_BLOCK_ORDER) into chip block order; the shared L2
+            # banks see the sum of both cores' L2 demand, min-clamped
+            # to 1.
+            l2_demand = 0.0
+            for core in CORE_INSTANCES:
+                command = commands[core]
+                if command is not actuation_cmds[core]:
+                    actuations[core] = DtmActuation(
+                        gating_fraction=command.gating_fraction,
+                        relative_frequency=f_rel,
+                        clock_enabled_fraction=(
+                            command.clock_enabled_fraction
+                        ),
                     )
-                    step_instr[core] = sample.instructions
-                    acts = acts_vector(core, sample)
-                    chip_acts[core_pos[core]] = acts[:l2_slot]
-                    l2_demand += acts[l2_slot]
-                chip_acts[l2_pos] = min(1.0, l2_demand)
-                blocks_w = power_vector_fn(
-                    chip_acts, voltage, frequency, block_temps, check=False
+                    actuation_cmds[core] = command
+                sample = perf[assignment[core]].advance(
+                    step_cycles, actuations[core]
                 )
-                power_buffer[node_idx] = blocks_w
-                step_power = power_buffer
-                power_sum = float(blocks_w.sum())
-            else:
-                per_core_acts = []
-                for core in CORE_INSTANCES:
-                    command = commands[core]
-                    if command is not actuation_cmds[core]:
-                        actuations[core] = DtmActuation(
-                            gating_fraction=command.gating_fraction,
-                            relative_frequency=f_rel,
-                            clock_enabled_fraction=(
-                                command.clock_enabled_fraction
-                            ),
-                        )
-                        actuation_cmds[core] = command
-                    sample = perf[assignment[core]].advance(
-                        step_cycles, actuations[core]
-                    )
-                    step_instr[core] = sample.instructions
-                    per_core_acts.append(sample.activities)
-                powers = self._power.block_powers(
-                    self._chip_activities(per_core_acts),
-                    voltage,
-                    frequency,
-                    block_temps_mapping(),
-                )
-                step_power = network.power_vector(powers)
-                power_sum = float(sum(powers.values()))
+                step_instr[core] = sample.instructions
+                acts = sample.acts
+                chip_acts[core_pos[core]] = acts[:l2_slot]
+                l2_demand += acts[l2_slot]
+            chip_acts[l2_pos] = min(1.0, l2_demand)
+            blocks_w = power_vector_fn(
+                chip_acts, voltage, frequency, block_temps, check=False
+            )
+            power_buffer[node_idx] = blocks_w
+            step_power = power_buffer
+            power_sum = float(blocks_w.sum())
 
             if (
                 fault_corrupt_step is not None

@@ -374,8 +374,8 @@ class PowerModel:
         Composes :func:`~repro.power.dynamic.dynamic_power` and
         :func:`~repro.power.leakage.leakage_power` block by block.  Kept as
         the numerical regression anchor for :meth:`block_powers_vector`
-        (see ``tests/power/test_model.py`` and the engine's
-        ``power_path="mapping"`` mode); not used on the hot path.
+        (see ``tests/power/test_model.py`` and
+        ``tests/power/test_model_vector.py``); not used by the engines.
         """
         v_rel = self._check_operating_point(voltage, frequency)
         f_rel = frequency / self._tech.frequency_nominal

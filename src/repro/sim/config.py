@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,45 +12,8 @@ from repro.sim.faults import FaultPlan
 DVS_MODE_STALL = "stall"
 DVS_MODE_IDEAL = "ideal"
 
-POWER_PATH_VECTOR = "vector"
-POWER_PATH_MAPPING = "mapping"
-
 THERMAL_STEPPER_BE = "be"
 THERMAL_STEPPER_EXPM = "expm"
-
-COMPILED_TRACE_ON = "on"
-COMPILED_TRACE_OFF = "off"
-COMPILED_TRACE_VERIFY = "verify"
-
-COMPILED_TRACE_ENV = "REPRO_COMPILED_TRACE"
-"""Environment default for :attr:`EngineConfig.compiled_trace`:
-``1``/``on`` (default), ``0``/``off``, or ``verify``."""
-
-_COMPILED_ALIASES = {
-    "1": COMPILED_TRACE_ON,
-    "on": COMPILED_TRACE_ON,
-    "true": COMPILED_TRACE_ON,
-    "0": COMPILED_TRACE_OFF,
-    "off": COMPILED_TRACE_OFF,
-    "false": COMPILED_TRACE_OFF,
-    "verify": COMPILED_TRACE_VERIFY,
-}
-
-STEP_KERNEL_OFF = "off"
-STEP_KERNEL_NUMPY = "numpy"
-STEP_KERNEL_NUMBA = "numba"
-STEP_KERNEL_AUTO = "auto"
-
-STEP_KERNEL_MODES = (
-    STEP_KERNEL_OFF,
-    STEP_KERNEL_NUMPY,
-    STEP_KERNEL_NUMBA,
-    STEP_KERNEL_AUTO,
-)
-
-STEP_KERNEL_ENV = "REPRO_STEP_KERNEL"
-"""Environment default for :attr:`EngineConfig.step_kernel`:
-``auto`` (default), ``numpy``, ``numba``, or ``off``."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +42,6 @@ class EngineConfig:
         Pipeline-flush stall charged whenever an activity-migration
         policy moves work between copies (2 us: drain plus a register
         transfer burst).
-    power_path:
-        ``"vector"`` (default) -- the array-native power/thermal hot
-        path; ``"mapping"`` -- the per-block scalar path retained as a
-        numerical regression reference (identical physics, ~5x slower).
     max_no_progress_steps:
         Consecutive thermal steps allowed to commit zero instructions
         (e.g. under a fully clock-gated policy) before the engine raises
@@ -104,40 +63,10 @@ class EngineConfig:
         with the ``"expm"`` stepper; every jump is first proven safe
         against the trigger/emergency thresholds (see docs/MODELING.md
         section 8), otherwise the engine falls back to dense stepping.
-    fast_forward_power_tol_w:
-        Retained for compatibility.  The historical fast-forward gate
-        required step-to-step power stability below this tolerance; the
-        event-driven stride replaced that heuristic with a rigorous
-        leakage-drift closure governed by ``stride_drift_tol_w``, so
-        this knob no longer affects the engine.
     fault_plan:
         Deterministic faults to inject into matching runs (worker
         crashes, delays, solver corruption, sensor degradation; see
         :mod:`repro.sim.faults`).  ``None`` (default) runs clean.
-    compiled_trace:
-        ``"on"`` -- lower the workload's phase schedule to contiguous
-        arrays once per run and drive the hot loop from them
-        (:mod:`repro.workloads.compiler`); ``"off"`` -- the interpreted
-        per-step path, kept as the numerical reference; ``"verify"`` --
-        compiled, but every fast-path activity vector is re-derived
-        through the interpreted model and compared bit for bit.
-        ``None`` (default) defers to the ``REPRO_COMPILED_TRACE``
-        environment variable (default ``on``).  The compiled path is
-        bit-identical to the interpreted one by construction; see
-        docs/MODELING.md section 7.
-    step_kernel:
-        Backend that executes a dense span of thermal steps as one fused
-        call instead of one engine round-trip per step.  ``"numpy"`` --
-        a tight Python loop over pre-bound solver/power/accounting
-        callables, bit-identical to per-step dispatch (it runs the same
-        float operations in the same order; see docs/MODELING.md
-        section 8).  ``"numba"`` -- reserved for a JIT-compiled kernel;
-        raises a clear error when numba is not installed.  ``"auto"`` --
-        numba when available, else numpy.  ``"off"`` -- the per-step
-        anchor path: the engine yields every step through the
-        :mod:`repro.sim.contract` surface individually.  ``None``
-        (default) defers to the ``REPRO_STEP_KERNEL`` environment
-        variable (default ``auto``).
     stride_drift_tol_w:
         Per-block power drift (watts) each event-driven stride segment
         may absorb before the stride is split into more segments (or
@@ -145,7 +74,7 @@ class EngineConfig:
         rigorously -- the envelope is widened by the worst-case
         steady-state response ``L^-1 dP`` and re-verified a posteriori
         -- so this knob trades stride length against envelope slack, not
-        correctness.
+        correctness.  Must be finite and positive.
     """
 
     thermal_step_cycles: int = 10_000
@@ -154,61 +83,30 @@ class EngineConfig:
     raise_on_violation: bool = False
     record_trace: bool = False
     migration_time_s: float = 2.0e-6
-    power_path: str = POWER_PATH_VECTOR
     max_no_progress_steps: int = 10_000
     thermal_stepper: str = THERMAL_STEPPER_EXPM
     fast_forward: bool = True
-    fast_forward_power_tol_w: float = 1.0e-3
     fault_plan: Optional[FaultPlan] = None
-    compiled_trace: Optional[str] = None
-    step_kernel: Optional[str] = None
     stride_drift_tol_w: float = 1.0e-3
-
-    def resolved_step_kernel(self) -> str:
-        """The effective step-kernel mode: the explicit field if set,
-        else the ``REPRO_STEP_KERNEL`` environment variable, else
-        ``"auto"``."""
-        if self.step_kernel is not None:
-            return self.step_kernel
-        raw = os.environ.get(STEP_KERNEL_ENV, STEP_KERNEL_AUTO)
-        mode = raw.strip().lower()
-        if mode not in STEP_KERNEL_MODES:
-            raise SimulationError(
-                f"{STEP_KERNEL_ENV} must be one of "
-                f"{'/'.join(STEP_KERNEL_MODES)}, got {raw!r}"
-            )
-        return mode
-
-    def resolved_compiled_trace(self) -> str:
-        """The effective compiled-trace mode: the explicit field if set,
-        else the ``REPRO_COMPILED_TRACE`` environment variable, else
-        ``"on"``."""
-        if self.compiled_trace is not None:
-            return self.compiled_trace
-        raw = os.environ.get(COMPILED_TRACE_ENV, COMPILED_TRACE_ON)
-        mode = _COMPILED_ALIASES.get(raw.strip().lower())
-        if mode is None:
-            raise SimulationError(
-                f"{COMPILED_TRACE_ENV} must be one of "
-                f"on/off/verify (or 1/0), got {raw!r}"
-            )
-        return mode
 
     def __post_init__(self) -> None:
         if self.thermal_step_cycles < 100:
             raise SimulationError("thermal step must be at least 100 cycles")
-        if self.dvs_switch_time_s < 0.0:
-            raise SimulationError("DVS switch time must be >= 0")
+        if not (math.isfinite(self.dvs_switch_time_s)
+                and self.dvs_switch_time_s >= 0.0):
+            raise SimulationError(
+                f"DVS switch time must be finite and >= 0, "
+                f"got {self.dvs_switch_time_s!r}"
+            )
         if self.dvs_mode not in (DVS_MODE_STALL, DVS_MODE_IDEAL):
             raise SimulationError(
                 f"dvs_mode must be 'stall' or 'ideal', got {self.dvs_mode!r}"
             )
-        if self.migration_time_s < 0.0:
-            raise SimulationError("migration time must be >= 0")
-        if self.power_path not in (POWER_PATH_VECTOR, POWER_PATH_MAPPING):
+        if not (math.isfinite(self.migration_time_s)
+                and self.migration_time_s >= 0.0):
             raise SimulationError(
-                f"power_path must be 'vector' or 'mapping', "
-                f"got {self.power_path!r}"
+                f"migration time must be finite and >= 0, "
+                f"got {self.migration_time_s!r}"
             )
         if self.max_no_progress_steps < 1:
             raise SimulationError("no-progress step budget must be >= 1")
@@ -217,30 +115,17 @@ class EngineConfig:
                 f"thermal_stepper must be 'be' or 'expm', "
                 f"got {self.thermal_stepper!r}"
             )
-        if self.fast_forward_power_tol_w < 0.0:
-            raise SimulationError("fast-forward power tolerance must be >= 0")
         if self.fault_plan is not None and not isinstance(
             self.fault_plan, FaultPlan
         ):
             raise SimulationError(
                 f"fault_plan must be a FaultPlan, got {self.fault_plan!r}"
             )
-        if self.compiled_trace is not None and self.compiled_trace not in (
-            COMPILED_TRACE_ON,
-            COMPILED_TRACE_OFF,
-            COMPILED_TRACE_VERIFY,
-        ):
+        if not (math.isfinite(self.stride_drift_tol_w)
+                and self.stride_drift_tol_w > 0.0):
+            # The stride sizes its segments by dividing the drift by
+            # this tolerance.
             raise SimulationError(
-                f"compiled_trace must be 'on', 'off', 'verify' or None, "
-                f"got {self.compiled_trace!r}"
+                f"stride drift tolerance must be finite and > 0, "
+                f"got {self.stride_drift_tol_w!r}"
             )
-        if self.step_kernel is not None and self.step_kernel not in (
-            STEP_KERNEL_MODES
-        ):
-            raise SimulationError(
-                f"step_kernel must be one of "
-                f"{'/'.join(STEP_KERNEL_MODES)} or None, "
-                f"got {self.step_kernel!r}"
-            )
-        if self.stride_drift_tol_w < 0.0:
-            raise SimulationError("stride drift tolerance must be >= 0")

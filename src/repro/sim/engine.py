@@ -21,22 +21,15 @@ from repro.floorplan.alpha21364 import build_alpha21364_floorplan
 from repro.floorplan.floorplan import Floorplan
 from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
-from repro.sim.config import (
-    COMPILED_TRACE_OFF,
-    COMPILED_TRACE_VERIFY,
-    DVS_MODE_STALL,
-    POWER_PATH_VECTOR,
-    STEP_KERNEL_NUMBA,
-    EngineConfig,
-)
+from repro.sim.config import DVS_MODE_STALL, EngineConfig
 from repro.sim.contract import SimEngine, drive
-from repro.sim.kernel import DenseSpanTask, resolve_step_kernel
+from repro.sim.kernel import DenseSpanTask
 from repro.sim.stride import ACCEPT, REJECT, REJECT_REASONS, StridePlanner
 from repro.sim.results import RunResult, TracePoint
 from repro.sim.warmup import initial_temperatures
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
-from repro.uarch.interval import DtmActuation, IntervalPerformanceModel
+from repro.uarch.interval import DtmActuation
 from repro.workloads.compiler import CompiledIntervalModel, compile_workload
 from repro.workloads.workload import Workload
 
@@ -49,6 +42,13 @@ STEP_SECTIONS = (
 (:class:`~repro.sim.kernel.DenseSpanTask` requests) whose inner
 perf/power/thermal work records under the other sections too, so it
 must not be added to them when computing a total."""
+
+_FUSE_DENSE_SPANS = True
+"""Whether decision-free dense spans run as fused
+:class:`~repro.sim.kernel.DenseSpanTask` requests.  Tests set it to
+``False`` to compare the fused path with the per-step path, which is
+bit-identical by construction; it is neither a configuration field nor
+part of a run's identity."""
 
 
 def step_timing_enabled() -> bool:
@@ -187,9 +187,14 @@ class SimulationEngine(SimEngine):
     The inner loop is array-native: temperatures stay in the thermal
     solver's node vector, per-block power is evaluated with
     :meth:`~repro.power.model.PowerModel.block_powers_vector`, and block
-    names are translated to vector indices exactly once per run.  Per-block
-    ``{name: value}`` mappings are built only at the 10 kHz sensor sampling
-    boundary (and in the ``power_path="mapping"`` regression mode).
+    names are translated to vector indices exactly once per run.  The
+    workload's phase schedule is compiled to contiguous arrays once per
+    run (:mod:`repro.workloads.compiler`), decision-free dense spans run
+    fused (:mod:`repro.sim.kernel`) and spans between sensor samples are
+    jumped in closed form when proved safe (:mod:`repro.sim.stride`).
+    Per-block ``{name: value}`` mappings are built only at the 10 kHz
+    sensor sampling boundary, for policies and faulted sensor arrays that
+    read them.
     """
 
     def __init__(
@@ -396,24 +401,11 @@ class SimulationEngine(SimEngine):
         max_reduce = np.maximum.reduce
         sum_reduce = np.add.reduce
         all_reduce = np.logical_and.reduce
-        use_vector = self._config.power_path == POWER_PATH_VECTOR
         # Compiled step pipeline: lower the workload's phase schedule to
         # contiguous arrays once per run and drive the loop from reused
-        # CompiledSample activity vectors (bit-identical to the
-        # interpreted path; see repro/workloads/compiler.py).  The
-        # mapping power path keeps the interpreted model -- it consumes
-        # per-block dicts by design.
-        trace_mode = self._config.resolved_compiled_trace()
-        compiled = use_vector and trace_mode != COMPILED_TRACE_OFF
-        verify_compiled = trace_mode == COMPILED_TRACE_VERIFY
-        if compiled:
-            schedule = compile_workload(self._workload, block_names)
-            perf: IntervalPerformanceModel = CompiledIntervalModel(
-                schedule, loop=True, verify=verify_compiled
-            )
-        else:
-            schedule = None
-            perf = IntervalPerformanceModel(self._workload.phases, loop=True)
+        # CompiledSample activity vectors (see repro/workloads/compiler.py).
+        schedule = compile_workload(self._workload, block_names)
+        perf = CompiledIntervalModel(schedule, loop=True)
 
         nominal_v = self._tech.vdd_nominal
         command = DtmCommand(gating_fraction=0.0, voltage=nominal_v)
@@ -481,8 +473,7 @@ class SimulationEngine(SimEngine):
         # injected arrays in a different block order) keep the scalar
         # path with its per-sensor fault handling.
         vector_sensors = (
-            use_vector
-            and self._sensors.vector_eligible
+            self._sensors.vector_eligible
             and tuple(self._sensors.block_names) == tuple(block_names)
         )
         sensors_sample_vector = (
@@ -556,7 +547,6 @@ class SimulationEngine(SimEngine):
             self._config.fast_forward
             and isinstance(solver, ExponentialSolver)
             and trace is None
-            and use_vector
             and fault_corrupt_step is None
         )
         stride_ok = True
@@ -579,33 +569,15 @@ class SimulationEngine(SimEngine):
         # the contract instead of one generator round-trip per step.
         # Bit-identical to per-step dispatch by construction -- the task
         # body is the per-step pipeline below, verbatim.
-        kernel_backend = resolve_step_kernel(
-            self._config.resolved_step_kernel()
-        )
+        # Runs that must surface every step (trace recording, injected
+        # solver faults, raise_on_violation) keep the per-step path.
         kernel_enabled = (
-            kernel_backend is not None
-            and use_vector
+            _FUSE_DENSE_SPANS
             and trace is None
             and not raise_on_violation
             and fault_corrupt_step is None
         )
-        if kernel_enabled and kernel_backend == STEP_KERNEL_NUMBA:
-            # numba is importable, but the JIT lowering of the solver
-            # apply is still an open ROADMAP item: run the numpy span
-            # loop and say so in telemetry rather than silently.
-            if obs_metrics.enabled():
-                obs_events.emit(
-                    "engine.step_kernel_numba_fallback", backend="numpy"
-                )
-        solver_step_kernel = (
-            _timed("thermal", solver.step) if timing else solver.step
-        )
-        # The interval model memoizes its activity dicts, so the same
-        # dict object comes back for thousands of consecutive steps;
-        # translating it to vector order once per distinct dict (keyed by
-        # identity, with the dict itself pinned in the entry so ids stay
-        # unique) removes a per-step Python loop over the blocks.
-        act_cache: Dict[int, tuple] = {}
+        span_step = _timed("thermal", solver.step) if timing else solver.step
 
         def block_temps_mapping() -> Dict[str, float]:
             return {
@@ -615,17 +587,11 @@ class SimulationEngine(SimEngine):
         def idle_step_power():
             """Full-node power vector (and block total) with zero
             switching activity at the current operating point."""
-            if use_vector:
-                blocks_w = power_vector_fn(
-                    zero_acts, voltage, frequency, block_temps, check=False
-                )
-                power_buffer[node_idx] = blocks_w
-                return power_buffer, float(sum_reduce(blocks_w))
-            zero = {name: 0.0 for name in block_names}
-            powers = self._power.block_powers_reference(
-                zero, voltage, frequency, block_temps_mapping()
+            blocks_w = power_vector_fn(
+                zero_acts, voltage, frequency, block_temps, check=False
             )
-            return network.power_vector(powers), float(sum(powers.values()))
+            power_buffer[node_idx] = blocks_w
+            return power_buffer, float(sum_reduce(blocks_w))
 
         def account_thermal(dt_acct: float, power_sum_w: float) -> None:
             """Measured-window statistics shared by execution steps and
@@ -701,9 +667,8 @@ class SimulationEngine(SimEngine):
             that cannot occur before the next sensor sample (sensing,
             policy updates, actuation rebuilds, voltage switches,
             migration transitions), which is exactly what the
-            invocation guards exclude.  The step-kernel equivalence
-            suite pins bit-identity against the per-step anchor
-            (``step_kernel="off"``).
+            invocation guards exclude, so it is bit-identical to the
+            per-step path.
             """
             nonlocal time_s, done, cycles_f, exec_steps, no_progress_steps
             nonlocal gating_time_weighted, engaged_s
@@ -711,22 +676,7 @@ class SimulationEngine(SimEngine):
             gating = command.gating_fraction
             for _ in range(count):
                 span_sample = perf_advance(step_cycles, actuation)
-                if compiled:
-                    span_acts = span_sample.acts
-                else:
-                    acts_map = span_sample.activities
-                    entry = act_cache.get(id(acts_map))
-                    if entry is not None and entry[0] is acts_map:
-                        span_acts = entry[1]
-                    else:
-                        span_acts = np.zeros(n_blocks)
-                        for name, value in acts_map.items():
-                            p = pos.get(name)
-                            if p is not None:
-                                span_acts[p] = value
-                        if len(act_cache) >= 2048:
-                            act_cache.clear()
-                        act_cache[id(acts_map)] = (acts_map, span_acts)
+                span_acts = span_sample.acts
                 if command.migration is not None:
                     source, target, fraction = command.migration
                     act_vec[:] = span_acts
@@ -743,7 +693,7 @@ class SimulationEngine(SimEngine):
                 power_buffer[node_idx] = blocks
                 span_power_sum = float(sum_reduce(blocks))
                 exec_steps += 1
-                stepped = solver_step_kernel(power_buffer, dt, copy=False)
+                stepped = span_step(power_buffer, dt, copy=False)
                 stepped.take(node_idx, out=block_temps)
                 if span_sample.instructions <= 0.0:
                     no_progress_steps += 1
@@ -870,90 +820,44 @@ class SimulationEngine(SimEngine):
             sample = perf_advance(step_cycles, actuation)
             dt = step_cycles / frequency
 
-            if use_vector:
-                if command.domain_gating:
-                    if command is not gate_cmd:
-                        clock_gate = np.ones(n_blocks)
-                        for domain, duty in command.domain_gating.items():
-                            clock_gate[self._domain_positions(domain)] = (
-                                command.clock_enabled_fraction * (1.0 - duty)
-                            )
-                        gate_cmd = command
-                        gate_vec = clock_gate
-                    else:
-                        clock_gate = gate_vec
+            if command.domain_gating:
+                if command is not gate_cmd:
+                    clock_gate = np.ones(n_blocks)
+                    for domain, duty in command.domain_gating.items():
+                        clock_gate[self._domain_positions(domain)] = (
+                            command.clock_enabled_fraction * (1.0 - duty)
+                        )
+                    gate_cmd = command
+                    gate_vec = clock_gate
                 else:
-                    clock_gate = command.clock_enabled_fraction
-                if compiled:
-                    # The compiled model already produced the activity
-                    # vector in block order (cached and read-only).
-                    step_acts = sample.acts
-                else:
-                    acts_map = sample.activities
-                    entry = act_cache.get(id(acts_map))
-                    if entry is not None and entry[0] is acts_map:
-                        step_acts = entry[1]
-                    else:
-                        step_acts = np.zeros(n_blocks)
-                        for name, value in acts_map.items():
-                            p = pos.get(name)
-                            if p is not None:
-                                step_acts[p] = value
-                        if len(act_cache) >= 2048:
-                            act_cache.clear()
-                        act_cache[id(acts_map)] = (acts_map, step_acts)
-                if command.migration is not None:
-                    source, target, fraction = command.migration
-                    try:
-                        si = pos[source]
-                        ti = pos[target]
-                    except KeyError as exc:
-                        raise SimulationError(
-                            f"migration names unknown block {exc.args[0]!r}"
-                        ) from None
-                    # Cached vectors are shared; mutate a scratch copy.
-                    act_vec[:] = step_acts
-                    moved = act_vec[si] * fraction
-                    act_vec[si] -= moved
-                    act_vec[ti] = min(1.0, act_vec[ti] + moved)
-                    step_acts = act_vec
-                blocks_w = power_vector_fn(
-                    step_acts, voltage, frequency, block_temps, clock_gate,
-                    check=False,
-                )
-                power_buffer[node_idx] = blocks_w
-                step_power = power_buffer
-                power_sum = float(sum_reduce(blocks_w))
+                    clock_gate = gate_vec
             else:
-                if command.domain_gating:
-                    from repro.dtm.domains import CLOCK_DOMAINS
-
-                    clock_gate = {
-                        block: command.clock_enabled_fraction * (1.0 - duty)
-                        for domain, duty in command.domain_gating.items()
-                        for block in CLOCK_DOMAINS[domain]
-                    }
-                else:
-                    clock_gate = command.clock_enabled_fraction
-                activities = dict(sample.activities)
-                for name in block_names:
-                    activities.setdefault(name, 0.0)  # e.g. spare structures
-                if command.migration is not None:
-                    source, target, fraction = command.migration
-                    moved = activities.get(source, 0.0) * fraction
-                    activities[source] = activities.get(source, 0.0) - moved
-                    activities[target] = min(
-                        1.0, activities.get(target, 0.0) + moved
-                    )
-                powers = self._power.block_powers_reference(
-                    activities,
-                    voltage,
-                    frequency,
-                    block_temps_mapping(),
-                    clock_gate,
-                )
-                step_power = network.power_vector(powers)
-                power_sum = float(sum(powers.values()))
+                clock_gate = command.clock_enabled_fraction
+            # The compiled model already produced the activity vector in
+            # block order (cached and read-only).
+            step_acts = sample.acts
+            if command.migration is not None:
+                source, target, fraction = command.migration
+                try:
+                    si = pos[source]
+                    ti = pos[target]
+                except KeyError as exc:
+                    raise SimulationError(
+                        f"migration names unknown block {exc.args[0]!r}"
+                    ) from None
+                # Cached vectors are shared; mutate a scratch copy.
+                act_vec[:] = step_acts
+                moved = act_vec[si] * fraction
+                act_vec[si] -= moved
+                act_vec[ti] = min(1.0, act_vec[ti] + moved)
+                step_acts = act_vec
+            blocks_w = power_vector_fn(
+                step_acts, voltage, frequency, block_temps, clock_gate,
+                check=False,
+            )
+            power_buffer[node_idx] = blocks_w
+            step_power = power_buffer
+            power_sum = float(sum_reduce(blocks_w))
 
             if fault_corrupt_step is not None and exec_steps == fault_corrupt_step:
                 # Poison a copy: the shared power buffer must stay clean
@@ -1012,14 +916,7 @@ class SimulationEngine(SimEngine):
                     # Measure the same instruction window for every
                     # technique (the paper's fixed SimPoint sample): the
                     # settle lead-in warms the *thermal* state only.
-                    if compiled:
-                        perf = CompiledIntervalModel(
-                            schedule, loop=True, verify=verify_compiled
-                        )
-                    else:
-                        perf = IntervalPerformanceModel(
-                            self._workload.phases, loop=True
-                        )
+                    perf = CompiledIntervalModel(schedule, loop=True)
                     perf_advance = (
                         _timed("perf", perf.advance) if timing
                         else perf.advance

@@ -13,40 +13,18 @@ without leaving the engine's frame.
 
 Bit-identity with per-step dispatch is by construction: the kernel runs
 the same callables on the same buffers in the same order as the per-step
-path; only the generator suspension points disappear.  The conformance
-suite (``tests/sim/test_step_kernel.py``) pins this across the nine
-benchmark scenarios.
-
-Backends
---------
-``numpy``
-    The pre-bound Python loop described above.  Always available.
-``numba``
-    Reserved for a JIT-lowered loop body.  numba is an optional
-    dependency this project does not require; when it is importable the
-    mode currently runs the numpy loop (the JIT lowering of the solver
-    apply is tracked in ROADMAP.md), and when it is not importable an
-    explicit request for it fails loudly rather than silently degrading.
-``auto``
-    numba when importable, else numpy.
-``off``
-    No fusion: every step goes through the contract surface
-    individually (the anchor path).
+path; only the generator suspension points disappear.  The engine keeps
+the per-step path for the runs that need every step to surface (trace
+recording, injected solver faults, ``raise_on_violation``), and
+``TestKernelBitIdentity`` in the engine tests pins the two paths equal
+across the nine benchmark scenarios.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.errors import SimulationError
-from repro.sim.config import (
-    STEP_KERNEL_AUTO,
-    STEP_KERNEL_NUMBA,
-    STEP_KERNEL_NUMPY,
-    STEP_KERNEL_OFF,
-)
-
-__all__ = ["DenseSpanTask", "numba_available", "resolve_step_kernel"]
+__all__ = ["DenseSpanTask"]
 
 
 class DenseSpanTask:
@@ -73,43 +51,3 @@ class DenseSpanTask:
     def run(self, solver: object) -> object:
         """Execute the span against ``solver`` and return its state."""
         return self.runner(self.count)
-
-
-_NUMBA_AVAILABLE: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable (cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_AVAILABLE = True
-        except ImportError:
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
-
-
-def resolve_step_kernel(mode: str) -> Optional[str]:
-    """Map a resolved step-kernel mode to a concrete backend.
-
-    Returns ``None`` (no fusion), ``"numpy"`` or ``"numba"``.  An
-    explicit ``"numba"`` request fails loudly when numba is not
-    importable -- a perf knob that silently degrades is worse than an
-    error; ``"auto"`` degrades gracefully.
-    """
-    if mode == STEP_KERNEL_OFF:
-        return None
-    if mode == STEP_KERNEL_NUMPY:
-        return STEP_KERNEL_NUMPY
-    if mode == STEP_KERNEL_NUMBA:
-        if not numba_available():
-            raise SimulationError(
-                "step_kernel='numba' requested but numba is not "
-                "installed; use 'numpy', 'auto' or 'off'"
-            )
-        return STEP_KERNEL_NUMBA
-    if mode == STEP_KERNEL_AUTO:
-        return STEP_KERNEL_NUMBA if numba_available() else STEP_KERNEL_NUMPY
-    raise SimulationError(f"unknown step kernel mode {mode!r}")

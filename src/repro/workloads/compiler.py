@@ -23,9 +23,8 @@ This module *compiles* the workload side once per run instead:
   precision, so the power vectors (and therefore every downstream
   temperature, violation count and slowdown) match exactly.  The
   ``verify`` mode re-derives every sample through the interpreted
-  :class:`~repro.uarch.activity.ActivityModel` and asserts equality,
-  making the equivalence continuously checkable
-  (``REPRO_COMPILED_TRACE=verify``).
+  :class:`~repro.uarch.activity.ActivityModel` and asserts equality;
+  the compiler tests walk every SPEC workload through it.
 
 Phase-boundary-crossing intervals (rare: phases span millions of
 instructions, intervals span thousands of cycles) delegate to the
@@ -247,7 +246,7 @@ class CompiledIntervalModel(IntervalPerformanceModel):
     the interpreted :class:`~repro.uarch.activity.ActivityModel` and
     compared bit for bit; a mismatch raises
     :class:`~repro.errors.SimulationError`.  This is the compiled
-    pipeline's equivalence mode (``REPRO_COMPILED_TRACE=verify``).
+    pipeline's equivalence mode, used by its component tests.
     """
 
     def __init__(

@@ -5,6 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import EngineConfig
 
+NAN = float("nan")
+INF = float("inf")
+
 
 def test_defaults_match_paper():
     config = EngineConfig()
@@ -28,52 +31,23 @@ def test_rejects_tiny_thermal_step():
 
 
 def test_rejects_negative_switch_time():
-    with pytest.raises(SimulationError):
-        EngineConfig(dvs_switch_time_s=-1e-6)
-
-
-class TestCompiledTrace:
-    """Resolution of the compiled-trace mode (field, env, default)."""
-
-    def test_defaults_to_on(self, monkeypatch):
-        from repro.sim.config import COMPILED_TRACE_ENV
-
-        monkeypatch.delenv(COMPILED_TRACE_ENV, raising=False)
-        assert EngineConfig().resolved_compiled_trace() == "on"
-
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [
-            ("1", "on"),
-            ("on", "on"),
-            ("true", "on"),
-            ("0", "off"),
-            ("off", "off"),
-            ("false", "off"),
-            ("verify", "verify"),
-            (" VERIFY ", "verify"),
-        ],
-    )
-    def test_env_aliases(self, monkeypatch, raw, expected):
-        from repro.sim.config import COMPILED_TRACE_ENV
-
-        monkeypatch.setenv(COMPILED_TRACE_ENV, raw)
-        assert EngineConfig().resolved_compiled_trace() == expected
-
-    def test_explicit_field_beats_env(self, monkeypatch):
-        from repro.sim.config import COMPILED_TRACE_ENV
-
-        monkeypatch.setenv(COMPILED_TRACE_ENV, "off")
-        config = EngineConfig(compiled_trace="verify")
-        assert config.resolved_compiled_trace() == "verify"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        from repro.sim.config import COMPILED_TRACE_ENV
-
-        monkeypatch.setenv(COMPILED_TRACE_ENV, "sometimes")
+    # Every time field must be finite and non-negative: a NaN or
+    # infinite stall would poison the run's elapsed time.
+    for field, value in (
+        ("dvs_switch_time_s", -1e-6),
+        ("dvs_switch_time_s", NAN),
+        ("dvs_switch_time_s", INF),
+        ("migration_time_s", -1e-6),
+        ("migration_time_s", NAN),
+        ("migration_time_s", INF),
+    ):
         with pytest.raises(SimulationError):
-            EngineConfig().resolved_compiled_trace()
+            EngineConfig(**{field: value})
 
-    def test_bad_field_rejected_at_construction(self):
+
+def test_rejects_non_positive_drift_tolerance():
+    # The stride divides each span's leakage drift by this tolerance, so
+    # zero, negative and non-finite values are refused up front.
+    for value in (0.0, -1e-3, NAN, INF):
         with pytest.raises(SimulationError):
-            EngineConfig(compiled_trace="fast")
+            EngineConfig(stride_drift_tol_w=value)

@@ -1,10 +1,10 @@
 """Fused step kernel and event-driven stride edge cases.
 
-The fused kernel (``EngineConfig.step_kernel``) executes decision-free
-dense spans inside the engine's frame instead of yielding one request
-per step; its claim is *bit-identity* with the per-step anchor path
-(``step_kernel="off"``), because it runs the same float operations on
-the same buffers in the same order.  The event-driven stride replaces
+The fused kernel executes decision-free dense spans inside the engine's
+frame instead of yielding one request per step; its claim is
+*bit-identity* with the per-step path (reached here by switching the
+engine's private ``_FUSE_DENSE_SPANS`` seam off), because it runs the
+same float operations on the same buffers in the same order.  The event-driven stride replaces
 dense spans with closed-form jumps whose claim is threshold safety: no
 trigger or emergency crossing is ever skipped or invented, even when
 the trajectory grazes a threshold exactly.  Both claims are pinned
@@ -18,12 +18,12 @@ import pytest
 
 from repro.dtm import FetchGatingPolicy, NoDtmPolicy
 from repro.dtm.thresholds import ThermalThresholds
-from repro.errors import NumericalError, SimulationError
+from repro.errors import NumericalError
 from repro.sensors.faults import SensorFault
 from repro.sim import EngineConfig, SimulationEngine
-from repro.sim.config import STEP_KERNEL_ENV
+from repro.sim import engine as engine_module
 from repro.sim.faults import FaultPlan
-from repro.sim.kernel import DenseSpanTask, numba_available, resolve_step_kernel
+from repro.sim.kernel import DenseSpanTask
 from repro.thermal import ExponentialSolver
 from repro.thermal.solver import _dt_key
 from repro.workloads import build_benchmark
@@ -58,6 +58,13 @@ def _run(
     return engine.run(instructions, initial=init, settle_time_s=2.0e-4)
 
 
+def _run_per_step(monkeypatch, workload, **kwargs):
+    """:func:`_run` with fused dense spans switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "_FUSE_DENSE_SPANS", False)
+        return _run(workload, **kwargs)
+
+
 def _assert_bit_identical(result, anchor):
     got, want = asdict(result), asdict(anchor)
     for field in want:
@@ -65,28 +72,28 @@ def _assert_bit_identical(result, anchor):
 
 
 class TestKernelBitIdentity:
-    """step_kernel="numpy" == step_kernel="off", float for float."""
+    """Fused dense spans == the per-step path, float for float."""
 
     @pytest.mark.parametrize("bench_name", SPEC_BENCHMARK_NAMES)
     @pytest.mark.parametrize("stepper", ["expm", "be"])
-    def test_matches_anchor_dense(self, bench_name, stepper):
+    def test_matches_anchor_dense(self, bench_name, stepper, monkeypatch):
         # fast_forward off forces every span through the dense path, so
         # the kernel executes essentially the whole run.
         workload = build_benchmark(bench_name)
         kwargs = dict(thermal_stepper=stepper, fast_forward=False)
-        fused = _run(workload, step_kernel="numpy", **kwargs)
-        anchor = _run(workload, step_kernel="off", **kwargs)
+        fused = _run(workload, **kwargs)
+        anchor = _run_per_step(monkeypatch, workload, **kwargs)
         _assert_bit_identical(fused, anchor)
 
-    def test_matches_anchor_with_stride_enabled(self, gcc):
+    def test_matches_anchor_with_stride_enabled(self, gcc, monkeypatch):
         # With the stride on, the kernel only covers the dense residue
         # (rejected spans, settle lead-in); decisions are unchanged, so
         # identity still holds bit for bit.
-        fused = _run(gcc, step_kernel="numpy", fast_forward=True)
-        anchor = _run(gcc, step_kernel="off", fast_forward=True)
+        fused = _run(gcc, fast_forward=True)
+        anchor = _run_per_step(monkeypatch, gcc, fast_forward=True)
         _assert_bit_identical(fused, anchor)
 
-    def test_matches_anchor_under_sensor_faults(self, gcc):
+    def test_matches_anchor_under_sensor_faults(self, gcc, monkeypatch):
         # Plant-level sensor degradation changes the control trajectory
         # but not the kernel's equivalence claim.
         from repro.floorplan.alpha21364 import build_alpha21364_floorplan
@@ -94,23 +101,20 @@ class TestKernelBitIdentity:
         block = build_alpha21364_floorplan().block_names[0]
         plan = FaultPlan(sensor_faults=(SensorFault.stuck(block, 70.0),))
         kwargs = dict(fast_forward=False, fault_plan=plan)
-        fused = _run(gcc, step_kernel="numpy", **kwargs)
-        anchor = _run(gcc, step_kernel="off", **kwargs)
+        fused = _run(gcc, **kwargs)
+        anchor = _run_per_step(monkeypatch, gcc, **kwargs)
         _assert_bit_identical(fused, anchor)
 
-    def test_power_corruption_raises_identically(self, gcc):
+    def test_power_corruption_raises_identically(self, gcc, monkeypatch):
         # A poisoned power vector trips the solver health guard the same
-        # way in both modes (the kernel is disabled under corruption
+        # way on both paths (the kernel is disabled under corruption
         # faults, so both runs step densely through the contract).
         plan = FaultPlan(corrupt_power_at_step=5)
-        for mode in ("numpy", "off"):
-            with pytest.raises(NumericalError):
-                _run(
-                    gcc,
-                    step_kernel=mode,
-                    fast_forward=False,
-                    fault_plan=plan,
-                )
+        kwargs = dict(fast_forward=False, fault_plan=plan)
+        with pytest.raises(NumericalError):
+            _run(gcc, **kwargs)
+        with pytest.raises(NumericalError):
+            _run_per_step(monkeypatch, gcc, **kwargs)
 
     def test_kernel_actually_engages(self, gcc, monkeypatch):
         # Guard against the identity tests passing vacuously.
@@ -122,7 +126,7 @@ class TestKernelBitIdentity:
             return original(self, solver)
 
         monkeypatch.setattr(DenseSpanTask, "run", counting)
-        _run(gcc, step_kernel="numpy", fast_forward=False)
+        _run(gcc, fast_forward=False)
         assert spans, "no fused span executed in a dense run"
         assert all(count >= 2 for count in spans)
 
@@ -135,7 +139,7 @@ class TestKernelBitIdentity:
             return original(self, solver)
 
         monkeypatch.setattr(DenseSpanTask, "run", counting)
-        _run(gcc, step_kernel="off", fast_forward=False)
+        _run_per_step(monkeypatch, gcc, fast_forward=False)
         assert not spans
 
 
@@ -309,40 +313,6 @@ class TestOperatorCacheAudit:
         for (a1, b1), (a2, b2) in zip(first, second):
             assert a1 is a2
             assert b1 is b2
-
-
-class TestStepKernelKnob:
-    def test_resolve_modes(self):
-        assert resolve_step_kernel("off") is None
-        assert resolve_step_kernel("numpy") == "numpy"
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_step_kernel("auto") == expected
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed: explicit mode is valid"
-    )
-    def test_explicit_numba_without_numba_fails_loudly(self):
-        with pytest.raises(SimulationError, match="numba"):
-            resolve_step_kernel("numba")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            resolve_step_kernel("cuda")
-        with pytest.raises(SimulationError):
-            EngineConfig(step_kernel="cuda")
-
-    def test_env_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(STEP_KERNEL_ENV, raising=False)
-        assert EngineConfig().resolved_step_kernel() == "auto"
-        monkeypatch.setenv(STEP_KERNEL_ENV, "numpy")
-        assert EngineConfig().resolved_step_kernel() == "numpy"
-        # The explicit field beats the environment.
-        assert (
-            EngineConfig(step_kernel="off").resolved_step_kernel() == "off"
-        )
-        monkeypatch.setenv(STEP_KERNEL_ENV, "sideways")
-        with pytest.raises(SimulationError, match=STEP_KERNEL_ENV):
-            EngineConfig().resolved_step_kernel()
 
 
 class TestFusedSensing:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, WorkloadError
+from repro.multicore.engine import _WORKLOAD_BLOCK_ORDER
 from repro.uarch.interval import DtmActuation, IntervalPerformanceModel
 from repro.workloads import build_benchmark
 from repro.workloads.compiler import (
@@ -12,6 +13,7 @@ from repro.workloads.compiler import (
     CompiledSchedule,
     compile_workload,
 )
+from repro.workloads.spec import SPEC_BENCHMARK_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +89,20 @@ class TestActivities:
 
 
 class TestCompiledIntervalModel:
-    def test_lockstep_with_interpreted_model(self, gcc, floorplan):
-        schedule = compile_workload(gcc, floorplan.block_names)
-        compiled = CompiledIntervalModel(schedule, loop=True)
-        interpreted = IntervalPerformanceModel(gcc.phases, loop=True)
+    # The engines drive every run from the compiled model: the
+    # single-core engine in floorplan block order, the dual-core engine
+    # in its per-workload order (core blocks, then shared-L2 demand).
+    @pytest.mark.parametrize("order", ["single", "dual"])
+    @pytest.mark.parametrize("bench_name", SPEC_BENCHMARK_NAMES)
+    def test_matches_interpreted(self, bench_name, order, floorplan):
+        workload = build_benchmark(bench_name)
+        block_order = (
+            floorplan.block_names if order == "single"
+            else _WORKLOAD_BLOCK_ORDER
+        )
+        schedule = compile_workload(workload, block_order)
+        compiled = CompiledIntervalModel(schedule, loop=True, verify=True)
+        interpreted = IntervalPerformanceModel(workload.phases, loop=True)
         actuations = [
             DtmActuation(),
             DtmActuation(gating_fraction=0.4),
