@@ -199,8 +199,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-class _GracefulTermination(Exception):
-    """SIGTERM arrived; the command should stop cleanly."""
+class _GracefulTermination(BaseException):
+    """SIGTERM arrived; the command should stop cleanly.
+
+    A :class:`BaseException`, like :class:`KeyboardInterrupt`, so the
+    sweep supervisor's ``except Exception`` handlers never mistake it for
+    a run failure to record or retry.
+    """
 
 
 @contextmanager

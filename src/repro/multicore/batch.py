@@ -19,9 +19,8 @@ the sweep machinery calls:
   lockstep-delegated paths all execute a dual-core spec identically.
 
 Dual-core specs never enter a lockstep step group (each engine owns a
-private thermal network) and never ride the shared-memory sweep segment
-(whose layout is single-core); both paths detect the spec type and fall
-back to per-spec dispatch.
+private thermal network): the lockstep runner detects the spec type and
+falls back to per-spec dispatch.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Per-worker spill files: run records that survive the process pool.
 
-The shm result table carries fixed numeric result fields, but per-run
-telemetry (span tables, named metric dicts) is variable-shaped, so pool
-workers append each finished run record as one JSON line to their own
+A pool worker returns each run's result to the sweep parent, but not
+its per-run telemetry (span tables, named metric dicts), so workers
+append each finished run record as one JSON line to their own
 ``<obs_dir>/spill-<pid>.jsonl``.  Appends are O_APPEND single writes,
 so records from a worker that is later killed remain intact.  In the
 sweep parent, records go to an in-memory list instead -- no reason to

@@ -55,20 +55,6 @@ from repro.workloads.workload import Workload
 
 DEFAULT_INSTRUCTIONS = 20_000_000
 
-SWEEP_LOCKSTEP_ENV = "REPRO_SWEEP_LOCKSTEP"
-"""Environment override for :func:`run_many`'s lockstep default:
-``1``/``on`` forces lockstep, ``0``/``off`` forces the per-run path.
-An explicit ``lockstep=`` argument always wins."""
-
-_LOCKSTEP_ALIASES = {
-    "1": True,
-    "on": True,
-    "true": True,
-    "0": False,
-    "off": False,
-    "false": False,
-}
-
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
@@ -280,27 +266,6 @@ def _register_shutdown_hooks() -> None:
 _register_shutdown_hooks()
 
 
-# The sweep context of the run_many call currently driving the pool
-# (None -> classic per-spec pickle dispatch).  run_many is not
-# reentrant across threads, matching the rest of this module's globals.
-_ACTIVE_CONTEXT = None
-
-
-def _pool_submit(pool, index: int, spec):
-    """Submit one spec to the pool via the active shared-memory context
-    when there is one, else the classic pickle path."""
-    if _ACTIVE_CONTEXT is not None:
-        return _ACTIVE_CONTEXT.submit(pool, index, spec)
-    return pool.submit(run_one, spec)
-
-
-def _pool_resolve(raw):
-    """Translate a worker reply (shm result stub or full result)."""
-    if _ACTIVE_CONTEXT is not None:
-        return _ACTIVE_CONTEXT.resolve(raw)
-    return raw
-
-
 def reset_stats() -> None:
     """Zero the batch throughput counters."""
     global _TOTALS
@@ -503,8 +468,7 @@ def _chunk_evenly(specs: Sequence[RunSpec], parts: int) -> List[List[RunSpec]]:
 def _resolve_lockstep(specs: Sequence, lockstep: Optional[bool]) -> bool:
     """Decide whether a sweep runs in lockstep.
 
-    Explicit argument wins; then the ``REPRO_SWEEP_LOCKSTEP``
-    environment override; otherwise lockstep is on automatically for
+    Explicit argument wins; otherwise lockstep is on automatically for
     multi-run sweeps of plain :class:`RunSpec` instances with none of
     the features that want per-run supervision (fault plans,
     ``raise_on_violation``, trace recording).  Heterogeneous batches
@@ -512,15 +476,6 @@ def _resolve_lockstep(specs: Sequence, lockstep: Optional[bool]) -> bool:
     """
     if lockstep is not None:
         return bool(lockstep)
-    raw = os.environ.get(SWEEP_LOCKSTEP_ENV)
-    if raw is not None:
-        value = _LOCKSTEP_ALIASES.get(raw.strip().lower())
-        if value is None:
-            raise SimulationError(
-                f"{SWEEP_LOCKSTEP_ENV} must be one of on/off (or 1/0), "
-                f"got {raw!r}"
-            )
-        return value
     if len(specs) < 2:
         return False
     for spec in specs:
@@ -568,13 +523,11 @@ def run_many(
         stride attempts together (see :mod:`repro.sim.lockstep`).
         Composes with ``processes``: each worker receives one contiguous
         chunk of specs and runs it in lockstep.  Results are
-        bit-identical to ``run_one``.  ``None`` (default) resolves via the
-        ``REPRO_SWEEP_LOCKSTEP`` environment variable when set, else
-        turns lockstep on automatically for sweeps of two or more
-        plain :class:`RunSpec` runs without fault plans,
-        ``raise_on_violation`` or trace recording; heterogeneous
-        batches fall back to per-run execution.  Pass ``False`` to
-        force the per-run path.
+        bit-identical to ``run_one``.  ``None`` (default) turns lockstep
+        on automatically for sweeps of two or more plain
+        :class:`RunSpec` runs without fault plans, ``raise_on_violation``
+        or trace recording; heterogeneous batches fall back to per-run
+        execution.  Pass ``False`` to force the per-run path.
     timeout_s:
         Per-run wall-clock budget, enforced on the pool path (an
         overdue run's worker may be wedged, so the pool is rebuilt and
@@ -595,7 +548,8 @@ def run_many(
     journal:
         Path of a JSONL sweep journal; every completed run is appended
         (spec digest -> result) as it finishes, so an interrupted sweep
-        can be resumed.
+        can be resumed.  A pooled lockstep sweep journals a worker's
+        runs when its whole chunk returns.
     resume:
         Path of a journal from an interrupted sweep: specs whose digest
         already has a recorded result are *not* re-executed, and new
@@ -684,28 +638,7 @@ def run_many(
             if parallel and lockstep:
                 supervisor.run_lockstep_pool(items, outcomes, processes)
             elif parallel:
-                # Zero-copy dispatch: the sweep's immutable context goes
-                # into one shared-memory segment, workers attach once and
-                # receive integer indices, numeric results come back in a
-                # preallocated shared table.  create_context returns None
-                # (pickle fallback) when disabled or unavailable.
-                from repro.sim.shm import create_context
-
-                slots: List[Optional[RunSpec]] = [None] * len(specs)
-                for index, state in items:
-                    # Only single-core specs ride the shared segment;
-                    # anything else keeps its slot empty so the context
-                    # submits it on the classic pickle path.
-                    if isinstance(state.spec, RunSpec):
-                        slots[index] = state.spec
-                global _ACTIVE_CONTEXT
-                context = _ACTIVE_CONTEXT = create_context(slots)
-                try:
-                    supervisor.run_pool(items, outcomes, processes)
-                finally:
-                    _ACTIVE_CONTEXT = None
-                    if context is not None:
-                        context.close()
+                supervisor.run_pool(items, outcomes, processes)
             elif lockstep:
                 supervisor.run_lockstep_serial(items, outcomes)
             else:

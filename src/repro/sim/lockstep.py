@@ -38,7 +38,7 @@ its own run, not the whole batch.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -64,14 +64,23 @@ class LockstepEngine(SimEngine):
     :class:`~repro.sim.results.RunResult` in spec order) is the
     generator's return value.
 
+    ``on_finish``, when given, is called as ``on_finish(index, result)``
+    the moment each run ends, in finishing order, so a supervisor can
+    record (and journal) it before the batch is over.
+
     The engine holds no state between runs beyond the spec list itself
     (per-run engines, solvers and sensor arrays are built fresh inside
     every :meth:`iter_run`), so :meth:`reset` only discards a partially
     driven :meth:`build`/:meth:`step` session.
     """
 
-    def __init__(self, specs):
+    def __init__(
+        self,
+        specs,
+        on_finish: Optional[Callable[[int, RunResult], None]] = None,
+    ):
         self._specs = list(specs)
+        self._on_finish = on_finish
 
     @property
     def specs(self) -> list:
@@ -109,6 +118,7 @@ class LockstepEngine(SimEngine):
         from repro.sim.faults import fire_prerun_faults
 
         specs = self._specs
+        on_finish = self._on_finish
         results: List[Optional[RunResult]] = [None] * len(specs)
         generators: Dict[int, object] = {}
         pending: Dict[int, tuple] = {}
@@ -154,6 +164,8 @@ class LockstepEngine(SimEngine):
                 pending.pop(index, None)
                 del generators[index]
                 obs_heartbeat.finish(heartbeats.pop(index, None))
+                if on_finish is not None:
+                    on_finish(index, stop.value)
                 return
             pending[index] = request
             if isinstance(request[1], StrideTask):
@@ -168,6 +180,8 @@ class LockstepEngine(SimEngine):
                     # abort one run, not the round -- both take the
                     # one-spec path.
                     results[index] = run_one(spec)
+                    if on_finish is not None:
+                        on_finish(index, results[index])
                     continue
                 fire_prerun_faults(spec.config.fault_plan, spec.seed)
                 workload = _resolve_workload(spec)
@@ -249,11 +263,14 @@ class LockstepEngine(SimEngine):
         return results
 
 
-def run_lockstep(specs) -> List[RunResult]:
+def run_lockstep(
+    specs, on_finish: Optional[Callable[[int, RunResult], None]] = None
+) -> List[RunResult]:
     """Execute ``specs`` in lockstep and return results in spec order.
 
     Bit-identical to ``[run_one(s) for s in specs]`` (see module
     docstring); the wins are shared per-step overhead and batched
-    stride proofs and dense steps across the batch.
+    stride proofs and dense steps across the batch.  ``on_finish`` is
+    :class:`LockstepEngine`'s per-run completion callback.
     """
-    return LockstepEngine(specs).run()
+    return LockstepEngine(specs, on_finish).run()

@@ -489,8 +489,6 @@ class SweepSupervisor:
             while True:
                 try:
                     result = run_one(state.spec)
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
                     if not self._charge_attempt(state):
                         self._fail(outcomes, index, state, exc)
@@ -573,10 +571,7 @@ class SweepSupervisor:
         delayed: List[Tuple[float, int, int, _SpecState]] = []  # heap
 
         def submit(index: int, state: _SpecState) -> None:
-            # batch._pool_submit routes through the active shared-memory
-            # sweep context when one exists (tiny per-task payload), and
-            # falls back to pickling the full spec otherwise.
-            future = batch._pool_submit(pool, index, state.spec)
+            future = pool.submit(batch.run_one, state.spec)
             inflight[future] = (index, state)
             if self.timeout_s is not None:
                 deadlines[future] = time.monotonic() + self.timeout_s
@@ -644,7 +639,7 @@ class SweepSupervisor:
                 index, state = inflight.pop(future)
                 deadlines.pop(future, None)
                 try:
-                    result = batch._pool_resolve(future.result())
+                    result = future.result()
                 except BrokenProcessPool:
                     # The pool is poisoned; this future's spec is not
                     # necessarily the one whose worker died, so nobody
@@ -708,40 +703,48 @@ class SweepSupervisor:
     # --- lockstep paths ----------------------------------------------------
 
     def run_lockstep_serial(self, items, outcomes) -> None:
-        """Advance items in lockstep; on failure, fall back to supervised
-        per-spec serial execution (a mid-batch failure must cost the
-        sweep one batch, not the whole figure)."""
+        """Advance items in lockstep, recording (and journalling) each
+        run the moment it finishes; on failure, fall back to supervised
+        per-spec serial execution of the runs that have no outcome yet
+        (a mid-batch failure must cost the sweep one batch, not the
+        whole figure)."""
         from repro.sim.lockstep import run_lockstep
 
+        def finished(position: int, result) -> None:
+            index, state = items[position]
+            self._record(outcomes, index, state, result)
+
         try:
-            results = run_lockstep([state.spec for _, state in items])
-        except KeyboardInterrupt:
-            raise
+            run_lockstep([state.spec for _, state in items], finished)
         except Exception as exc:
             if self.inert:
                 raise
+            unfinished = [
+                (index, state)
+                for index, state in items
+                if outcomes[index] is None
+            ]
             self._count("sweep.lockstep_fallbacks")
             obs_events.emit(
                 "sweep.lockstep_fallback",
                 scope="serial",
-                runs=len(items),
+                runs=len(unfinished),
                 error_type=type(exc).__name__,
             )
             _LOGGER.warning(
-                "lockstep batch of %d runs failed (%s); re-running "
-                "the batch with per-spec supervision",
+                "lockstep batch of %d runs failed (%s); re-running its "
+                "%d unfinished runs with per-spec supervision",
                 len(items),
                 type(exc).__name__,
+                len(unfinished),
             )
-            self.run_serial(items, outcomes)
-            return
-        for (index, state), result in zip(items, results):
-            self._record(outcomes, index, state, result)
+            self.run_serial(unfinished, outcomes)
 
     def run_lockstep_pool(self, items, outcomes, processes: int) -> None:
         """Fan lockstep chunks over the pool; chunks that fail for any
         reason (spec error, worker death, overdue deadline) fall back to
-        supervised per-spec pool execution."""
+        supervised per-spec pool execution.  A chunk's runs are recorded
+        (and journalled) together when the chunk returns."""
         import repro.sim.batch as batch
         from repro.sim.lockstep import run_lockstep
 
@@ -760,8 +763,9 @@ class SweepSupervisor:
             # Any pool construction/submission failure must degrade the
             # sweep, not kill it -- but never silently: the whole batch
             # re-running serially is a major mode change.  (Keyboard
-            # interrupts and SystemExit derive from BaseException and
-            # propagate past this handler; a regression test pins that.)
+            # interrupts, SystemExit and the CLI's SIGTERM exception derive
+            # from BaseException and propagate past this handler; a
+            # regression test pins that.)
             _LOGGER.warning(
                 "lockstep pool construction failed (%s: %s); falling "
                 "back to supervised per-spec execution for all %d runs",
@@ -804,8 +808,6 @@ class SweepSupervisor:
                 chunk = futures[future]
                 try:
                     results = future.result()
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
                     if isinstance(exc, BrokenProcessPool):
                         pool_broken = True

@@ -179,24 +179,21 @@ class TestServeSignals:
 
 
 class TestBatchSigterm:
-    POLICIES = ("FG", "CG", "LT")
+    # On the default (lockstep) path the runs advance together; none
+    # finishes well before FG and CG, so a SIGTERM sent on the first
+    # journal record lands while the other two are still running.
+    POLICIES = ("none", "FG", "CG")
 
-    def test_sigterm_flushes_journal_and_resume_completes(self, tmp_path):
-        # A three-run sweep (gzip x [FG, CG, LT]) at ~1s per run,
-        # SIGTERMed once the first finish is journalled: the process
-        # must exit 143 with a valid journal, and a --resume must
-        # complete the sweep bit-identically to an uninterrupted one.
-        # Lockstep advances all runs together and journals them when
-        # the *batch* finishes, so pin the per-run path, which streams
-        # one journal record per finished run.
-        env = _env()
-        env["REPRO_SWEEP_LOCKSTEP"] = "off"
+    def _terminate_after_first_record(self, tmp_path, env, *flags):
+        """Start ``repro batch`` with a journal, SIGTERM it once the
+        first finished run is journalled; return (exit code, output,
+        journal path)."""
         journal = tmp_path / "sweep.jsonl"
         argv = [
             sys.executable, "-m", "repro", "batch",
             "--benchmarks", "gzip", "--policies", *self.POLICIES,
             "--instructions", str(BATCH_INSTRUCTIONS),
-            "--journal", str(journal),
+            "--journal", str(journal), *flags,
         ]
         proc = subprocess.Popen(
             argv, env=env, cwd=str(tmp_path),
@@ -219,6 +216,17 @@ class TestBatchSigterm:
             output = proc.stdout.read()
         finally:
             stop(proc)
+        return code, output, journal
+
+    def test_sigterm_flushes_journal_and_resume_completes(self, tmp_path):
+        # A three-run sweep (gzip x [none, FG, CG]) of a few seconds,
+        # SIGTERMed once the first finish is journalled: the process
+        # must exit 143 with a valid journal, and a --resume must
+        # complete the sweep bit-identically to an uninterrupted one.
+        env = _env()
+        code, output, journal = self._terminate_after_first_record(
+            tmp_path, env
+        )
         assert code == 143, output
         assert "resume" in output  # the hint names the journal
 
@@ -253,3 +261,14 @@ class TestBatchSigterm:
         for digest, result in zip(digests, reference):
             assert (final[digest].to_json_dict()
                     == result.to_json_dict())
+
+    def test_sigterm_is_not_a_run_failure_under_supervision(self, tmp_path):
+        # With --partial and a retry budget, the interrupted run must
+        # not be recorded as a failure or retried: the sweep still stops
+        # with 143 and journals only the runs that had finished.
+        code, output, journal = self._terminate_after_first_record(
+            tmp_path, _env(), "--partial", "--retries", "1"
+        )
+        assert code == 143, output
+        completed = load_journal(journal)
+        assert 1 <= len(completed) < len(self.POLICIES)

@@ -1,5 +1,6 @@
 """The batch sweep runner."""
 
+import json
 import warnings
 from functools import partial
 
@@ -52,6 +53,10 @@ def _specs():
             ]
         )
     ]
+
+
+def _as_json(results):
+    return [json.dumps(r.to_json_dict(), sort_keys=True) for r in results]
 
 
 def _as_tuples(results):
@@ -123,24 +128,11 @@ class TestLockstepDefault:
         heterogeneous = self._clean(1) + [object()]
         assert _resolve_lockstep(heterogeneous, None) is False
 
-    def test_env_override(self, monkeypatch):
-        from repro.sim.batch import SWEEP_LOCKSTEP_ENV, _resolve_lockstep
+    def test_explicit_argument_beats_auto(self):
+        from repro.sim.batch import _resolve_lockstep
 
-        monkeypatch.setenv(SWEEP_LOCKSTEP_ENV, "off")
-        assert _resolve_lockstep(self._clean(2), None) is False
-        monkeypatch.setenv(SWEEP_LOCKSTEP_ENV, "1")
-        assert _resolve_lockstep(self._clean(1), None) is True
-        monkeypatch.setenv(SWEEP_LOCKSTEP_ENV, "sideways")
-        with pytest.raises(SimulationError, match="REPRO_SWEEP_LOCKSTEP"):
-            _resolve_lockstep(self._clean(2), None)
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        from repro.sim.batch import SWEEP_LOCKSTEP_ENV, _resolve_lockstep
-
-        monkeypatch.setenv(SWEEP_LOCKSTEP_ENV, "on")
         assert _resolve_lockstep(self._clean(2), False) is False
-        monkeypatch.setenv(SWEEP_LOCKSTEP_ENV, "off")
-        assert _resolve_lockstep(self._clean(2), True) is True
+        assert _resolve_lockstep(self._clean(1), True) is True
 
 
 class TestRunMany:
@@ -148,9 +140,18 @@ class TestRunMany:
     # serial/pool paths, so they opt out of the lockstep sweep default
     # (tests/sim/test_lockstep.py pins lockstep's bit-identity).
     def test_parallel_matches_serial_exactly(self):
+        # Compared as JSON text, so a field whose type changes on the
+        # way back from a worker (int -> float) fails too.
         serial = run_many(_specs(), processes=1, lockstep=False)
         parallel = run_many(_specs(), processes=4, lockstep=False)
-        assert _as_tuples(serial) == _as_tuples(parallel)
+        assert _as_json(serial) == _as_json(parallel)
+
+    def test_lockstep_matches_serial_as_json(self):
+        serial = run_many(_specs(), processes=1, lockstep=False)
+        lockstep = run_many(_specs(), processes=1, lockstep=True)
+        pooled = run_many(_specs(), processes=2, lockstep=True)
+        assert _as_json(lockstep) == _as_json(serial)
+        assert _as_json(pooled) == _as_json(serial)
 
     def test_results_preserve_spec_order(self):
         results = run_many(_specs(), processes=4)

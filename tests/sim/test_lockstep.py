@@ -156,6 +156,33 @@ class TestRaiseOnViolationFallback:
         _assert_equivalent(results[1], reference)
 
 
+class TestFinishCallback:
+    def test_fires_once_per_run_as_it_finishes(self):
+        # Runs of different lengths finish in length order, each
+        # reported with the result the batch returns; a run delegated to
+        # run_one (raise_on_violation) is reported too.
+        specs = [
+            RunSpec(workload="gcc", policy="FG", instructions=600_000),
+            RunSpec(workload="gcc", policy="FG", instructions=20_000),
+            # mesa's unmanaged steady state stays below the emergency
+            # threshold, so the guarded run completes.
+            RunSpec(
+                workload="mesa",
+                policy="none",
+                instructions=200_000,
+                engine_config=EngineConfig(raise_on_violation=True),
+            ),
+        ]
+        finished = []
+        results = run_lockstep(
+            specs, lambda index, result: finished.append((index, result))
+        )
+        assert sorted(index for index, _ in finished) == [0, 1, 2]
+        assert [index for index, _ in finished if index != 2] == [1, 0]
+        for index, result in finished:
+            assert result is results[index]
+
+
 def _stride_specs():
     # Runs that reject stride attempts for three different reasons, with
     # different instruction budgets so the batch shrinks while the

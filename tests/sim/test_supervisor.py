@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from repro.dtm import FetchGatingPolicy
+from repro.dtm.base import DtmPolicy
 from repro.errors import InjectedFaultError, SimulationError
 from repro.sensors.faults import SensorFault
 from repro.sim import (
@@ -57,6 +58,23 @@ def _spec(seed=0, benchmark="gzip", policy="FG", plan=None):
 
 def _as_tuple(result):
     return tuple(getattr(result, field) for field in RESULT_FIELDS)
+
+
+class _Interrupted(BaseException):
+    """Stands in for an interrupt (``repro batch``'s SIGTERM exception,
+    Ctrl-C) that arrives while a run executes."""
+
+
+class _InterruptingPolicy(DtmPolicy):
+    """Interrupts the run at its first sensor sample."""
+
+    name = "interrupting"
+
+    def update(self, readings, time_s, dt_s):
+        raise _Interrupted()
+
+    def reset(self):
+        pass
 
 
 class TestSpecDigest:
@@ -407,3 +425,109 @@ class TestLockstepSupervision:
         serial_ref = run_many(clean, lockstep=False)
         for got, a, b in zip(healed, lockstep_ref, serial_ref):
             assert _as_tuple(got) == _as_tuple(a) == _as_tuple(b)
+
+    def test_serial_lockstep_journals_each_run_as_it_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        # A short run finishes, then another run fails mid-batch: the
+        # finished run is journalled before the batch ends, and the
+        # fallback re-runs only the runs that have no outcome yet.
+        import repro.sim.batch as batch
+        import repro.sim.lockstep as lockstep
+
+        path = tmp_path / "sweep.jsonl"
+        short = replace(
+            _spec(policy="none"), instructions=20_000, settle_time_s=0.0
+        )
+        failing = _spec(seed=1, plan=FaultPlan(corrupt_power_at_step=5))
+        unfinished = _spec(seed=2)
+        specs = [short, failing, unfinished]
+        digests = [spec_digest(spec) for spec in specs]
+
+        journal_at_failure = []
+        real_run_lockstep = lockstep.run_lockstep
+
+        def watched_run_lockstep(specs, on_finish=None):
+            try:
+                return real_run_lockstep(specs, on_finish)
+            except Exception:
+                journal_at_failure.append(set(load_journal(path)))
+                raise
+
+        calls = []
+        real_run_one = batch.run_one
+
+        def counting_run_one(spec):
+            calls.append(spec.seed)
+            return real_run_one(spec)
+
+        monkeypatch.setattr(lockstep, "run_lockstep", watched_run_lockstep)
+        monkeypatch.setattr(batch, "run_one", counting_run_one)
+        outcomes = run_many(
+            specs, lockstep=True, partial_results=True, journal=str(path)
+        )
+
+        assert journal_at_failure == [{digests[0]}]
+        assert calls == [1, 2]
+        assert isinstance(outcomes[1], RunFailure)
+        assert outcomes[1].error_type == "NumericalError"
+        journalled = [
+            json.loads(line)["digest"]
+            for line in path.read_text().splitlines()
+        ]
+        assert sorted(journalled) == sorted([digests[0], digests[2]])
+        reference = run_many([short, unfinished], lockstep=False)
+        assert [outcomes[0].to_json_dict(), outcomes[2].to_json_dict()] == [
+            r.to_json_dict() for r in reference
+        ]
+
+
+class TestInterruptsPassThrough:
+    """A :class:`BaseException` raised inside a run is an interrupt, not
+    a run failure: no failure record and no retry, even with
+    ``partial_results`` and a retry budget."""
+
+    SUPERVISED = dict(partial_results=True, retries=1, backoff_s=0.0)
+
+    def _specs(self):
+        return [_spec(), replace(_spec(seed=1), policy=_InterruptingPolicy)]
+
+    def _count_run_one(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        calls = []
+        real_run_one = batch.run_one
+
+        def counting_run_one(spec):
+            calls.append(spec.seed)
+            return real_run_one(spec)
+
+        monkeypatch.setattr(batch, "run_one", counting_run_one)
+        return calls
+
+    def test_run_serial(self, monkeypatch):
+        calls = self._count_run_one(monkeypatch)
+        with pytest.raises(_Interrupted):
+            run_many(self._specs(), lockstep=False, **self.SUPERVISED)
+        assert calls == [0, 1]
+
+    def test_run_lockstep_serial(self, monkeypatch):
+        calls = self._count_run_one(monkeypatch)
+        with pytest.raises(_Interrupted):
+            run_many(self._specs(), lockstep=True, **self.SUPERVISED)
+        assert calls == []
+
+    def test_lockstep_pool_dispatch(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        class _InterruptedPool:
+            def submit(self, *args, **kwargs):
+                raise _Interrupted()
+
+        monkeypatch.setattr(
+            batch, "_get_pool", lambda processes: _InterruptedPool()
+        )
+        with pytest.raises(_Interrupted):
+            run_many(
+                self._specs(), processes=2, lockstep=True, **self.SUPERVISED
+            )
