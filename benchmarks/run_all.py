@@ -17,9 +17,6 @@ knobs (``REPRO_BENCH_INSTRUCTIONS``, ``REPRO_BENCH_PROCESSES``; see
 repository root: per-bench wall time, simulated thermal steps,
 steps/second and the rendered result table, plus the harness
 configuration -- the CI artifact consumed by performance tracking.
-Every ``--json`` run additionally appends a one-line record (config +
-overall steps/s) to ``BENCH_trajectory.jsonl`` at the repository root,
-building a cumulative throughput history across commits.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from _helpers import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_results.json"
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_trajectory.jsonl"
 
 # name -> (module, _run positional args, saved-table name)
 BENCHES: Dict[str, Tuple[str, tuple, str]] = {
@@ -58,11 +54,14 @@ BENCHES: Dict[str, Tuple[str, tuple, str]] = {
 }
 
 
-def _run_bench(name: str) -> dict:
-    """Execute one bench's ``_run`` and measure it."""
+def _run_bench(
+    name: str, benches: Dict[str, Tuple[str, tuple, str]] = BENCHES
+) -> dict:
+    """Execute one bench's ``_run`` (looked up in ``benches``) and
+    measure it."""
     from repro.sim.batch import reset_stats, stats
 
-    module_name, args, table_name = BENCHES[name]
+    module_name, args, table_name = benches[name]
     module = importlib.import_module(module_name)
     runner: Callable[..., str] = module._run
     reset_stats()
@@ -79,63 +78,6 @@ def _run_bench(name: str) -> dict:
         "steps_per_second": round(snapshot.steps_per_second),
         "table": table,
     }
-
-
-def last_trajectory_entry(path: Path = TRAJECTORY_PATH) -> dict:
-    """Last record of the cumulative throughput history, or ``None``.
-
-    Tolerates a missing file and skips malformed lines so a truncated
-    append never breaks the delta report.
-    """
-    if not path.is_file():
-        return None
-    entry = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-    return entry
-
-
-def _print_trajectory_deltas(records: List[dict], summary: dict) -> None:
-    """Per-bench and overall steps/s against the last trajectory entry."""
-    previous = last_trajectory_entry()
-    if previous is None:
-        return
-    stamp = previous.get("timestamp", "unknown time")
-    print(f"\n[deltas vs last {TRAJECTORY_PATH.name} entry ({stamp})]")
-    base_config = previous.get("config", {})
-    if base_config.get("instructions") != summary["config"]["instructions"]:
-        print(
-            f"  note: baseline ran {base_config.get('instructions')} "
-            f"instructions vs {summary['config']['instructions']} now; "
-            f"deltas are indicative only"
-        )
-    base_benches = previous.get("bench_steps_per_second", {})
-    for record in records:
-        base = base_benches.get(record["bench"])
-        if base:
-            change = record["steps_per_second"] / base - 1.0
-            print(
-                f"  {record['bench']}: {record['steps_per_second']:,} "
-                f"steps/s vs {base:,.0f} ({change:+.1%})"
-            )
-        else:
-            print(
-                f"  {record['bench']}: {record['steps_per_second']:,} "
-                f"steps/s (no per-bench baseline in last entry)"
-            )
-    base_overall = previous.get("overall_steps_per_second")
-    if base_overall:
-        change = summary["overall_steps_per_second"] / base_overall - 1.0
-        print(
-            f"  overall: {summary['overall_steps_per_second']:,} steps/s "
-            f"vs {base_overall:,.0f} ({change:+.1%})"
-        )
 
 
 def main(argv: List[str] = None) -> int:
@@ -191,25 +133,10 @@ def main(argv: List[str] = None) -> int:
         f"\n[run_all: {total_steps:,} thermal steps in {total_wall:.1f} s "
         f"= {summary['overall_steps_per_second']:,} steps/s overall]"
     )
-    _print_trajectory_deltas(records, summary)
     if options.json:
         path = Path(options.json)
         path.write_text(json.dumps(summary, indent=2) + "\n")
         print(f"[summary written to {path}]")
-        entry = {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "config": config,
-            "benches": names,
-            "total_wall_s": summary["total_wall_s"],
-            "total_thermal_steps": total_steps,
-            "overall_steps_per_second": summary["overall_steps_per_second"],
-            "bench_steps_per_second": {
-                r["bench"]: r["steps_per_second"] for r in records
-            },
-        }
-        with TRAJECTORY_PATH.open("a") as handle:
-            handle.write(json.dumps(entry) + "\n")
-        print(f"[trajectory appended to {TRAJECTORY_PATH}]")
     return 0
 
 

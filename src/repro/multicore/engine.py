@@ -16,9 +16,13 @@ gating time under the commands in force, violation checks included.
 The engine implements the :class:`~repro.sim.contract.SimEngine`
 contract and composes with the same stack layers as the single-core
 engine: compiled workload traces, the expm stepper with NaN/divergence
-guards and backward-Euler fallback, deterministic fault injection via
-:attr:`~repro.sim.config.EngineConfig.fault_plan`, and :mod:`repro.obs`
-metrics/events.  Constant-power fast-forward is not used here: with two
+guards and backward-Euler fallback, fused dense spans
+(:mod:`repro.sim.kernel`: the steps between sensor samples run as one
+request, bit-identical to stepping them one by one), deterministic
+fault injection via :attr:`~repro.sim.config.EngineConfig.fault_plan`,
+and :mod:`repro.obs` metrics/events.  Engines with the default package
+share one per-process substrate (floorplan, thermal model, power
+model).  Constant-power fast-forward is not used here: with two
 independently phased workloads plus a hopper, the chip power vector
 essentially never holds still long enough for a span to pay (see
 docs/ENGINES.md).
@@ -27,6 +31,7 @@ docs/ENGINES.md).
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
@@ -51,8 +56,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
+from repro.sim import engine as sim_engine
 from repro.sim.config import EngineConfig
 from repro.sim.contract import SimEngine
+from repro.sim.kernel import DenseSpanTask
 from repro.sim.warmup import average_activities, leakage_fixed_point
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
@@ -72,6 +79,29 @@ HOP_STALL_S = 10.0e-6
 transfer through the shared L2)."""
 
 _L2_BANKS = ("L2", "L2_left", "L2_mid", "L2_right")
+
+# Per-process default substrate (floorplan, thermal model, power model),
+# shared by every engine built with the default package: all three are
+# read-only after construction, like the single-core
+# ``repro.sim.batch._default_substrate``, so the thermal network and its
+# operator bank are assembled once per process instead of once per run.
+_SUBSTRATE: Optional[tuple] = None
+
+
+def _build_substrate(package: ThermalPackage) -> tuple:
+    floorplan = build_dual_core_floorplan()
+    return (
+        floorplan,
+        HotSpotModel(floorplan, package),
+        PowerModel(floorplan, specs=dual_core_power_specs()),
+    )
+
+
+def _default_substrate() -> tuple:
+    global _SUBSTRATE
+    if _SUBSTRATE is None:
+        _SUBSTRATE = _build_substrate(DUAL_CORE_PACKAGE)
+    return _SUBSTRATE
 
 # Per-workload activity vectors are emitted in this order: the per-core
 # blocks, then the workload's shared-L2 demand as the final entry.
@@ -163,7 +193,8 @@ class MultiCoreEngine(SimEngine):
 
     Implements the :class:`~repro.sim.contract.SimEngine` contract:
     :meth:`iter_run` yields ``(solver, power, dt, count)`` thermal-step
-    requests serviced by the shared driver, so the dual-core loop
+    requests (plain steps and fused dense spans) serviced by the shared
+    driver, so the dual-core loop
     composes with the same fault/guard/observability stack as the
     single-core engine.  The inner loop is array-native like the
     single-core one: per-workload activity vectors (compiled from each
@@ -190,12 +221,11 @@ class MultiCoreEngine(SimEngine):
         if hop_stall_s < 0.0:
             raise SimulationError("hop stall must be >= 0")
         self._workloads = list(workloads)
-        self._floorplan = build_dual_core_floorplan()
-        self._hotspot = HotSpotModel(
-            self._floorplan,
-            package if package is not None else DUAL_CORE_PACKAGE,
+        self._floorplan, self._hotspot, self._power = (
+            _default_substrate()
+            if package is None
+            else _build_substrate(package)
         )
-        self._power = PowerModel(self._floorplan, specs=dual_core_power_specs())
         self._config = config if config is not None else EngineConfig()
         self._seed = seed
         self._hop_stall_s = hop_stall_s
@@ -359,8 +389,10 @@ class MultiCoreEngine(SimEngine):
     ):
         """Generator form of :meth:`run` under the engine contract.
 
-        Yields ``(solver, power, dt, count)`` thermal-step requests and
-        expects the stepped node-temperature vector back; the
+        Yields ``(solver, power, dt, count)`` thermal-step requests --
+        a plain step or a fused dense span
+        (:class:`~repro.sim.kernel.DenseSpanTask`) -- and expects the
+        stepped node-temperature vector back; the
         :class:`MultiCoreResult` is the generator's return value.
         """
         if duration_s <= 0.0:
@@ -424,6 +456,11 @@ class MultiCoreEngine(SimEngine):
         hop_stall = self._hop_stall_s
         raise_on_violation = self._config.raise_on_violation
         emergency_c = self._thresholds.emergency_c
+        # The reductions call the ufunc methods directly, as the
+        # single-core loop does: the same results as ``.max()`` /
+        # ``.sum()``, minus the Python wrapper frames.
+        max_reduce = np.maximum.reduce
+        sum_reduce = np.add.reduce
 
         # Hoisted bound methods (same rationale as the single-core loop).
         sensors_due = self._sensors.due
@@ -454,6 +491,17 @@ class MultiCoreEngine(SimEngine):
         else:
             fault_corrupt_step = None
             fault_poison = 0.0
+        # Fused dense spans (repro.sim.kernel), as in the single-core
+        # engine: runs that must surface every step (injected solver
+        # faults, raise_on_violation) keep the per-step path, and the
+        # private seam switches fusion off for the identity tests.
+        kernel_enabled = (
+            sim_engine._FUSE_DENSE_SPANS
+            and not raise_on_violation
+            and fault_corrupt_step is None
+        )
+        kernel_spans = 0
+        kernel_steps = 0
 
         # Reused buffers: block temperatures gathered per step with
         # np.take(..., out=), chip activity and node power vectors
@@ -481,7 +529,7 @@ class MultiCoreEngine(SimEngine):
             emergency checks were all silently missing for the stall
             interval while ``elapsed`` included it)."""
             nonlocal max_temp, hottest, violations, low_time, energy
-            step_max = float(block_temps.max())
+            step_max = float(max_reduce(block_temps))
             if step_max > max_temp:
                 max_temp = step_max
                 hottest = block_names[int(np.argmax(block_temps))]
@@ -505,7 +553,7 @@ class MultiCoreEngine(SimEngine):
                 zero_acts, voltage, frequency, block_temps, check=False
             )
             power_buffer[node_idx] = blocks_w
-            return power_buffer, float(blocks_w.sum())
+            return power_buffer, float(sum_reduce(blocks_w))
 
         def hop_stall_substep(dt_sub: float):
             """Advance the thermal state through a hop stall at idle
@@ -525,6 +573,73 @@ class MultiCoreEngine(SimEngine):
                     gating_weighted[core] += (
                         commands[core].gating_fraction * dt_sub
                     )
+
+        def run_dense_span(count: int):
+            """Execute up to ``count`` fused dense steps inside the engine.
+
+            The body is the main loop's per-step pipeline, verbatim --
+            both cores' advances, scatter, power, step, accounting, the
+            settle->measuring flip and the duration exit, with the same
+            callables on the same buffers in the same order -- minus the
+            events that cannot occur before the next sensor sample
+            (sensing, policy and hopper updates, actuation rebuilds,
+            voltage switches).  Bit-identical to the per-step path.
+            """
+            nonlocal time_s, measuring, measure_start, exec_steps
+            nonlocal kernel_spans, kernel_steps
+            span_step = solver.span_stepper(power_buffer, dt)
+            advance0 = perf[assignment[0]].advance
+            advance1 = perf[assignment[1]].advance
+            actuation0, actuation1 = actuations
+            workload0, workload1 = assignment
+            pos0, pos1 = core_pos
+            gating0 = commands[0].gating_fraction * dt
+            gating1 = commands[1].gating_fraction * dt
+            # A workload's activity array is cached and read-only, so
+            # when both cores return the arrays scattered on the
+            # previous step, the chip activity vector already holds
+            # their values and the scatter is skipped.
+            acts0 = acts1 = None
+            first_step = exec_steps
+            for _ in range(count):
+                sample = advance0(step_cycles, actuation0)
+                instr0 = sample.instructions
+                new0 = sample.acts
+                sample = advance1(step_cycles, actuation1)
+                instr1 = sample.instructions
+                new1 = sample.acts
+                if new0 is not acts0 or new1 is not acts1:
+                    chip_acts[pos0] = new0[:l2_slot]
+                    chip_acts[pos1] = new1[:l2_slot]
+                    chip_acts[l2_pos] = min(
+                        1.0, 0.0 + new0[l2_slot] + new1[l2_slot]
+                    )
+                    acts0 = new0
+                    acts1 = new1
+                blocks_w = power_vector_fn(
+                    chip_acts, voltage, frequency, block_temps, check=False
+                )
+                power_buffer[node_idx] = blocks_w
+                power_sum = float(sum_reduce(blocks_w))
+                exec_steps += 1
+                stepped = span_step()
+                stepped.take(node_idx, out=block_temps)
+                if measuring:
+                    instructions[workload0] += instr0
+                    gating_weighted[0] += gating0
+                    instructions[workload1] += instr1
+                    gating_weighted[1] += gating1
+                    account_thermal(dt, power_sum)
+                time_s += dt
+                if measuring:
+                    if time_s - measure_start >= duration_s:
+                        break
+                elif time_s >= settle_time_s:
+                    measuring = True
+                    measure_start = time_s
+            kernel_spans += 1
+            kernel_steps += exec_steps - first_step
+            return stepped
 
         # Progress heartbeat: captured once per run; heartbeat-off cost
         # is one ``is not None`` compare per sensor sample.  This engine
@@ -614,7 +729,7 @@ class MultiCoreEngine(SimEngine):
             )
             power_buffer[node_idx] = blocks_w
             step_power = power_buffer
-            power_sum = float(blocks_w.sum())
+            power_sum = float(sum_reduce(blocks_w))
 
             if (
                 fault_corrupt_step is not None
@@ -642,6 +757,19 @@ class MultiCoreEngine(SimEngine):
                 measuring = True
                 measure_start = time_s
 
+            # --- fused dense span ------------------------------------------
+            # No decision can fire before the next sensor sample, so the
+            # steps up to it run as one fused request instead of one
+            # generator round-trip each.
+            if kernel_enabled and (
+                not measuring or time_s - measure_start < duration_s
+            ):
+                k = math.ceil(
+                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
+                )
+                if k >= 2:
+                    yield (solver, DenseSpanTask(run_dense_span, k), dt, k)
+
         elapsed = time_s - measure_start
         cores = [
             CoreResult(
@@ -660,6 +788,8 @@ class MultiCoreEngine(SimEngine):
                 "engine.exec_steps": float(exec_steps),
                 "engine.sensor_samples": float(sensor_samples),
                 "engine.violations": float(violations),
+                "engine.kernel_spans": float(kernel_spans),
+                "engine.kernel_steps": float(kernel_steps),
                 "multicore.swaps": float(swaps),
             }
             if solver.fallback_active:

@@ -98,14 +98,13 @@ def dual_core_power_specs() -> Dict[str, BlockPowerSpec]:
     single-core L2's power *density* scaled to each bank's area.
     """
     base = default_power_specs()
-    floorplan = build_dual_core_floorplan()
     specs: Dict[str, BlockPowerSpec] = {}
 
     # The base design's L2 density (bottom band, W/m^2).
     base_l2_density = base["L2"].peak_dynamic_w / (16.0 * MM * 9.8 * MM)
-    for name, *_ in _L2_BANKS_MM:
-        area = floorplan[name].area
-        peak = base_l2_density * area
+    for name, _x, _y, width, height in _L2_BANKS_MM:
+        # The bank's area exactly as its floorplan Block computes it.
+        peak = base_l2_density * ((width * MM) * (height * MM))
         specs[name] = BlockPowerSpec(
             name=name,
             peak_dynamic_w=peak,

@@ -577,7 +577,8 @@ class SimulationEngine(SimEngine):
             and not raise_on_violation
             and fault_corrupt_step is None
         )
-        span_step = _timed("thermal", solver.step) if timing else solver.step
+        kernel_spans = 0
+        kernel_steps = 0
 
         def block_temps_mapping() -> Dict[str, float]:
             return {
@@ -672,8 +673,13 @@ class SimulationEngine(SimEngine):
             """
             nonlocal time_s, done, cycles_f, exec_steps, no_progress_steps
             nonlocal gating_time_weighted, engaged_s
+            nonlocal kernel_spans, kernel_steps
             stepped = temps_vec
             gating = command.gating_fraction
+            span_step = solver.span_stepper(power_buffer, dt)
+            if timing:
+                span_step = _timed("thermal", span_step)
+            first_step = exec_steps
             for _ in range(count):
                 span_sample = perf_advance(step_cycles, actuation)
                 span_acts = span_sample.acts
@@ -693,7 +699,7 @@ class SimulationEngine(SimEngine):
                 power_buffer[node_idx] = blocks
                 span_power_sum = float(sum_reduce(blocks))
                 exec_steps += 1
-                stepped = span_step(power_buffer, dt, copy=False)
+                stepped = span_step()
                 stepped.take(node_idx, out=block_temps)
                 if span_sample.instructions <= 0.0:
                     no_progress_steps += 1
@@ -727,6 +733,8 @@ class SimulationEngine(SimEngine):
                     engaged_s += dt_measured
                 if done >= instructions:
                     break
+            kernel_spans += 1
+            kernel_steps += exec_steps - first_step
             return stepped
 
         # Progress heartbeat: the publisher (if a supervisor registered
@@ -1097,6 +1105,8 @@ class SimulationEngine(SimEngine):
                     planner.taken if planner is not None else 0
                 ),
                 "engine.ff_spans_rejected": float(sum(rejected.values())),
+                "engine.kernel_spans": float(kernel_spans),
+                "engine.kernel_steps": float(kernel_steps),
                 "dtm.engagements": float(dtm_engagements),
                 "dtm.dvs_switches": float(switches),
                 "dtm.migrations": float(migrations),

@@ -11,13 +11,22 @@ request: the driver makes one call, and a tight pre-bound loop inside
 the engine executes the span's sample/power/step/accounting pipeline
 without leaving the engine's frame.
 
+Both engines use it: the single-core
+:class:`~repro.sim.engine.SimulationEngine` for the dense residue its
+stride leaves, and the dual-core
+:class:`~repro.multicore.engine.MultiCoreEngine` for every span between
+sensor samples.  Inside a span the solver advances through
+``span_stepper(power, dt)``, which validates the step and looks up its
+operator once per span while health-checking every step.
+
 Bit-identity with per-step dispatch is by construction: the kernel runs
 the same callables on the same buffers in the same order as the per-step
-path; only the generator suspension points disappear.  The engine keeps
+path; only the generator suspension points disappear.  The engines keep
 the per-step path for the runs that need every step to surface (trace
 recording, injected solver faults, ``raise_on_violation``), and
-``TestKernelBitIdentity`` in the engine tests pins the two paths equal
-across the nine benchmark scenarios.
+``TestKernelBitIdentity`` in ``tests/sim/test_step_kernel.py`` and
+``tests/multicore/test_kernel.py`` pins the two paths equal across the
+nine single-core benchmark scenarios and the A9 dual-core grid.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -124,6 +124,17 @@ class _LruCache:
                 self._data.popitem(last=False)
         except KeyError:
             pass
+
+
+def _check_step(network: ThermalNetwork, power: np.ndarray, dt: float) -> None:
+    """Validate one step's ``dt`` and node power vector."""
+    if dt <= 0.0:
+        raise ThermalModelError(f"time step must be > 0, got {dt}")
+    if power.shape != (network.size,):
+        raise ThermalModelError(
+            f"power vector has shape {power.shape}, "
+            f"expected ({network.size},)"
+        )
 
 
 def _frozen(*arrays: np.ndarray):
@@ -388,14 +399,27 @@ class TransientSolver:
         overwritten by the next :meth:`step`, so read what you need from
         it before advancing again (the engine's inner loop gathers the
         block temperatures immediately)."""
-        if dt <= 0.0:
-            raise ThermalModelError(f"time step must be > 0, got {dt}")
-        if power.shape != (self._network.size,):
-            raise ThermalModelError(
-                f"power vector has shape {power.shape}, "
-                f"expected ({self._network.size},)"
-            )
-        lu, piv, c_over_dt, getrs = self._bank.factorisation(dt)
+        _check_step(self._network, power, dt)
+        temps = self._solve(*self._bank.factorisation(dt), power, dt)
+        return temps.copy() if copy else temps
+
+    def span_stepper(self, power: np.ndarray, dt: float):
+        """A no-argument callable that advances one ``dt`` step under
+        ``power`` (read at every call) and returns the solver's own
+        state array.
+
+        Each call is bit-identical to ``step(power, dt, copy=False)``,
+        health check included; the shape and dt checks and the
+        factorisation lookup run once here instead of once per step.
+        For fused dense spans, whose steps share one power buffer and
+        one dt.
+        """
+        _check_step(self._network, power, dt)
+        return partial(
+            self._solve, *self._bank.factorisation(dt), power, dt
+        )
+
+    def _solve(self, lu, piv, c_over_dt, getrs, power, dt) -> np.ndarray:
         # Assemble the right-hand side in a reused buffer and let LAPACK
         # solve in place on it; the buffer then *becomes* the state
         # vector (next step's multiply is elementwise, so reading the
@@ -416,7 +440,7 @@ class TransientSolver:
         self._temps = solution
         self._rhs = solution
         self._time_s += dt
-        return self._temps.copy() if copy else self._temps
+        return solution
 
     def reset(self, temperatures: np.ndarray) -> None:
         """Overwrite the state with ``temperatures`` and zero the clock."""
@@ -491,15 +515,6 @@ class ExponentialSolver:
 
     # --- stepping ----------------------------------------------------------------
 
-    def _check_step(self, power: np.ndarray, dt: float) -> None:
-        if dt <= 0.0:
-            raise ThermalModelError(f"time step must be > 0, got {dt}")
-        if power.shape != (self._network.size,):
-            raise ThermalModelError(
-                f"power vector has shape {power.shape}, "
-                f"expected ({self._network.size},)"
-            )
-
     def _apply(self, a_d: np.ndarray, b_d: np.ndarray, power: np.ndarray) -> None:
         u = self._u
         np.add(power, self._ambient_source, out=u)
@@ -522,13 +537,31 @@ class ExponentialSolver:
         from the pre-step state (:attr:`fallback_active` is then set);
         :class:`~repro.errors.NumericalError` is raised only when the
         fallback fails too."""
-        self._check_step(power, dt)
-        a_d, b_d = self._bank.propagator(dt)
+        _check_step(self._network, power, dt)
+        temps = self._advance(*self._bank.propagator(dt), power, dt)
+        return temps.copy() if copy else temps
+
+    def span_stepper(self, power: np.ndarray, dt: float):
+        """A no-argument callable that advances one ``dt`` step under
+        ``power`` (read at every call) and returns the solver's own
+        state array.
+
+        Each call is bit-identical to ``step(power, dt, copy=False)``,
+        health check and backward-Euler recovery included; the shape
+        and dt checks and the propagator lookup run once here instead
+        of once per step.  For fused dense spans, whose steps share one
+        power buffer and one dt.
+        """
+        _check_step(self._network, power, dt)
+        return partial(self._advance, *self._bank.propagator(dt), power, dt)
+
+    def _advance(self, a_d, b_d, power, dt) -> np.ndarray:
+        """One guarded step with the given propagator pair."""
         self._apply(a_d, b_d, power)
         if not _healthy(self._temps):
             self._recover(power, dt, 1)
         self._time_s += dt
-        return self._temps.copy() if copy else self._temps
+        return self._temps
 
     def fast_forward(
         self, power: np.ndarray, dt: float, steps: int, copy: bool = True
@@ -538,7 +571,7 @@ class ExponentialSolver:
         ``steps`` times with the same arguments (up to last-ulp matrix
         association order).  Health-guarded like :meth:`step` (recovery
         re-integrates the span with backward Euler)."""
-        self._check_step(power, dt)
+        _check_step(self._network, power, dt)
         if steps < 1:
             raise ThermalModelError(f"fast-forward needs >= 1 step, got {steps}")
         a_k, b_k = self._bank.propagator_power(dt, steps)

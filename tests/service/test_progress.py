@@ -34,11 +34,13 @@ def _fast_heartbeats():
     heartbeat.reset()
 
 
-def publishing_runner(samples=4, gap_s=0.05, release=None):
+def publishing_runner(samples=4, gap_s=0.05, release=None, published=None):
     """A runner that heartbeats ``samples`` times, then resolves.
 
     ``release`` (an Event) gates completion so a test can hold a job
-    in flight while it probes the server from outside.
+    in flight while it probes the server from outside; ``published``
+    (an Event) is set once every heartbeat has been published, so a
+    test can wait for the final progress before polling it.
     """
 
     def run(spec):
@@ -52,6 +54,8 @@ def publishing_runner(samples=4, gap_s=0.05, release=None):
                         i * 100.0 / samples, i * 0.1, i * 1000, 80.0, False
                     )
                 time.sleep(gap_s)
+            if published is not None:
+                published.set()
             if release is not None:
                 assert release.wait(timeout=30.0)
         finally:
@@ -121,8 +125,11 @@ class TestStatusVerb:
 
     def test_running_entry_carries_heartbeat_fields(self, service_factory):
         release = threading.Event()
+        published = threading.Event()
         server = service_factory(
-            publishing_runner(samples=2, gap_s=0.01, release=release)
+            publishing_runner(
+                samples=2, gap_s=0.01, release=release, published=published
+            )
         )
         spec = RunSpec("art", "FG", instructions=1_000_000)
         digest = spec_digest(spec)
@@ -130,6 +137,9 @@ class TestStatusVerb:
             server.service.config.socket_path, [spec]
         )
         try:
+            # The slot registers with steps 0 before the first publish;
+            # poll only once the runner's heartbeats are all out.
+            assert published.wait(timeout=30.0)
             with ServiceClient(server.service.config.socket_path) as client:
                 deadline = time.monotonic() + 30.0
                 entry = None

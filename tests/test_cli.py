@@ -105,7 +105,7 @@ class TestBench:
     @pytest.fixture()
     def _sandboxed_harness(self, monkeypatch, tmp_path):
         """Run the real harness at a tiny budget without clobbering the
-        committed result tables, JSON baseline or trajectory log."""
+        committed result tables or JSON baseline."""
         monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "120000")
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         helpers = importlib.import_module("_helpers")
@@ -113,9 +113,6 @@ class TestBench:
         monkeypatch.setattr(helpers, "RESULTS_DIR", tmp_path / "results")
         monkeypatch.setattr(
             run_all, "DEFAULT_JSON_PATH", tmp_path / "results.json"
-        )
-        monkeypatch.setattr(
-            run_all, "TRAJECTORY_PATH", tmp_path / "trajectory.jsonl"
         )
         yield run_all
         reset_step_timers()
@@ -137,8 +134,8 @@ class TestBench:
             assert section in out
         assert "cProfile" in out
 
-    def test_run_all_json_appends_to_trajectory(
-        self, capsys, _sandboxed_harness
+    def test_run_all_json_writes_the_summary_only(
+        self, capsys, tmp_path, _sandboxed_harness
     ):
         import json
 
@@ -146,13 +143,13 @@ class TestBench:
         code = run_all.main(["--only", "fig3b", "--json"])
         capsys.readouterr()
         assert code == 0
-        lines = run_all.TRAJECTORY_PATH.read_text().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["overall_steps_per_second"] > 0
-        assert entry["benches"] == ["fig3b"]
-        assert entry["config"]["instructions"] == 120000
-        assert run_all.DEFAULT_JSON_PATH.exists()
+        summary = json.loads(run_all.DEFAULT_JSON_PATH.read_text())
+        assert [r["bench"] for r in summary["benches"]] == ["fig3b"]
+        assert summary["config"]["instructions"] == 120000
+        # No throughput history is appended anywhere.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results", "results.json",
+        ]
 
 
 class TestReport:
