@@ -59,7 +59,7 @@ from repro.sensors.array import SensorArray
 from repro.sim import engine as sim_engine
 from repro.sim.config import EngineConfig
 from repro.sim.contract import SimEngine
-from repro.sim.kernel import DenseSpanTask
+from repro.sim.kernel import DenseSpanTask, commit_phase_run, next_phase_run
 from repro.sim.warmup import average_activities, leakage_fixed_point
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.package import ThermalPackage
@@ -240,6 +240,15 @@ class MultiCoreEngine(SimEngine):
         self._sensors = SensorArray(
             self._floorplan, seed=seed, faults=sensor_faults or None
         )
+        # Each core's sensor names, for splitting a sample per core.
+        self._core_sensors = [
+            tuple(
+                name
+                for name in self._sensors.block_names
+                if name.endswith(f"#{core}")
+            )
+            for core in CORE_INSTANCES
+        ]
         self._thresholds = (
             thresholds if thresholds is not None else ThermalThresholds()
         )
@@ -311,11 +320,12 @@ class MultiCoreEngine(SimEngine):
     # --- helpers -----------------------------------------------------------------
 
     def _core_readings(self, readings: Dict[str, float], core: int) -> Dict[str, float]:
-        suffix = f"#{core}"
+        # Sensor order, so the keys keep the readings' order; a faulted
+        # array's scalar path drops dead sensors, hence the membership test.
         return {
-            name: value
-            for name, value in readings.items()
-            if name.endswith(suffix)
+            name: readings[name]
+            for name in self._core_sensors[core]
+            if name in readings
         }
 
     def compute_initial_temperatures(self) -> np.ndarray:
@@ -469,6 +479,12 @@ class MultiCoreEngine(SimEngine):
         vf_frequency = self._vf.frequency
         f_nominal = self._tech.frequency_nominal
         power_vector_fn = self._power.block_powers_vector
+        dynamic_w = self._power.dynamic_vector_w
+        leakage_coefficients = self._power.leakage_coefficients
+        subtract = np.subtract
+        multiply = np.multiply
+        exp = np.exp
+        add = np.add
         vector_sensors = (
             self._sensors.vector_eligible
             and tuple(self._sensors.block_names) == tuple(block_names)
@@ -511,6 +527,11 @@ class MultiCoreEngine(SimEngine):
         chip_acts = np.zeros(n_blocks)
         zero_acts = np.zeros(n_blocks)
         power_buffer = np.zeros(network.size)
+        # Fused-span power buffers: a phase run's dynamic part, a step's
+        # leakage and their sum (repro.sim.kernel).
+        dyn_w = np.empty(n_blocks)
+        leak_w = np.empty(n_blocks)
+        span_w = np.empty(n_blocks)
         # Per-core actuation reuse while the command and frequency hold.
         actuations: List[Optional[DtmActuation]] = [None, None]
         actuation_cmds = [None, None]
@@ -577,37 +598,41 @@ class MultiCoreEngine(SimEngine):
         def run_dense_span(count: int):
             """Execute up to ``count`` fused dense steps inside the engine.
 
-            The body is the main loop's per-step pipeline, verbatim --
-            both cores' advances, scatter, power, step, accounting, the
-            settle->measuring flip and the duration exit, with the same
-            callables on the same buffers in the same order -- minus the
-            events that cannot occur before the next sensor sample
-            (sensing, policy and hopper updates, actuation rebuilds,
-            voltage switches).  Bit-identical to the per-step path.
+            The main loop's per-step pipeline over phase runs
+            (:mod:`repro.sim.kernel`): per run, both cores' samples, the
+            scatter and the dynamic power once; per step, the leakage,
+            the power scatter, the solver step, the accounting, the
+            settle->measuring flip and the duration exit -- the same
+            float operations on the same buffers in the same order as
+            the per-step path, minus the events that cannot occur
+            before the next sensor sample (sensing, policy and hopper
+            updates, actuation rebuilds, voltage switches).
+            Bit-identical to the per-step path.
             """
             nonlocal time_s, measuring, measure_start, exec_steps
             nonlocal kernel_spans, kernel_steps
             span_step = solver.span_stepper(power_buffer, dt)
-            advance0 = perf[assignment[0]].advance
-            advance1 = perf[assignment[1]].advance
-            actuation0, actuation1 = actuations
             workload0, workload1 = assignment
+            models = (perf[workload0], perf[workload1])
             pos0, pos1 = core_pos
             gating0 = commands[0].gating_fraction * dt
             gating1 = commands[1].gating_fraction * dt
+            ref_c, beta, leak_scale, leak_ref = leakage_coefficients(
+                voltage, frequency
+            )
             # A workload's activity array is cached and read-only, so
-            # when both cores return the arrays scattered on the
-            # previous step, the chip activity vector already holds
+            # when both cores return the arrays scattered for the
+            # previous run, the chip activity vector already holds
             # their values and the scatter is skipped.
             acts0 = acts1 = None
             first_step = exec_steps
-            for _ in range(count):
-                sample = advance0(step_cycles, actuation0)
-                instr0 = sample.instructions
-                new0 = sample.acts
-                sample = advance1(step_cycles, actuation1)
-                instr1 = sample.instructions
-                new1 = sample.acts
+            stop = False
+            left = count
+            while left:
+                n, samples, sized = next_phase_run(
+                    models, actuations, step_cycles, left
+                )
+                (instr0, new0), (instr1, new1) = samples
                 if new0 is not acts0 or new1 is not acts1:
                     chip_acts[pos0] = new0[:l2_slot]
                     chip_acts[pos1] = new1[:l2_slot]
@@ -616,27 +641,40 @@ class MultiCoreEngine(SimEngine):
                     )
                     acts0 = new0
                     acts1 = new1
-                blocks_w = power_vector_fn(
-                    chip_acts, voltage, frequency, block_temps, check=False
-                )
-                power_buffer[node_idx] = blocks_w
-                power_sum = float(sum_reduce(blocks_w))
-                exec_steps += 1
-                stepped = span_step()
-                stepped.take(node_idx, out=block_temps)
-                if measuring:
-                    instructions[workload0] += instr0
-                    gating_weighted[0] += gating0
-                    instructions[workload1] += instr1
-                    gating_weighted[1] += gating1
-                    account_thermal(dt, power_sum)
-                time_s += dt
-                if measuring:
-                    if time_s - measure_start >= duration_s:
-                        break
-                elif time_s >= settle_time_s:
-                    measuring = True
-                    measure_start = time_s
+                dynamic_w(chip_acts, voltage, frequency, 1.0, dyn_w)
+                run_start = exec_steps
+                for _ in range(n):
+                    # block_powers_vector's leakage half, inline.
+                    subtract(block_temps, ref_c, out=leak_w)
+                    multiply(leak_w, beta, out=leak_w)
+                    exp(leak_w, out=leak_w)
+                    multiply(leak_w, leak_scale, out=leak_w)
+                    multiply(leak_w, leak_ref, out=leak_w)
+                    add(dyn_w, leak_w, out=span_w)
+                    power_buffer[node_idx] = span_w
+                    power_sum = float(sum_reduce(span_w))
+                    exec_steps += 1
+                    stepped = span_step()
+                    stepped.take(node_idx, out=block_temps)
+                    if measuring:
+                        instructions[workload0] += instr0
+                        gating_weighted[0] += gating0
+                        instructions[workload1] += instr1
+                        gating_weighted[1] += gating1
+                        account_thermal(dt, power_sum)
+                    time_s += dt
+                    if measuring:
+                        if time_s - measure_start >= duration_s:
+                            stop = True
+                            break
+                    elif time_s >= settle_time_s:
+                        measuring = True
+                        measure_start = time_s
+                if sized:
+                    commit_phase_run(models, exec_steps - run_start)
+                if stop:
+                    break
+                left -= n
             kernel_spans += 1
             kernel_steps += exec_steps - first_step
             return stepped

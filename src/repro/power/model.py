@@ -67,6 +67,8 @@ class PowerModel:
         self._leakage_ref_w = np.array(
             [self._specs[n].leakage_ref_w for n in self._names]
         )
+        # Handed out by leakage_coefficients(); never written after this.
+        self._leakage_ref_w.setflags(write=False)
         # Dynamic power split into its activity-independent and
         # activity-proportional parts, so the hot path evaluates
         # ``base + slope * activity`` without forming the intermediate
@@ -269,7 +271,9 @@ class PowerModel:
         the dynamic portion of the fused call, so
         ``dynamic_vector_w(...) + leakage_vector_w(...)`` decomposes a
         ``block_powers_vector`` result exactly (the engine's
-        event-driven stride relies on this to isolate leakage drift).
+        event-driven stride relies on this to isolate leakage drift,
+        and the fused span loops to evaluate the dynamic part once per
+        phase run and only the leakage on every step).
         Inputs are trusted (no validation); pass ``out`` to avoid
         clobbering the model's internal buffers.
         """
@@ -309,6 +313,26 @@ class PowerModel:
         out *= leak_scale
         out *= self._leakage_ref_w
         return out
+
+    def leakage_coefficients(self, voltage: float, frequency: float) -> tuple:
+        """The leakage operands of :meth:`leakage_vector_w` at (V, f).
+
+        Returns ``(reference_temp_c, beta_per_k, leak_scale,
+        leakage_ref_w)``, where ``leakage_ref_w`` is the shared,
+        read-only per-block array.  Applying ``subtract
+        reference_temp_c``, ``* beta_per_k``, ``exp``, ``* leak_scale``
+        and ``* leakage_ref_w`` in that order to the block temperatures
+        reproduces :meth:`leakage_vector_w` bit for bit; the fused span
+        loops look the operating point up once per span and run the
+        five ufuncs inline on every step.
+        """
+        _, leak_scale = self._operating_point(voltage, frequency)
+        return (
+            self._leakage.reference_temp_c,
+            self._leakage.beta_per_k,
+            leak_scale,
+            self._leakage_ref_w,
+        )
 
     def block_powers(
         self,

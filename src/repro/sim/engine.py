@@ -23,7 +23,7 @@ from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
 from repro.sim.config import DVS_MODE_STALL, EngineConfig
 from repro.sim.contract import SimEngine, drive
-from repro.sim.kernel import DenseSpanTask
+from repro.sim.kernel import DenseSpanTask, commit_phase_run, next_phase_run
 from repro.sim.stride import ACCEPT, REJECT, REJECT_REASONS, StridePlanner
 from repro.sim.results import RunResult, TracePoint
 from repro.sim.warmup import initial_temperatures
@@ -467,6 +467,12 @@ class SimulationEngine(SimEngine):
         f_nominal = self._tech.frequency_nominal
         power_vector_fn = self._power.block_powers_vector
         perf_advance = perf.advance
+        dynamic_w = self._power.dynamic_vector_w
+        leakage_coefficients = self._power.leakage_coefficients
+        subtract = np.subtract
+        multiply = np.multiply
+        exp = np.exp
+        add = np.add
         # Vectorized sensor sampling: the whole array is read with a few
         # NumPy ops straight from the block-temperature buffer, bit-
         # identical to per-sensor scalar reads.  Faulted arrays (and
@@ -503,6 +509,7 @@ class SimulationEngine(SimEngine):
                 policy_update_hottest = _timed("policy", policy_update_hottest)
             policy_update = _timed("policy", policy_update)
             power_vector_fn = _timed("power", power_vector_fn)
+            dynamic_w = _timed("power", dynamic_w)
             perf_advance = _timed("perf", perf_advance)
 
         temps_vec = solver.temperatures
@@ -514,6 +521,11 @@ class SimulationEngine(SimEngine):
         act_vec = np.zeros(n_blocks)
         zero_acts = np.zeros(n_blocks)
         power_buffer = np.zeros(network.size)
+        # Fused-span power buffers: a phase run's dynamic part, a step's
+        # leakage and their sum (repro.sim.kernel).
+        dyn_w = np.empty(n_blocks)
+        leak_w = np.empty(n_blocks)
+        span_w = np.empty(n_blocks)
 
         # Deterministic solver-corruption fault: poison the power vector
         # at one configured execution step so the solver's numerical
@@ -663,28 +675,40 @@ class SimulationEngine(SimEngine):
         def run_dense_span(count: int):
             """Execute ``count`` fused dense steps inside the engine.
 
-            The body is the main loop's per-step pipeline, verbatim --
-            same callables, same buffers, same order -- minus the events
-            that cannot occur before the next sensor sample (sensing,
-            policy updates, actuation rebuilds, voltage switches,
-            migration transitions), which is exactly what the
-            invocation guards exclude, so it is bit-identical to the
-            per-step path.
+            The main loop's per-step pipeline over phase runs
+            (:mod:`repro.sim.kernel`): per run, the sample, the
+            migration and the dynamic power once; per step, the leakage,
+            the power scatter, the solver step and the accounting --
+            the same float operations on the same buffers in the same
+            order as the per-step path, minus the events that cannot
+            occur before the next sensor sample (sensing, policy
+            updates, actuation rebuilds, voltage switches, migration
+            transitions), which is exactly what the invocation guards
+            exclude, so it is bit-identical to the per-step path.
             """
             nonlocal time_s, done, cycles_f, exec_steps, no_progress_steps
             nonlocal gating_time_weighted, engaged_s
             nonlocal kernel_spans, kernel_steps
             stepped = temps_vec
             gating = command.gating_fraction
+            migration = command.migration
             span_step = solver.span_stepper(power_buffer, dt)
             if timing:
                 span_step = _timed("thermal", span_step)
+            models = (perf,)
+            run_actuations = (actuation,)
+            ref_c, beta, leak_scale, leak_ref = leakage_coefficients(
+                voltage, frequency
+            )
             first_step = exec_steps
-            for _ in range(count):
-                span_sample = perf_advance(step_cycles, actuation)
-                span_acts = span_sample.acts
-                if command.migration is not None:
-                    source, target, fraction = command.migration
+            left = count
+            while left:
+                n, samples, sized = next_phase_run(
+                    models, run_actuations, step_cycles, left
+                )
+                ((step_instr, span_acts),) = samples
+                if migration is not None:
+                    source, target, fraction = migration
                     act_vec[:] = span_acts
                     moved = act_vec[pos[source]] * fraction
                     act_vec[pos[source]] -= moved
@@ -692,47 +716,58 @@ class SimulationEngine(SimEngine):
                         1.0, act_vec[pos[target]] + moved
                     )
                     span_acts = act_vec
-                blocks = power_vector_fn(
-                    span_acts, voltage, frequency, block_temps, clock_gate,
-                    check=False,
-                )
-                power_buffer[node_idx] = blocks
-                span_power_sum = float(sum_reduce(blocks))
-                exec_steps += 1
-                stepped = span_step()
-                stepped.take(node_idx, out=block_temps)
-                if span_sample.instructions <= 0.0:
-                    no_progress_steps += 1
-                    if no_progress_steps >= max_no_progress:
-                        raise SimulationError(
-                            f"no instructions committed in "
-                            f"{no_progress_steps} consecutive thermal "
-                            f"steps (is the clock fully gated?); raise "
-                            f"max_no_progress_steps if this workload "
-                            f"legitimately idles this long"
-                        )
-                else:
-                    no_progress_steps = 0
-                remaining = instructions - done
-                if span_sample.instructions <= 0.0:
-                    dt_measured = dt
-                    cycles_f += step_cycles
-                elif span_sample.instructions >= remaining:
-                    fraction = remaining / span_sample.instructions
-                    dt_measured = dt * fraction
-                    cycles_f += step_cycles * fraction
-                    done = instructions
-                else:
-                    dt_measured = dt
-                    cycles_f += step_cycles
-                    done += span_sample.instructions
-                time_s += dt_measured
-                account_thermal(dt_measured, span_power_sum)
-                gating_time_weighted += gating * dt_measured
-                if cmd_active:
-                    engaged_s += dt_measured
+                dynamic_w(span_acts, voltage, frequency, clock_gate, dyn_w)
+                run_start = exec_steps
+                for _ in range(n):
+                    # block_powers_vector's leakage half, inline.
+                    subtract(block_temps, ref_c, out=leak_w)
+                    multiply(leak_w, beta, out=leak_w)
+                    exp(leak_w, out=leak_w)
+                    multiply(leak_w, leak_scale, out=leak_w)
+                    multiply(leak_w, leak_ref, out=leak_w)
+                    add(dyn_w, leak_w, out=span_w)
+                    power_buffer[node_idx] = span_w
+                    span_power_sum = float(sum_reduce(span_w))
+                    exec_steps += 1
+                    stepped = span_step()
+                    stepped.take(node_idx, out=block_temps)
+                    if step_instr <= 0.0:
+                        no_progress_steps += 1
+                        if no_progress_steps >= max_no_progress:
+                            raise SimulationError(
+                                f"no instructions committed in "
+                                f"{no_progress_steps} consecutive thermal "
+                                f"steps (is the clock fully gated?); raise "
+                                f"max_no_progress_steps if this workload "
+                                f"legitimately idles this long"
+                            )
+                    else:
+                        no_progress_steps = 0
+                    remaining = instructions - done
+                    if step_instr <= 0.0:
+                        dt_measured = dt
+                        cycles_f += step_cycles
+                    elif step_instr >= remaining:
+                        fraction = remaining / step_instr
+                        dt_measured = dt * fraction
+                        cycles_f += step_cycles * fraction
+                        done = instructions
+                    else:
+                        dt_measured = dt
+                        cycles_f += step_cycles
+                        done += step_instr
+                    time_s += dt_measured
+                    account_thermal(dt_measured, span_power_sum)
+                    gating_time_weighted += gating * dt_measured
+                    if cmd_active:
+                        engaged_s += dt_measured
+                    if done >= instructions:
+                        break
+                if sized:
+                    commit_phase_run(models, exec_steps - run_start)
                 if done >= instructions:
                     break
+                left -= n
             kernel_spans += 1
             kernel_steps += exec_steps - first_step
             return stepped

@@ -58,14 +58,24 @@ Inf fail the same comparison, so one vector predicate covers all three
 health hazards."""
 
 
+_DIVERGENCE_LIMIT_SQ = DIVERGENCE_LIMIT_C * DIVERGENCE_LIMIT_C
+
+
 def _healthy(values: np.ndarray) -> bool:
     """True when every entry is finite and within the divergence limit.
 
-    Written as two direct ufunc reductions (no ``.min()``/``.max()``
-    wrapper frames, no ``np.abs`` temporary; ``axis=None`` covers the
-    lockstep's 2-D stacks): a NaN anywhere poisons both reductions, so
-    the comparisons come back False exactly as the predicate form did.
+    One call accepts nearly every state: the sum of squares is at least
+    any single ``v_i**2`` (every term is >= 0 and rounding is monotone,
+    fused multiply-adds included), so a sum below the squared limit
+    proves ``|v_i| < DIVERGENCE_LIMIT_C`` for all entries, and NaN or
+    Inf fail the comparison.  A state the fast test cannot clear --
+    unhealthy, or healthy with a large sum of squares -- falls back to
+    two direct ufunc reductions (``axis=None`` covers the lockstep's
+    2-D stacks; a NaN anywhere poisons both), so the answer equals
+    ``np.all(np.abs(values) < DIVERGENCE_LIMIT_C)`` for every input.
     """
+    if np.vdot(values, values) < _DIVERGENCE_LIMIT_SQ:
+        return True
     lo = np.minimum.reduce(values, axis=None)
     hi = np.maximum.reduce(values, axis=None)
     return bool(-DIVERGENCE_LIMIT_C < lo <= hi < DIVERGENCE_LIMIT_C)

@@ -17,7 +17,9 @@ This module *compiles* the workload side once per run instead:
   :class:`~repro.uarch.interval.IntervalPerformanceModel` whose fast
   path returns a reused :class:`CompiledSample` carrying the activity
   vector directly -- no dict, no dataclass allocation, no per-block
-  Python loop;
+  Python loop -- and whose :meth:`~CompiledIntervalModel.phase_run` /
+  :meth:`~CompiledIntervalModel.commit` pair steps a whole phase run
+  at once;
 * the compiled activity math is *bit-identical* to the interpreted
   path: both compute ``min(1.0, base * factor)`` in IEEE double
   precision, so the power vectors (and therefore every downstream
@@ -242,6 +244,13 @@ class CompiledIntervalModel(IntervalPerformanceModel):
     activity dict, keeping the rare-path arithmetic in exactly one
     place.
 
+    Fused dense spans step the model by *phase runs*:
+    :meth:`phase_run` sizes how many upcoming advances take the fast
+    path (each commits the same instructions and returns the same
+    activity vector), and :meth:`commit` applies them afterwards with
+    the same sequential arithmetic, so a run of ``n`` steps costs two
+    calls instead of ``n``.
+
     With ``verify=True`` every fast-path vector is re-derived through
     the interpreted :class:`~repro.uarch.activity.ActivityModel` and
     compared bit for bit; a mismatch raises
@@ -259,6 +268,10 @@ class CompiledIntervalModel(IntervalPerformanceModel):
         self._schedule = schedule
         self._verify = verify
         self._sample = CompiledSample()
+        # The run sized by the last phase_run() -- (instructions per
+        # interval, activity vector, fetch rate, commit rate, phase name,
+        # cycles) -- that commit() applies.
+        self._run: Optional[tuple] = None
 
     @property
     def schedule(self) -> CompiledSchedule:
@@ -325,3 +338,82 @@ class CompiledIntervalModel(IntervalPerformanceModel):
         sample.commit_rate_rel = interpreted.commit_rate_rel
         sample.phase_name = interpreted.phase_name
         return sample
+
+    def phase_run(
+        self, cycles: int, actuation: DtmActuation, limit: int
+    ) -> Tuple[int, float, Optional[np.ndarray]]:
+        """Size the run of fast-path advances ahead, without advancing.
+
+        Returns ``(n, instructions, acts)``: the next ``n`` (at most
+        ``limit``) calls of ``advance(cycles, actuation)`` would each
+        take the fast path, commit ``instructions`` and return the same
+        cached, read-only ``acts`` array.  ``n`` is 0 -- and the next
+        step must go through :meth:`advance` -- when that step crosses a
+        phase boundary, when the clock is fully gated, and in verify
+        mode, whose check runs inside :meth:`advance`.  The model's
+        state is left untouched; :meth:`commit` applies the first
+        ``k <= n`` advances of the run.
+        """
+        if cycles <= 0:
+            raise SimulationError("interval length must be > 0")
+        remaining = float(cycles) * actuation.clock_enabled_fraction
+        if remaining <= 1e-9 or self._verify:
+            return 0, 0.0, None
+        phase = self.current_phase
+        cpi = self._cpi(phase, actuation)
+        possible = remaining / cpi
+        # Replay advance()'s fast-path test on its own sequential
+        # subtraction: ``n * possible`` can differ from n subtractions in
+        # the last ulp, and so misplace the boundary step.
+        start = self._instructions_left
+        left = start
+        n = 0
+        while n < limit and possible < left:
+            left -= possible
+            n += 1
+        if n == 0:
+            return 0, 0.0, None
+        fetch_rel = 1.0 - actuation.gating_fraction
+        commit_rel = min((1.0 / cpi) / phase.base_ipc, 1.0)
+        acts = self._schedule.activities(
+            self._phase_index, fetch_rel, commit_rel
+        )
+        self._run = (
+            n, start, possible, acts, fetch_rel, commit_rel, phase.name, cycles
+        )
+        return n, possible, acts
+
+    def commit(self, n: int) -> None:
+        """Apply the first ``n`` advances of the run :meth:`phase_run`
+        sized last.
+
+        Exactly ``n`` fast-path :meth:`advance` calls: the same
+        sequential ``-=``/``+=`` on the phase remainder and the commit
+        total, and the reused :class:`CompiledSample` left as the n-th
+        call would leave it.  Raises when the model moved since the run
+        was sized or ``n`` exceeds its length.
+        """
+        if n <= 0:
+            return
+        run = self._run
+        if run is None or run[1] != self._instructions_left or n > run[0]:
+            raise SimulationError(
+                "commit() needs the run sized by the last phase_run() on "
+                "an unchanged model, and at most its length"
+            )
+        _, _, possible, acts, fetch_rel, commit_rel, name, cycles = run
+        self._run = None
+        left = self._instructions_left
+        total = self._total_instructions
+        for _ in range(n):
+            left -= possible
+            total += possible
+        self._instructions_left = left
+        self._total_instructions = total
+        sample = self._sample
+        sample.cycles = cycles
+        sample.instructions = possible
+        sample.acts = acts
+        sample.fetch_rate_rel = fetch_rel
+        sample.commit_rate_rel = commit_rel
+        sample.phase_name = name

@@ -7,12 +7,25 @@ live in benchmarks/.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.floorplan import build_alpha21364_floorplan
 from repro.power import PowerModel
 from repro.thermal import HotSpotModel
-from repro.workloads import build_benchmark
+from repro.workloads import Workload, build_benchmark
+
+
+def short_phase_workload(name: str, scale: int = 25) -> Workload:
+    """Benchmark ``name`` with every phase ``scale`` times shorter: a
+    handful of thermal steps per phase, so phase boundaries fall inside
+    the engines' fused dense spans instead of between them."""
+    phases = build_benchmark(name).phases
+    return Workload(
+        f"{name}/{scale}",
+        [replace(p, instructions=p.instructions // scale) for p in phases],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ results.
 
 import pytest
 
+from repro.analysis import paired_comparison
 from repro.core import evaluate_techniques, overhead_reduction
 from repro.core.evaluation import run_baselines
 
@@ -101,3 +102,29 @@ class TestMagnitudes:
         # ratio and at least a few percent on this hot suite.
         dvs = stall["DVS"].mean_slowdown
         assert 1.03 < dvs < 1.15
+
+
+class TestKnownDeviations:
+    """Paper claims this reproduction does not meet, as strict xfails:
+    the day a change makes one hold, its test fails and the deviation
+    note in EXPERIMENTS.md (Figure 4a) is due for a rewrite."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="EXPERIMENTS.md Figure 4a: absolute DVS-stall overhead is "
+        "7.2 % here against the paper's ~22 %",
+    )
+    def test_dvs_stall_overhead_near_the_papers(self, stall):
+        overhead = stall["DVS"].mean_slowdown - 1.0
+        assert overhead == pytest.approx(0.22, abs=0.05)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="EXPERIMENTS.md Figure 4a: Hyb vs DVS p = 0.026, "
+        "significant at 95 % but not at the paper's 99 %",
+    )
+    def test_hyb_beats_dvs_at_99_percent(self, stall):
+        comparison = paired_comparison(
+            stall["Hyb"].slowdowns, stall["DVS"].slowdowns
+        )
+        assert comparison.p_value < 0.01

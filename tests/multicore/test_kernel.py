@@ -40,6 +40,8 @@ from repro.thermal.solver import (
     _dt_key,
 )
 from repro.workloads import build_benchmark
+from repro.workloads.compiler import CompiledIntervalModel
+from tests.conftest import short_phase_workload
 
 PAIRS = (("crafty", "mesa"), ("crafty", "gcc"), ("gzip", "eon"))
 MANAGERS = ("none", "Hyb/core", "hopping", "hop+Hyb")
@@ -47,11 +49,12 @@ DURATION = 1.5e-3
 SETTLE = 0.5e-3
 
 
-def _engine(pair, manager="hop+Hyb", package=None, **kwargs):
+def _engine(pair, manager="hop+Hyb", package=None, short=False, **kwargs):
     policies = [HybPolicy(), HybPolicy()] if "Hyb" in manager else None
     hopper = CoreHopper() if manager.startswith("hop") else None
+    build = short_phase_workload if short else build_benchmark
     return MultiCoreEngine(
-        [build_benchmark(name) for name in pair],
+        [build(name) for name in pair],
         policies=policies,
         hopper=hopper,
         package=package,
@@ -71,6 +74,19 @@ def _run_per_step(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(engine_module, "_FUSE_DENSE_SPANS", False)
         return _run(*args, **kwargs)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a method or module function)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def _count_spans(monkeypatch):
@@ -158,6 +174,38 @@ class TestKernelBitIdentity:
         spans = _count_spans(monkeypatch)
         _run_per_step(monkeypatch, PAIRS[0])
         assert not spans
+
+    @pytest.mark.parametrize("stepper", ["expm", "be"])
+    @pytest.mark.parametrize("manager", MANAGERS)
+    def test_phase_boundaries_inside_spans(
+        self, manager, stepper, monkeypatch
+    ):
+        # Short phases put several boundaries inside every span, so the
+        # span alternates phase runs and boundary steps.
+        config = EngineConfig(thermal_stepper=stepper)
+        fused = _run(PAIRS[1], manager, short=True, config=config)
+        anchor = _run_per_step(
+            monkeypatch, PAIRS[1], manager, short=True, config=config
+        )
+        assert asdict(fused) == asdict(anchor)
+
+    def test_short_phase_spans_split_into_runs(self, monkeypatch):
+        spans = _count_spans(monkeypatch)
+        runs = _count_calls(monkeypatch, multicore_engine, "next_phase_run")
+        _run(PAIRS[1], short=True)
+        assert len(runs) > 3 * len(spans)
+
+    @pytest.mark.parametrize("short", [False, True], ids=["spec", "short"])
+    def test_fused_runs_advance_per_run_not_per_step(self, short, monkeypatch):
+        # Per step both cores advance; fused, a core advances only at
+        # the spans' phase boundaries and on the unfused steps.
+        with monkeypatch.context() as patch:
+            per_step = _count_calls(patch, CompiledIntervalModel, "advance")
+            _run_per_step(patch, PAIRS[1], short=short)
+        with monkeypatch.context() as patch:
+            fused = _count_calls(patch, CompiledIntervalModel, "advance")
+            _run(PAIRS[1], short=short)
+        assert len(fused) * (2 if short else 10) < len(per_step)
 
     def test_violation_and_corruption_runs_never_fuse(self, monkeypatch):
         spans = _count_spans(monkeypatch)

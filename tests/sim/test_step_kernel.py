@@ -16,7 +16,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.dtm import FetchGatingPolicy, NoDtmPolicy
+from repro.dtm import (
+    ClockGatingPolicy,
+    DvsPolicy,
+    FetchGatingPolicy,
+    HybPolicy,
+    LocalTogglingPolicy,
+    MigrationPolicy,
+    NoDtmPolicy,
+)
 from repro.dtm.thresholds import ThermalThresholds
 from repro.errors import NumericalError
 from repro.sensors.faults import SensorFault
@@ -27,7 +35,9 @@ from repro.sim.kernel import DenseSpanTask
 from repro.thermal import ExponentialSolver
 from repro.thermal.solver import _dt_key
 from repro.workloads import build_benchmark
+from repro.workloads.compiler import CompiledIntervalModel
 from repro.workloads.spec import SPEC_BENCHMARK_NAMES
+from tests.conftest import short_phase_workload
 
 FAST_N = 800_000
 
@@ -141,6 +151,101 @@ class TestKernelBitIdentity:
         monkeypatch.setattr(DenseSpanTask, "run", counting)
         _run_per_step(monkeypatch, gcc, fast_forward=False)
         assert not spans
+
+
+def _count_advances(monkeypatch):
+    calls = []
+    original = CompiledIntervalModel.advance
+
+    def counting(self, cycles, actuation):
+        calls.append(cycles)
+        return original(self, cycles, actuation)
+
+    monkeypatch.setattr(CompiledIntervalModel, "advance", counting)
+    return calls
+
+
+class TestPhaseRunSpans:
+    """Fused spans step phase runs; short phases put boundaries inside
+    the spans, under every actuation kind (fetch gating, a global clock
+    gate, a per-block clock-gate vector, DVS)."""
+
+    POLICIES = (
+        NoDtmPolicy,
+        FetchGatingPolicy,
+        ClockGatingPolicy,
+        LocalTogglingPolicy,
+        HybPolicy,
+        DvsPolicy,
+    )
+
+    @pytest.mark.parametrize("stepper", ["expm", "be"])
+    @pytest.mark.parametrize(
+        "policy", POLICIES, ids=lambda cls: cls.__name__
+    )
+    def test_short_phases_match_anchor(self, policy, stepper, monkeypatch):
+        workload = short_phase_workload("gzip")
+        kwargs = dict(
+            policy_factory=policy,
+            instructions=4_000_000,
+            thermal_stepper=stepper,
+            fast_forward=False,
+        )
+        fused = _run(workload, **kwargs)
+        anchor = _run_per_step(monkeypatch, workload, **kwargs)
+        _assert_bit_identical(fused, anchor)
+
+    def test_migration_matches_anchor(self, monkeypatch):
+        # Migration rewrites the activity vector once per phase run.
+        from repro.floorplan import build_migration_floorplan
+        from repro.power import PowerModel, migration_power_specs
+
+        floorplan = build_migration_floorplan()
+        power = PowerModel(floorplan, specs=migration_power_specs())
+        workload = short_phase_workload("crafty")
+        # A trigger below IntReg's peak, so the policy migrates.
+        thresholds = ThermalThresholds(
+            trigger_c=80.0, practical_limit_c=81.0, emergency_c=83.0
+        )
+
+        def run():
+            engine = SimulationEngine(
+                workload,
+                policy=MigrationPolicy(thresholds=thresholds),
+                floorplan=floorplan,
+                power_model=power,
+                config=EngineConfig(fast_forward=False),
+                seed=3,
+            )
+            return engine.run(
+                4_000_000,
+                initial=engine.compute_initial_temperatures(),
+                settle_time_s=2.0e-3,
+            )
+
+        fused = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "_FUSE_DENSE_SPANS", False)
+            anchor = run()
+        assert fused.migrations > 0
+        _assert_bit_identical(fused, anchor)
+
+    @pytest.mark.parametrize("short", [False, True], ids=["spec", "short"])
+    def test_fused_runs_advance_per_run_not_per_step(
+        self, gcc, short, monkeypatch
+    ):
+        # Guard against the identity tests passing vacuously: per step
+        # the model advances every step, fused only on the unfused
+        # steps and at the spans' phase boundaries.
+        workload = short_phase_workload("gcc") if short else gcc
+        kwargs = dict(instructions=8_000_000, fast_forward=False)
+        with monkeypatch.context() as patch:
+            per_step = _count_advances(patch)
+            _run_per_step(patch, workload, **kwargs)
+        with monkeypatch.context() as patch:
+            fused = _count_advances(patch)
+            _run(workload, **kwargs)
+        assert len(fused) * (3 if short else 6) < len(per_step)
 
 
 class TestStrideThresholdEdgeCases:

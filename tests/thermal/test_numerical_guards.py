@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import NumericalError
 from repro.floorplan import Block, Floorplan
@@ -56,6 +59,65 @@ class TestHealthPredicate:
         assert not _healthy(np.array([45.0, np.inf]))
         assert not _healthy(np.array([45.0, -np.inf]))
         assert not _healthy(np.array([45.0, DIVERGENCE_LIMIT_C + 1.0]))
+
+
+_LIMIT = DIVERGENCE_LIMIT_C
+# The values where the one-call sum-of-squares test and the exact
+# predicate could part ways: the limit and its neighbours, signed zero,
+# non-finite values, squares that overflow, and healthy magnitudes whose
+# squares add up past the squared limit.
+_EDGES = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0,
+    _LIMIT, -_LIMIT,
+    np.nextafter(_LIMIT, 0.0), -np.nextafter(_LIMIT, 0.0),
+    np.nextafter(_LIMIT, np.inf), -np.nextafter(_LIMIT, np.inf),
+    9.9e3, -9.9e3, 1.0e200, -1.0e200, 1.5e154, np.finfo(float).max,
+]
+_entries = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(-2.0e4, 2.0e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _reference(values):
+    return bool(np.all(np.abs(values) < _LIMIT))
+
+
+class TestHealthPredicateEquivalence:
+    """The sum-of-squares fast path never changes the answer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2,
+                                              max_side=40), elements=_entries))
+    def test_matches_elementwise_predicate(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _healthy(values) == _reference(values)
+
+    @pytest.mark.parametrize("value", _EDGES)
+    @pytest.mark.parametrize("shape", [(36,), (4, 36)])
+    def test_edge_values_anywhere(self, value, shape):
+        values = np.full(shape, 45.0)
+        values.flat[-1] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _healthy(values) == _reference(values)
+
+    def test_healthy_state_past_the_squared_limit_falls_back(self):
+        # Each entry is healthy, but 36 of them square-sum past 1e8, so
+        # the fast test fails and the two-reduction fallback accepts.
+        values = np.full(36, 9.9e3)
+        assert np.vdot(values, values) >= _LIMIT * _LIMIT
+        assert _healthy(values)
+        assert _healthy(-values.reshape(6, 6))
+        values[7] = _LIMIT
+        assert not _healthy(values)
+
+    def test_lockstep_stack_view(self):
+        # The lockstep stacks are non-contiguous (R, n) views.
+        stack = np.full((3, 36, 1), 60.0)[:, :, 0]
+        assert _healthy(stack)
+        stack[1, 5] = np.nan
+        assert not _healthy(stack)
 
 
 class TestBackwardEulerGuard:

@@ -154,3 +154,122 @@ class TestCompiledIntervalModel:
         )
         with pytest.raises(SimulationError):
             model.advance(0, DtmActuation())
+
+
+def _state(model):
+    sample = model._sample
+    return (
+        model._phase_index,
+        model._instructions_left,
+        model.total_instructions,
+        sample.cycles,
+        sample.instructions,
+        sample.fetch_rate_rel,
+        sample.commit_rate_rel,
+        sample.phase_name,
+    )
+
+
+class TestPhaseRun:
+    """``phase_run`` + ``commit(n)`` == ``n`` fast-path ``advance`` calls."""
+
+    ACTUATIONS = [
+        DtmActuation(),
+        DtmActuation(gating_fraction=0.3),
+        DtmActuation(relative_frequency=0.7, clock_enabled_fraction=0.9),
+    ]
+
+    @pytest.fixture
+    def gcc_schedule(self, gcc, floorplan):
+        return compile_workload(gcc, floorplan.block_names)
+
+    @pytest.mark.parametrize("actuation", ACTUATIONS)
+    def test_commit_equals_advances(self, gcc_schedule, actuation):
+        # 200k-cycle intervals cross a gcc phase boundary every ~15
+        # intervals, so the walk alternates runs and boundary steps.
+        ran = CompiledIntervalModel(gcc_schedule)
+        stepped = CompiledIntervalModel(gcc_schedule)
+        cycles = 200_000
+        boundaries = runs = 0
+        phases = set()
+        for i in range(120):
+            n, instructions, acts = ran.phase_run(cycles, actuation, 11)
+            if n == 0:
+                boundaries += 1
+                a = ran.advance(cycles, actuation)
+                b = stepped.advance(cycles, actuation)
+                assert np.array_equal(a.acts, b.acts)
+            else:
+                runs += 1
+                assert 1 <= n <= 11
+                k = n if i % 2 else max(1, n // 2)
+                for _ in range(k):
+                    b = stepped.advance(cycles, actuation)
+                    assert b.instructions == instructions
+                    assert b.acts is acts
+                ran.commit(k)
+                assert ran._sample.acts is stepped._sample.acts
+            assert _state(ran) == _state(stepped)
+            phases.add(ran._sample.phase_name)
+        assert boundaries and runs and len(phases) > 1
+
+    def test_n_counts_exactly_the_fast_path_steps(self, gcc_schedule):
+        actuation = DtmActuation(gating_fraction=0.2)
+        cycles = 150_000
+        model = CompiledIntervalModel(gcc_schedule)
+        probe = CompiledIntervalModel(gcc_schedule)
+        for _ in range(6):
+            n, instructions, _ = model.phase_run(cycles, actuation, 10**9)
+            name = model.current_phase.name
+            for _ in range(n):
+                sample = probe.advance(cycles, actuation)
+                assert sample.phase_name == name
+                assert sample.instructions == instructions
+            model.commit(n)
+            # The next step crosses the boundary: the slow path.
+            assert model.phase_run(cycles, actuation, 10**9)[0] == 0
+            sample = probe.advance(cycles, actuation)
+            assert model.current_phase.name == name
+            model.advance(cycles, actuation)
+            assert model.current_phase.name != name
+            assert probe.current_phase.name == model.current_phase.name
+
+    def test_sizing_leaves_the_model_untouched(self, gcc_schedule):
+        model = CompiledIntervalModel(gcc_schedule)
+        model.advance(10_000, DtmActuation())
+        before = _state(model)
+        acts = model._sample.acts
+        actuation = DtmActuation(gating_fraction=0.5)
+        assert model.phase_run(10_000, actuation, 40)[0]
+        assert _state(model) == before
+        assert model._sample.acts is acts
+
+    def test_limit_bounds_the_run(self, gcc_schedule):
+        model = CompiledIntervalModel(gcc_schedule)
+        assert model.phase_run(10_000, DtmActuation(), 3)[0] == 3
+        assert model.phase_run(10_000, DtmActuation(), 0)[0] == 0
+
+    @pytest.mark.parametrize("fraction", [0.0, 1e-14])
+    def test_gated_clock_is_never_a_run(self, gcc_schedule, fraction):
+        actuation = DtmActuation(clock_enabled_fraction=fraction)
+        model = CompiledIntervalModel(gcc_schedule)
+        assert model.phase_run(10_000, actuation, 30) == (0, 0.0, None)
+        assert model.advance(10_000, actuation).instructions == 0.0
+
+    def test_verify_mode_is_never_a_run(self, gcc_schedule):
+        model = CompiledIntervalModel(gcc_schedule, verify=True)
+        assert model.phase_run(10_000, DtmActuation(), 30)[0] == 0
+
+    def test_commit_rejects_a_stale_or_overlong_run(self, gcc_schedule):
+        model = CompiledIntervalModel(gcc_schedule)
+        n, _, _ = model.phase_run(10_000, DtmActuation(), 5)
+        with pytest.raises(SimulationError):
+            model.commit(n + 1)
+        model.advance(10_000, DtmActuation())
+        with pytest.raises(SimulationError):
+            model.commit(1)
+        model.commit(0)  # a no-op, whatever was sized
+        n, _, _ = model.phase_run(10_000, DtmActuation(), 5)
+        model.commit(n)
+        with pytest.raises(SimulationError):
+            model.commit(1)
