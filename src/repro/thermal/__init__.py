@@ -9,7 +9,7 @@ spreader and heat sink are lumped nodes; the sink couples to ambient through
 a convection resistance (1.0 K/W for the paper's low-cost package).
 
 Heat flow is solved with a dense symmetric conductance matrix: steady state
-via a cached linear factorisation, transients via either the exact
+via one small dense linear solve, transients via either the exact
 exponential propagator (default) or backward Euler (regression anchor),
 both reading their per-time-step operators from one LRU-bounded bank per
 network.

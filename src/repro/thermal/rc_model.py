@@ -99,39 +99,23 @@ class ThermalNetwork:
         )
 
     @cached_property
-    def _conductance_factor(self) -> tuple:
-        """LU factorisation of the conductance matrix, computed once.
-
-        Steady-state solves happen once per transient step in the
-        exponential stepper's fast-forward path and ~40 times per
-        workload in the leakage/temperature warmup fixed point, always
-        against the same matrix; factorising once turns each solve into
-        a pair of triangular substitutions.
-        """
-        from scipy.linalg import lu_factor
-
-        return lu_factor(self.conductance)
-
-    @cached_property
     def conductance_inverse(self) -> np.ndarray:
-        """Dense inverse of the conductance matrix.
+        """Dense inverse of the conductance matrix, computed once.
 
-        The network is small (~17 nodes) and well conditioned (Laplacian
-        plus ambient ground), so the explicit inverse is accurate and
-        lets the exponential stepper turn the steady-state solve of its
-        update into a single matvec.
+        The network is small (tens of nodes) and well conditioned
+        (Laplacian plus ambient ground), so the explicit inverse is
+        accurate and lets the exponential stepper turn the steady-state
+        solve of its update into a single matvec.
         """
-        from scipy.linalg import lu_solve
-
-        return lu_solve(self._conductance_factor, np.eye(self.size))
+        return np.linalg.inv(self.conductance)
 
     @cached_property
     def operator_bank(self) -> "OperatorBank":
         """The network's read-only transient operators, built once.
 
-        Propagators, factorisations, ``(dt, K)`` powers, the modal basis
-        and the span-probe bases depend only on the network and a step
-        length, so every solver over this network shares one
+        Propagators, backward-Euler inverses, ``(dt, K)`` powers, the
+        modal basis and the span-probe bases depend only on the network
+        and a step length, so every solver over this network shares one
         :class:`~repro.thermal.solver.OperatorBank` (the way
         :attr:`conductance_inverse` is shared) instead of rebuilding
         them per run.
@@ -141,10 +125,9 @@ class ThermalNetwork:
         return OperatorBank(self)
 
     def solve_steady(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``L x = rhs`` against the cached factorisation."""
-        from scipy.linalg import lu_solve
-
-        solution = lu_solve(self._conductance_factor, rhs)
+        """Solve ``L x = rhs`` (one LAPACK ``gesv`` on the small dense
+        system)."""
+        solution = np.linalg.solve(self.conductance, rhs)
         if not np.all(np.isfinite(solution)):  # pragma: no cover - defensive
             raise ThermalModelError("steady-state solve produced non-finite values")
         return solution

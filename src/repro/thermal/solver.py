@@ -5,23 +5,23 @@ source term) is::
 
     C dT/dt = P + g_amb * T_amb - L T
 
-Steady state is one linear solve (against a factorisation cached on the
-network).  Transients offer two steppers behind one interface:
+Steady state is one small dense linear solve.  Transients offer two
+steppers behind one interface:
 
 * :class:`TransientSolver` -- backward Euler,
   ``(C/dt + L) T_{k+1} = (C/dt) T_k + P + g_amb * T_amb``,
-  unconditionally stable, LU-factorised once per distinct dt.  Kept as
-  the regression anchor.
+  unconditionally stable, with ``(C/dt + L)^{-1}`` inverted once per
+  distinct dt.  Kept as the regression anchor.
 * :class:`ExponentialSolver` -- the *exact* discrete propagator for the
   LTI network, ``T_{k+1} = A_d T_k + B_d u`` with
   ``A_d = expm(-C^{-1} L dt)`` and ``B_d = (I - A_d) L^{-1}``: one
-  ~n x n matvec pair per step instead of a factorized solve, no
+  ~n x n matvec pair per step instead of a linear solve, no
   time-discretisation error, plus closed-form multi-step fast-forward
   ``T_{k+K} = A_d^K T_k + (I - A_d^K) T_ss`` for constant-power spans.
 
 Every operator that depends only on the network and the step length --
-per-dt propagators and factorisations, the ``(dt, K)`` powers, the modal
-basis, the :class:`SpanProbe` basis -- lives in one read-only
+per-dt propagators and backward-Euler inverses, the ``(dt, K)`` powers,
+the modal basis, the :class:`SpanProbe` basis -- lives in one read-only
 :class:`OperatorBank` per network (:attr:`ThermalNetwork.operator_bank
 <repro.thermal.rc_model.ThermalNetwork.operator_bank>`), so a sweep of
 many runs over one network builds each operator once.  The per-dt
@@ -39,8 +39,6 @@ from functools import cached_property, partial
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm, lu_factor
-from scipy.linalg.lapack import get_lapack_funcs
 
 from repro.errors import NumericalError, ThermalModelError
 from repro.thermal.rc_model import ThermalNetwork
@@ -91,7 +89,7 @@ def _bad_node_name(network: ThermalNetwork, values: np.ndarray) -> str:
     return f"node{index}"
 
 FACTOR_CACHE_SIZE = 64
-"""Per-dt operator cache bound (LU factors / propagators): multi-step or
+"""Per-dt operator cache bound (BE inverses / propagators): multi-step or
 continuous DVS creates one entry per distinct dt, so long sweeps need a
 cap; 64 covers every realistic level ladder without thrash."""
 
@@ -159,11 +157,56 @@ def _dt_key(dt: float) -> int:
     return int(round(dt * 1e15))
 
 
+#: Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and
+#: the largest 1-norm it meets in double precision without scaling
+#: (Higham, "The scaling and squaring method for the matrix exponential
+#: revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by [13/13] Pade scaling and squaring.
+
+    Scales ``a`` by ``2**-s`` until its 1-norm is at most
+    :data:`_THETA13`, evaluates the Pade quotient ``(V - U)^{-1} (V + U)``
+    (``U`` the odd, ``V`` the even part, six products in Higham's
+    factored form) with one LU solve, then squares ``s`` times.  The
+    thermal generators are small (tens of nodes), so one fixed degree
+    costs nothing against the per-dt caching around it.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a * 2.0 ** -s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 class OperatorBank:
     """The run-invariant operators of one :class:`ThermalNetwork`.
 
     Everything here is a pure function of the network and a step or
-    span length: the backward-Euler factorisations and exponential
+    span length: the backward-Euler inverses and exponential
     propagators per dt, the binary-exponentiation squarings, the
     composed ``(dt, K)`` powers, the modal basis of the whitened
     operator, and the row-restricted :class:`SpanProbe` bases with their
@@ -201,20 +244,19 @@ class OperatorBank:
         self._powers = _LruCache(POWER_CACHE_SIZE)
         self._probe_bases = _LruCache(FACTOR_CACHE_SIZE)
 
-    def factorisation(self, dt: float):
-        """``(lu, piv, C/dt, getrs)`` of ``C/dt + L`` for backward Euler."""
+    def factorisation(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``(M^{-1}, C/dt)`` with ``M = C/dt + L``, for backward Euler.
+
+        The network is small and ``M`` is diagonally dominant, so the
+        explicit inverse is accurate and turns each step's solve into
+        one matvec.
+        """
         key = _dt_key(dt)
         cached = self._factors.get(key)
         if cached is None:
             c_over_dt = self._network.capacitance / dt
             matrix = np.diag(c_over_dt) + self._network.conductance
-            lu, piv = lu_factor(matrix)
-            # Bind the LAPACK triangular solve directly: it is what
-            # lu_solve calls after several layers of validation, which
-            # dominate the cost of solving a ~17-node system once per
-            # thermal step.
-            getrs, = get_lapack_funcs(("getrs",), (lu,))
-            cached = (*_frozen(lu, piv, c_over_dt), getrs)
+            cached = _frozen(np.linalg.inv(matrix), c_over_dt)
             self._factors.put(key, cached)
         return cached
 
@@ -223,7 +265,7 @@ class OperatorBank:
         key = _dt_key(dt)
         cached = self._propagators.get(key)
         if cached is None:
-            a_d = expm(self.generator * dt)
+            a_d = _expm(self.generator * dt)
             b_d = (np.eye(self._network.size) - a_d) @ self.linv
             cached = _frozen(
                 np.ascontiguousarray(a_d), np.ascontiguousarray(b_d)
@@ -357,7 +399,7 @@ class TransientSolver:
     """Backward-Euler integrator over a thermal RC network.
 
     The solver owns the current temperature vector; callers advance it with
-    :meth:`step` once per power sample.  Factorisations of ``C/dt + L``
+    :meth:`step` once per power sample.  Inverses of ``C/dt + L``
     come from the network's :class:`OperatorBank`, cached per dt (rounded
     to femtosecond granularity) since a DTM run uses only a handful of
     distinct frequencies.
@@ -420,7 +462,7 @@ class TransientSolver:
 
         Each call is bit-identical to ``step(power, dt, copy=False)``,
         health check included; the shape and dt checks and the
-        factorisation lookup run once here instead of once per step.
+        inverse lookup run once here instead of once per step.
         For fused dense spans, whose steps share one power buffer and
         one dt.
         """
@@ -429,26 +471,21 @@ class TransientSolver:
             self._solve, *self._bank.factorisation(dt), power, dt
         )
 
-    def _solve(self, lu, piv, c_over_dt, getrs, power, dt) -> np.ndarray:
-        # Assemble the right-hand side in a reused buffer and let LAPACK
-        # solve in place on it; the buffer then *becomes* the state
-        # vector (next step's multiply is elementwise, so reading the
-        # old state out of the same array it writes is safe).
+    def _solve(self, m_inv, c_over_dt, power, dt) -> np.ndarray:
+        # Assemble the right-hand side in a reused buffer, then apply the
+        # cached inverse into the state vector: the old state is fully
+        # read into ``rhs`` before the product overwrites it.
         rhs = self._rhs
         np.multiply(c_over_dt, self._temps, out=rhs)
         rhs += power
         rhs += self._ambient_source
-        solution, info = getrs(lu, piv, rhs, overwrite_b=1)
-        if info != 0:  # pragma: no cover - defensive
-            raise ThermalModelError(f"transient solve failed (info={info})")
+        solution = np.dot(m_inv, rhs, out=self._temps)
         if not _healthy(solution):
             raise NumericalError(
                 _bad_node_name(self._network, solution),
                 self._time_s,
                 STEPPER_BACKWARD_EULER,
             )
-        self._temps = solution
-        self._rhs = solution
         self._time_s += dt
         return solution
 

@@ -10,7 +10,11 @@ results.
 import pytest
 
 from repro.analysis import paired_comparison
-from repro.core import evaluate_techniques, overhead_reduction
+from repro.analysis.experiments import (
+    fig3a_pihyb_duty_sweep,
+    t1_dvs_step_sensitivity,
+)
+from repro.core import evaluate_techniques, find_crossover, overhead_reduction
 from repro.core.evaluation import run_baselines
 
 N = 20_000_000
@@ -30,6 +34,17 @@ def stall(baselines):
 @pytest.fixture(scope="module")
 def ideal(baselines):
     return evaluate_techniques(dvs_mode="ideal", baselines=baselines)
+
+
+@pytest.fixture(scope="module")
+def t1_spreads():
+    """T1's spread per DVS mode: max minus min mean slowdown over the
+    level counts, as ``bench_t1`` reports it."""
+    results = t1_dvs_step_sensitivity(instructions=N)
+    return {
+        mode: max(per_count.values()) - min(per_count.values())
+        for mode, per_count in results.items()
+    }
 
 
 class TestProtection:
@@ -128,3 +143,35 @@ class TestKnownDeviations:
             stall["Hyb"].slowdowns, stall["DVS"].slowdowns
         )
         assert comparison.p_value < 0.01
+
+
+class TestKnownSweepDeviations:
+    """The in-text T1 and Figure 3a claims this reproduction does not
+    meet, as strict xfails: the day a change makes one hold, its test
+    fails and the EXPERIMENTS.md note its reason cites is due for a
+    rewrite."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="EXPERIMENTS.md T1: DVS-stall level-count spread is 2.19 % "
+        "here against the paper's < 0.4 %",
+    )
+    def test_t1_stall_spread_below_the_papers(self, t1_spreads):
+        assert t1_spreads["stall"] < 0.004
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="EXPERIMENTS.md T1: DVS-ideal level-count spread is 0.23 % "
+        "here against the paper's < 0.01 %",
+    )
+    def test_t1_ideal_spread_below_the_papers(self, t1_spreads):
+        assert t1_spreads["ideal"] < 0.0001
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="EXPERIMENTS.md Figure 3a: the DVS-ideal crossover lands on "
+        "duty 3 here, where the paper finds 20",
+    )
+    def test_ideal_dvs_crossover_at_the_papers_duty(self):
+        sweep = fig3a_pihyb_duty_sweep(dvs_mode="ideal", instructions=N)
+        assert find_crossover(sweep) == 20

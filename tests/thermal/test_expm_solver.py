@@ -297,8 +297,8 @@ class TestOperatorCaches:
 
 class TestSteadyStateFactorisationCache:
     def test_factor_computed_once_per_network(self, network):
-        first = network._conductance_factor
-        second = network._conductance_factor
+        first = network.conductance_inverse
+        second = network.conductance_inverse
         assert first is second
 
     def test_solve_steady_matches_direct_solve(self, network, power):
