@@ -346,7 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def serve() -> int:
         loop = asyncio.get_running_loop()
         # SIGTERM and SIGINT both mean graceful drain: stop admitting,
-        # finish the in-flight run, flush the journal, exit 0.
+        # finish the batch in flight, flush the journal, exit 0.
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, service.begin_drain)
         started = asyncio.ensure_future(service.run())

@@ -142,7 +142,11 @@ class ResultCache:
         return added
 
     def stats(self) -> Dict[str, int]:
-        """Counters for STATUS replies and reports."""
+        """Counters for STATUS replies and reports.
+
+        ``entries`` lists the cache directory, so its cost grows with
+        the number of results ever cached; per-request paths read
+        :attr:`hits` and :attr:`misses` directly instead."""
         return {
             "entries": len(self),
             "hits": self.hits,

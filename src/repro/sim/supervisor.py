@@ -34,6 +34,7 @@ testable under chaos.
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import json
 import logging
@@ -43,6 +44,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from hashlib import sha256
@@ -345,6 +347,31 @@ def load_journal(path) -> Dict[str, object]:
 # --- supervisor -------------------------------------------------------------
 
 
+# The callback :func:`listen_outcomes` installs for this thread's sweeps.
+_OUTCOME_LISTENER = contextvars.ContextVar(
+    "repro_sweep_outcome_listener", default=None
+)
+
+
+@contextmanager
+def listen_outcomes(callback: Callable[[int, object], None]):
+    """Report each run's outcome as soon as it is recorded.
+
+    Inside the block, every :func:`~repro.sim.batch.run_many` call made
+    from this thread calls ``callback(index, outcome)`` once per spec it
+    executes -- a result right after it is journalled, or a
+    :class:`RunFailure` under ``partial_results`` -- in finishing order,
+    before the sweep returns.  ``index`` is the spec's position in the
+    ``run_many`` argument.  A pooled lockstep sweep reports a chunk's
+    runs together, when the chunk returns, as it journals them.
+    """
+    token = _OUTCOME_LISTENER.set(callback)
+    try:
+        yield
+    finally:
+        _OUTCOME_LISTENER.reset(token)
+
+
 class _PoolRebuild(Exception):
     """Internal signal: the pool must be rebuilt; carries the specs that
     still need execution and the reason the pool was condemned."""
@@ -392,6 +419,7 @@ class SweepSupervisor:
         self.backoff_max_s = backoff_max_s
         self.partial_results = partial_results
         self.journal = journal
+        self._on_outcome = _OUTCOME_LISTENER.get()
         self._backoff_seq = 0
         # Sweep-level telemetry the caller folds into its SweepReport.
         # Maintained unconditionally (plain dict increments); the
@@ -431,6 +459,8 @@ class SweepSupervisor:
         outcomes[index] = result
         if self.journal is not None:
             self.journal.record(state.digest, index, result)
+        if self._on_outcome is not None:
+            self._on_outcome(index, result)
 
     def _fail(self, outcomes, index: int, state: _SpecState, exc) -> None:
         self._count("sweep.run_failures")
@@ -458,6 +488,8 @@ class SweepSupervisor:
             attempts=state.attempts,
             notes=notes,
         )
+        if self._on_outcome is not None:
+            self._on_outcome(index, outcomes[index])
 
     def _charge_attempt(self, state: _SpecState) -> bool:
         """Consume one attempt; True when the spec may be retried."""

@@ -10,19 +10,28 @@ fan-out of results.
 
 from __future__ import annotations
 
+import json
+import os
 import socket
 import struct
 import threading
 import time
+import urllib.request
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro.sim.batch as sim_batch
+from repro.obs import metrics as obs_metrics
 from repro.service import protocol
+from repro.service.cache import ResultCache
 from repro.service.client import (
     ServiceBusyError,
     ServiceClient,
     ServiceError,
 )
+from repro.sim import EngineConfig, FaultPlan, load_journal, run_one
 from repro.sim.supervisor import RunFailure
 from tests.service.conftest import synthetic_result
 
@@ -160,7 +169,7 @@ class TestDedupAndFairness:
         try:
             accept_a = submit_raw(a, [wire(seed=3)])
             assert accept_a["ok"] and accept_a["new_jobs"] == 1
-            wait_for(lambda: server.service._running is not None,
+            wait_for(lambda: server.service._running,
                      what="job to start")
             accept_b = submit_raw(b, [wire(seed=3)])
             assert accept_b["ok"] and accept_b["new_jobs"] == 0
@@ -185,7 +194,7 @@ class TestDedupAndFairness:
             # a0 occupies the executor; a1/a2 queue behind it for
             # client A, b0 for client B.
             assert submit_raw(a, [wire(seed=0)])["ok"]
-            wait_for(lambda: server.service._running is not None,
+            wait_for(lambda: server.service._running,
                      what="first job to start")
             assert submit_raw(a, [wire(seed=1), wire(seed=2)])["ok"]
             assert submit_raw(b, [wire(seed=100)])["ok"]
@@ -210,7 +219,7 @@ class TestLoadShedding:
         a = connect(server)
         try:
             assert submit_raw(a, [wire(seed=0)])["ok"]
-            wait_for(lambda: server.service._running is not None,
+            wait_for(lambda: server.service._running,
                      what="first job to start")
             assert submit_raw(a, [wire(seed=1)])["ok"]  # fills the queue
             with ServiceClient(address) as client:
@@ -366,7 +375,7 @@ class TestDisconnect:
         doomed = connect(server)
         # s1 runs (gated), s2 queues; then the client vanishes.
         assert submit_raw(doomed, [wire(seed=1)])["ok"]
-        wait_for(lambda: server.service._running is not None,
+        wait_for(lambda: server.service._running,
                  what="first job to start")
         assert submit_raw(doomed, [wire(seed=2)])["ok"]
         wait_for(lambda: server.service._queued_total == 1,
@@ -393,7 +402,7 @@ class TestDisconnect:
         a, b = connect(server), connect(server)
         try:
             assert submit_raw(a, [wire(seed=1)])["ok"]
-            wait_for(lambda: server.service._running is not None,
+            wait_for(lambda: server.service._running,
                      what="job to start")
             assert submit_raw(a, [wire(seed=2)])["ok"]   # queued
             assert submit_raw(b, [wire(seed=2)])["ok"]   # joins the queued job
@@ -421,7 +430,7 @@ class TestGracefulDrain:
         try:
             accept_run = submit_raw(sock, [wire(seed=1)])  # running
             assert accept_run["ok"]
-            wait_for(lambda: server.service._running is not None,
+            wait_for(lambda: server.service._running,
                      what="job to start")
             accept_queued = submit_raw(sock, [wire(seed=2)])  # queued
             assert accept_queued["ok"]
@@ -486,3 +495,275 @@ class TestGracefulDrain:
             client.drain()
         server.service.request_drain_threadsafe()  # second request: no-op
         assert server.stop() == 0
+
+
+class GatedRunMany:
+    """Stands in for ``run_many`` on the server's default path: records
+    each call's seeds and options, holds it until :meth:`release`, then
+    runs the real sweep (so results and the journal are real)."""
+
+    def __init__(self, real):
+        self.real = real
+        self.gate = threading.Event()
+        self.calls = []
+
+    def __call__(self, specs, **options):
+        self.calls.append(([spec.seed for spec in specs], options))
+        if not self.gate.wait(timeout=30.0):
+            raise TimeoutError("test gate never released")
+        return self.real(specs, **options)
+
+    def release(self):
+        self.gate.set()
+
+
+@pytest.fixture
+def gated_run_many(monkeypatch):
+    fake = GatedRunMany(sim_batch.run_many)
+    monkeypatch.setattr(sim_batch, "run_many", fake)
+    yield fake
+    fake.release()
+
+
+def result_frames_by_index(sock, n):
+    return {frame["index"]: frame for frame in read_results(sock, n)}
+
+
+class TestBatching:
+    """Queued cold misses run together through one lockstep ``run_many``
+    call; each job is answered when its own run ends."""
+
+    def test_lone_job_takes_the_per_run_call(
+        self, service_factory, gated_run_many
+    ):
+        gated_run_many.release()
+        server = service_factory(None)
+        with ServiceClient(server.service.config.socket_path) as client:
+            (outcome,) = client.submit([wire(seed=4)], timeout_s=30.0)
+        assert outcome.ok and not outcome.cached
+        assert gated_run_many.calls == [([4], {
+            "processes": None,
+            "lockstep": False,
+            "timeout_s": None,
+            "retries": 0,
+            "backoff_s": 0.1,
+            "backoff_max_s": 30.0,
+            "partial_results": True,
+            "journal": str(server.service.journal_path),
+        })]
+
+    def test_two_clients_form_one_round_robin_batch(
+        self, service_factory, gated_run_many
+    ):
+        server = service_factory(None)
+        a, b = connect(server), connect(server)
+        try:
+            assert submit_raw(a, [wire(seed=0)])["ok"]
+            wait_for(lambda: len(gated_run_many.calls) == 1,
+                     what="first batch to start")
+            assert submit_raw(a, [wire(seed=1), wire(seed=2)])["ok"]
+            assert submit_raw(b, [wire(seed=100)])["ok"]
+            wait_for(lambda: server.service._queued_total == 3,
+                     what="three queued jobs")
+            gated_run_many.release()
+            frames = read_results(a, 3) + read_results(b, 1)
+        finally:
+            a.close()
+            b.close()
+        assert all(frame["ok"] for frame in frames)
+        seeds = [call[0] for call in gated_run_many.calls]
+        assert seeds == [[0], [1, 100, 2]]
+        assert [call[1]["lockstep"] for call in gated_run_many.calls] == [
+            False, True,
+        ]
+
+    def test_short_job_answered_before_long_batch_mate_ends(
+        self, service_factory
+    ):
+        server = service_factory(None)
+        long_wire = dict(wire(seed=1), instructions=60_000_000)
+        short_wire = dict(wire(seed=2), instructions=1_000_000)
+        sock = connect(server)
+        try:
+            accept = submit_raw(sock, [long_wire, short_wire])
+            assert accept["ok"] and accept["new_jobs"] == 2
+            frames = read_results(sock, 2)
+        finally:
+            sock.close()
+        # Answered at batch end the frames would come in spec order;
+        # the short run's frame comes first because it is sent the
+        # moment that run ends.
+        assert [frame["index"] for frame in frames] == [1, 0]
+        assert all(frame["ok"] for frame in frames)
+
+    def test_batched_results_equal_run_one(self, service_factory):
+        server = service_factory(None)
+        wires = [
+            dict(wire(seed=3, benchmark="gzip", policy="Hyb"),
+                 instructions=3_000_000),
+            dict(wire(seed=4, benchmark="mesa", policy="FG"),
+                 instructions=2_000_000),
+            dict(wire(seed=5, benchmark="art", policy="DVS"),
+                 instructions=4_000_000),
+        ]
+        sock = connect(server)
+        try:
+            assert submit_raw(sock, wires)["new_jobs"] == 3
+            frames = result_frames_by_index(sock, 3)
+        finally:
+            sock.close()
+        for index, wire_spec in enumerate(wires):
+            alone = run_one(protocol.spec_from_wire(wire_spec))
+            assert frames[index]["ok"]
+            assert frames[index]["result"] == alone.to_json_dict()
+
+    def test_dedup_join_onto_running_batch_member(
+        self, service_factory, gated_run_many
+    ):
+        server = service_factory(None)
+        a, b = connect(server), connect(server)
+        try:
+            assert submit_raw(a, [wire(seed=1), wire(seed=2)])["ok"]
+            wait_for(lambda: len(server.service._running) == 2,
+                     what="batch of two to start")
+            accept = submit_raw(b, [wire(seed=2)])
+            assert accept["ok"] and accept["new_jobs"] == 0
+            wait_for(lambda: server.service.dedup_joins == 1,
+                     what="dedup join")
+            gated_run_many.release()
+            frames_a = result_frames_by_index(a, 2)
+            (frame_b,) = read_results(b, 1)
+        finally:
+            a.close()
+            b.close()
+        assert [call[0] for call in gated_run_many.calls] == [[1, 2]]
+        assert frame_b["ok"] and not frame_b["cached"]
+        assert frame_b["digest"] == frames_a[1]["digest"]
+        assert frame_b["result"] == frames_a[1]["result"]
+
+    def test_failing_spec_fails_only_its_own_job(
+        self, service_factory, monkeypatch
+    ):
+        real_spec_from_wire = protocol.spec_from_wire
+
+        def faulty_for_seed_7(wire_spec):
+            spec = real_spec_from_wire(wire_spec)
+            if spec.seed != 7:
+                return spec
+            return replace(spec, engine_config=EngineConfig(
+                dvs_mode=spec.dvs_mode,
+                fault_plan=FaultPlan(seeds=(7,), crash_worker=True),
+            ))
+
+        monkeypatch.setattr(protocol, "spec_from_wire", faulty_for_seed_7)
+        server = service_factory(None)
+        sock = connect(server)
+        try:
+            accept = submit_raw(sock, [wire(seed=1), wire(seed=7),
+                                       wire(seed=2)])
+            assert accept["new_jobs"] == 3
+            frames = result_frames_by_index(sock, 3)
+        finally:
+            sock.close()
+        assert frames[0]["ok"] and frames[2]["ok"]
+        assert frames[1]["ok"] is False
+        assert "InjectedFaultError" in frames[1]["error"]
+        digests = accept["digests"]
+        assert digests[0] in server.service.cache
+        assert digests[2] in server.service.cache
+        assert digests[1] not in server.service.cache
+        assert server.service.jobs_failed == 1
+        assert server.service.jobs_done == 2
+
+    def test_drain_finishes_and_journals_the_batch_in_flight(
+        self, service_factory, gated_run_many
+    ):
+        server = service_factory(None)
+        address = server.service.config.socket_path
+        sock = connect(server)
+        try:
+            batch = submit_raw(sock, [wire(seed=1), wire(seed=2)])
+            wait_for(lambda: len(server.service._running) == 2,
+                     what="batch of two to start")
+            queued = submit_raw(sock, [wire(seed=3)])
+            wait_for(lambda: server.service._queued_total == 1,
+                     what="queued job")
+            with ServiceClient(address) as late:
+                late.drain()
+            gated_run_many.release()
+            frames = {f["digest"]: f for f in read_results(sock, 3)}
+        finally:
+            sock.close()
+        assert server.stop() == 0
+        for digest in batch["digests"]:
+            assert frames[digest]["ok"]
+        refused = frames[queued["digests"][0]]
+        assert refused["ok"] is False and "draining" in refused["error"]
+        journalled = load_journal(server.service.journal_path)
+        assert set(journalled) == set(batch["digests"])
+        assert [call[0] for call in gated_run_many.calls] == [[1, 2]]
+
+
+class TestGaugeRefreshCost:
+    def test_request_path_never_lists_the_cache(
+        self, service_factory, tmp_path, monkeypatch
+    ):
+        cache_dir = tmp_path / "big-cache"
+        results = cache_dir / "results"
+        results.mkdir(parents=True)
+        entry = json.dumps(
+            {"digest": "seeded", "result": synthetic_result().to_json_dict()},
+            sort_keys=True,
+        )
+        for i in range(2000):
+            (results / f"{i:064x}.json").write_text(entry)
+        server = service_factory(
+            fast_runner, cache_dir=str(cache_dir), http="127.0.0.1:0"
+        )
+        root = str(results)
+        listings = []
+
+        def counted(name, original):
+            def wrapper(self, *args, **kwargs):
+                if str(self).startswith(root):
+                    listings.append(name)
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        def counted_os(name, original):
+            def wrapper(path=".", *args, **kwargs):
+                if str(path).startswith(root):
+                    listings.append(name)
+                return original(path, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            ResultCache, "__len__", counted("len", ResultCache.__len__)
+        )
+        for name in ("glob", "rglob", "iterdir"):
+            monkeypatch.setattr(Path, name, counted(name, getattr(Path, name)))
+        for name in ("listdir", "scandir"):
+            monkeypatch.setattr(os, name, counted_os(name, getattr(os, name)))
+
+        with ServiceClient(server.service.config.socket_path) as client:
+            (cold,) = client.submit([wire(seed=1)], timeout_s=30.0)
+            (warm,) = client.submit([wire(seed=1)], timeout_s=30.0)
+        url = f"http://{server.service.http_address}/metrics"
+        with urllib.request.urlopen(url, timeout=5.0) as response:
+            text = response.read().decode()
+        assert listings == []
+        assert cold.ok and not cold.cached and warm.cached
+
+        # The gauge reads what it always has: hits / (hits + misses).
+        monkeypatch.undo()
+        stats = server.service.cache.stats()
+        assert stats["entries"] == 2001
+        expected = stats["hits"] / (stats["hits"] + stats["misses"])
+        assert expected == 0.5
+        scraped = [
+            float(line.split()[1]) for line in text.splitlines()
+            if line.startswith("repro_service_cache_hit_rate ")
+        ]
+        assert scraped == [expected]
+        gauge = obs_metrics.REGISTRY.gauge("service.cache_hit_rate")
+        assert gauge.value == expected

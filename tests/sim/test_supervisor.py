@@ -22,6 +22,7 @@ from repro.sim import (
 from repro.sim.supervisor import (
     SweepJournal,
     SweepSupervisor,
+    listen_outcomes,
     policy_token,
     strip_transient_faults,
 )
@@ -480,6 +481,37 @@ class TestLockstepSupervision:
         assert [outcomes[0].to_json_dict(), outcomes[2].to_json_dict()] == [
             r.to_json_dict() for r in reference
         ]
+
+
+    def test_listen_outcomes_reports_each_run_once_recorded(self, tmp_path):
+        # The short run is reported first, after it is journalled and
+        # while the batch still runs; the failure is reported as its
+        # RunFailure; a sweep outside the block reports nothing.
+        path = tmp_path / "sweep.jsonl"
+        short = replace(
+            _spec(policy="none"), instructions=20_000, settle_time_s=0.0
+        )
+        failing = _spec(seed=1, plan=FaultPlan(corrupt_power_at_step=5))
+        specs = [_spec(seed=2), failing, short]
+        reported = []
+
+        def listener(index, outcome):
+            reported.append((index, outcome, set(load_journal(path))))
+
+        with listen_outcomes(listener):
+            outcomes = run_many(
+                specs, lockstep=True, partial_results=True, journal=str(path)
+            )
+        run_many([short], lockstep=False)
+
+        assert sorted(index for index, _, _ in reported) == [0, 1, 2]
+        assert reported[0][0] == 2
+        for index, outcome, journalled in reported:
+            assert outcome is outcomes[index]
+            if index == 1:
+                assert isinstance(outcome, RunFailure)
+            else:
+                assert spec_digest(specs[index]) in journalled
 
 
 class TestInterruptsPassThrough:
