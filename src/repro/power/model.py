@@ -14,8 +14,8 @@ import numpy as np
 from repro.errors import PowerModelError
 from repro.floorplan.floorplan import Floorplan
 from repro.power.budget import default_power_specs
-from repro.power.dynamic import BlockPowerSpec, dynamic_power
-from repro.power.leakage import LeakageParameters, leakage_power
+from repro.power.dynamic import BlockPowerSpec
+from repro.power.leakage import LeakageParameters
 from repro.power.technology import Technology, default_technology
 from repro.power.vf_curve import VoltageFrequencyCurve
 
@@ -384,44 +384,6 @@ class PowerModel:
             )
         vector = self.block_powers_vector(acts, voltage, frequency, temps, gate)
         return {name: float(vector[i]) for i, name in enumerate(self._names)}
-
-    def block_powers_reference(
-        self,
-        activities: Mapping[str, float],
-        voltage: float,
-        frequency: float,
-        temperatures: Mapping[str, float],
-        clock_enabled_fraction: Union[float, Mapping[str, float]] = 1.0,
-    ) -> Dict[str, float]:
-        """Scalar per-block evaluation (the pre-vectorization path).
-
-        Composes :func:`~repro.power.dynamic.dynamic_power` and
-        :func:`~repro.power.leakage.leakage_power` block by block.  Kept as
-        the numerical regression anchor for :meth:`block_powers_vector`
-        (see ``tests/power/test_model.py`` and
-        ``tests/power/test_model_vector.py``); not used by the engines.
-        """
-        v_rel = self._check_operating_point(voltage, frequency)
-        f_rel = frequency / self._tech.frequency_nominal
-
-        per_block_gate = not isinstance(clock_enabled_fraction, (int, float))
-        powers: Dict[str, float] = {}
-        for name in self._floorplan.block_names:
-            if name not in activities:
-                raise PowerModelError(f"no activity given for block {name!r}")
-            if name not in temperatures:
-                raise PowerModelError(f"no temperature given for block {name!r}")
-            spec = self._specs[name]
-            if per_block_gate:
-                gate = clock_enabled_fraction.get(name, 1.0)
-            else:
-                gate = clock_enabled_fraction
-            dyn = dynamic_power(spec, activities[name], v_rel, f_rel, gate)
-            leak = leakage_power(
-                spec.leakage_ref_w, v_rel, temperatures[name], self._leakage
-            )
-            powers[name] = dyn + leak
-        return powers
 
     def total_power(
         self,

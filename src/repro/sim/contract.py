@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.errors import SimulationError
 from repro.obs import flightrec as obs_flightrec
 from repro.obs import trace as obs_trace
-from repro.sim.kernel import DenseSpanTask
+from repro.sim.kernel import DenseSpanTask, step_timing_enabled
 from repro.sim.stride import StrideTask, serve_stride, serve_strides
 
 
@@ -141,8 +141,6 @@ def drive(steps) -> Any:
     servicing raises, the generator is closed so the engine unwinds
     immediately instead of at garbage collection.
     """
-    from repro.sim.engine import step_timing_enabled
-
     reply: Any = None
     try:
         if step_timing_enabled():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -11,19 +9,16 @@ import numpy as np
 from repro.dtm.base import DtmCommand, DtmPolicy
 from repro.dtm.none import NoDtmPolicy
 from repro.dtm.thresholds import ThermalThresholds
-from repro.errors import SimulationError, ThermalViolationError
-from repro.obs import events as obs_events
-from repro.obs import heartbeat as obs_heartbeat
-from repro.obs import metrics as obs_metrics
-from repro.obs import runctx as obs_runctx
+from repro.errors import SimulationError
 from repro.obs import trace as obs_trace
 from repro.floorplan.alpha21364 import build_alpha21364_floorplan
 from repro.floorplan.floorplan import Floorplan
 from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
 from repro.sim.config import DVS_MODE_STALL, EngineConfig
+from repro.sim.faults import targeted
 from repro.sim.contract import SimEngine, drive
-from repro.sim.kernel import DenseSpanTask, commit_phase_run, next_phase_run
+from repro.sim.kernel import ChipStep, _timed, step_timing_enabled
 from repro.sim.stride import ACCEPT, REJECT, REJECT_REASONS, StridePlanner
 from repro.sim.results import RunResult, TracePoint
 from repro.sim.warmup import initial_temperatures
@@ -49,33 +44,6 @@ _FUSE_DENSE_SPANS = True
 ``False`` to compare the fused path with the per-step path, which is
 bit-identical by construction; it is neither a configuration field nor
 part of a run's identity."""
-
-
-def step_timing_enabled() -> bool:
-    """True when the per-section step-timing breakdown is switched on,
-    i.e. when the observability layer is enabled (``REPRO_OBS=1`` or
-    :func:`repro.obs.metrics.set_enabled`).  The sections record
-    through :mod:`repro.obs.trace` as ``step.<section>`` spans;
-    :func:`step_timers` reads them back."""
-    return obs_metrics.enabled()
-
-
-def _timed(section: str, fn):
-    """Wrap a hot-loop callable so its cumulative time and call count
-    land in the ``step.<section>`` span totals.  Only installed when
-    timing is enabled, so the normal hot loop carries no
-    instrumentation branches at all."""
-    name = "step." + section
-    record = obs_trace.record
-
-    def wrapper(*args, **kwargs):
-        t0 = perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            record(name, perf_counter() - t0)
-
-    return wrapper
 
 
 def step_timers() -> Dict[str, Tuple[float, int]]:
@@ -184,17 +152,14 @@ class SimulationEngine(SimEngine):
     reproduce the paper's setup (Alpha 21364 floorplan, low-cost package,
     Alpha power budget, 10 kHz noisy sensors).
 
-    The inner loop is array-native: temperatures stay in the thermal
-    solver's node vector, per-block power is evaluated with
-    :meth:`~repro.power.model.PowerModel.block_powers_vector`, and block
-    names are translated to vector indices exactly once per run.  The
-    workload's phase schedule is compiled to contiguous arrays once per
-    run (:mod:`repro.workloads.compiler`), decision-free dense spans run
-    fused (:mod:`repro.sim.kernel`) and spans between sensor samples are
-    jumped in closed form when proved safe (:mod:`repro.sim.stride`).
-    Per-block ``{name: value}`` mappings are built only at the 10 kHz
-    sensor sampling boundary, for policies and faulted sensor arrays that
-    read them.
+    Each run composes the step stage it shares with the dual-core
+    engine (:class:`~repro.sim.kernel.ChipStep`: array-native power,
+    thermal step, sensing, fused dense spans, accounting) with its own
+    stages: the instruction-budget commit, the closed-form stride over
+    spans between sensor samples when proved safe
+    (:mod:`repro.sim.stride`) and the trace.  The workload's phase
+    schedule is compiled to contiguous arrays once per run
+    (:mod:`repro.workloads.compiler`).
     """
 
     def __init__(
@@ -229,17 +194,13 @@ class SimulationEngine(SimEngine):
         # A fault plan's sensor degradation applies to the default array
         # of targeted runs only; an explicitly injected array is the
         # caller's responsibility.
-        plan = self._config.fault_plan
-        sensor_faults = (
-            plan.sensor_faults
-            if plan is not None and plan.targets(seed)
-            else ()
-        )
+        plan = targeted(self._config.fault_plan, seed)
         self._sensors = (
             sensors
             if sensors is not None
             else SensorArray(
-                self._floorplan, seed=seed, faults=sensor_faults or None
+                self._floorplan, seed=seed,
+                faults=plan and plan.sensor_faults or None,
             )
         )
         self._policy = policy if policy is not None else NoDtmPolicy(
@@ -249,7 +210,6 @@ class SimulationEngine(SimEngine):
             thresholds if thresholds is not None else ThermalThresholds()
         )
         self._tech = self._power.technology
-        self._vf = self._power.vf_curve
         network = self._hotspot.network
         if self._power.block_names != network.block_names:
             raise SimulationError(
@@ -261,7 +221,6 @@ class SimulationEngine(SimEngine):
         self._block_pos: Dict[str, int] = {
             name: i for i, name in enumerate(self._block_names)
         }
-        self._node_idx = network.block_node_indices
         self._domain_pos: Dict[str, np.ndarray] = {}
 
     @property
@@ -376,13 +335,23 @@ class SimulationEngine(SimEngine):
             raise SimulationError("settle time must be >= 0")
         if initial is None:
             initial = self.compute_initial_temperatures()
-        network = self._hotspot.network
-        solver_temps = np.array(initial, dtype=float, copy=True)
-        from repro.thermal.solver import ExponentialSolver, make_transient_solver
+        from repro.thermal.solver import ExponentialSolver
 
-        solver = make_transient_solver(
-            network, solver_temps, self._config.thermal_stepper
+        trace = TraceBuffer(self._block_names) if self._config.record_trace else None
+        chip = ChipStep(
+            self._hotspot.network,
+            initial,
+            self._power,
+            self._sensors,
+            self._thresholds,
+            self._config,
+            self._seed,
+            settle_time_s,
+            fuse=_FUSE_DENSE_SPANS and trace is None,
         )
+        solver = chip.solver
+        block_temps = chip.block_temps
+        account = chip.account
         self._policy.reset()
         self._emit(
             "run.start",
@@ -392,105 +361,52 @@ class SimulationEngine(SimEngine):
         )
 
         block_names = self._block_names
-        n_blocks = len(block_names)
         pos = self._block_pos
-        node_idx = self._node_idx
-        # The per-step and per-span reductions call the ufunc methods
-        # directly: the same reductions as ``.max()``/``.sum()``/
-        # ``np.all`` (bit-identical), minus the Python wrapper frames.
-        max_reduce = np.maximum.reduce
-        sum_reduce = np.add.reduce
-        all_reduce = np.logical_and.reduce
         # Compiled step pipeline: lower the workload's phase schedule to
         # contiguous arrays once per run and drive the loop from reused
         # CompiledSample activity vectors (see repro/workloads/compiler.py).
         schedule = compile_workload(self._workload, block_names)
         perf = CompiledIntervalModel(schedule, loop=True)
 
-        nominal_v = self._tech.vdd_nominal
+        nominal_v = chip.nominal_v
         command = DtmCommand(gating_fraction=0.0, voltage=nominal_v)
-        voltage = nominal_v
-        frequency = self._tech.frequency_nominal
         pending_voltage: Optional[float] = None
         pending_effective_s = 0.0
-
-        time_s = 0.0
-        measure_start_s = 0.0
-        measuring = settle_time_s == 0.0
         done = 0.0
         cycles_f = 0.0
-        violations = 0
-        max_temp = -1e9
-        hottest_block = block_names[0]
-        above_trigger_s = 0.0
         # Always-on local telemetry: plain int/bool/float updates on
         # quantities the loop already computes, so the disabled path
         # stays bit-identical and allocation-free.  Published into the
         # obs registry in one batch after the loop.
-        above_trigger = False
-        trigger_crossings = 0
         cmd_active = False
         dtm_engagements = 0
         engaged_s = 0.0
-        sensor_samples = 0
         switches = 0
         migrations = 0
         previous_migration = None
-        low_time_s = 0.0
-        stall_s = 0.0
         gating_time_weighted = 0.0
-        energy_j = 0.0
         no_progress_steps = 0
-        trace = TraceBuffer(block_names) if self._config.record_trace else None
         actuation: Optional[DtmActuation] = None
         actuation_cmd: Optional[DtmCommand] = None
         actuation_f_rel = -1.0
         gate_cmd: Optional[DtmCommand] = None
         gate_vec: Optional[np.ndarray] = None
+        act_vec = np.zeros(len(block_names))
 
         step_cycles = self._config.thermal_step_cycles
         switch_time = self._config.dvs_switch_time_s
         stall_mode = self._config.dvs_mode == DVS_MODE_STALL
         max_no_progress = self._config.max_no_progress_steps
-        raise_on_violation = self._config.raise_on_violation
-        trigger_c = self._thresholds.trigger_c
-        emergency_c = self._thresholds.emergency_c
-
-        # Bound methods and constants hoisted out of the loop: at ~10 us
-        # of work per thermal step, repeated attribute lookups are a
-        # measurable fraction of the whole run.
-        sensors_due = self._sensors.due
-        sensors_sample = self._sensors.sample
         sampling_period_s = self._sensors.sampling_period_s
         policy_update = self._policy.update
-        vf_frequency = self._vf.frequency
         f_nominal = self._tech.frequency_nominal
-        power_vector_fn = self._power.block_powers_vector
         perf_advance = perf.advance
-        dynamic_w = self._power.dynamic_vector_w
-        leakage_coefficients = self._power.leakage_coefficients
-        subtract = np.subtract
-        multiply = np.multiply
-        exp = np.exp
-        add = np.add
-        # Vectorized sensor sampling: the whole array is read with a few
-        # NumPy ops straight from the block-temperature buffer, bit-
-        # identical to per-sensor scalar reads.  Faulted arrays (and
-        # injected arrays in a different block order) keep the scalar
-        # path with its per-sensor fault handling.
-        vector_sensors = (
-            self._sensors.vector_eligible
-            and tuple(self._sensors.block_names) == tuple(block_names)
-        )
-        sensors_sample_vector = (
-            self._sensors.sample_vector if vector_sensors else None
-        )
         # Fused sensing: a policy that consumes only the hottest reading
         # (every max-only comparator policy in the tree declares
         # ``hottest_only``) gets the array maximum directly -- same
         # per-sensor values, no per-sample dict.  Bit-identical because
         # the maximum of identical values is order-independent.
-        hottest_policy = vector_sensors and self._policy.hottest_only
+        hottest_policy = chip.vector_sensors and self._policy.hottest_only
         sensors_sample_hottest = (
             self._sensors.sample_hottest if hottest_policy else None
         )
@@ -499,50 +415,14 @@ class SimulationEngine(SimEngine):
         )
         timing = step_timing_enabled()
         if timing:
-            sensors_sample = _timed("sense", sensors_sample)
-            if sensors_sample_vector is not None:
-                sensors_sample_vector = _timed("sense", sensors_sample_vector)
             if sensors_sample_hottest is not None:
                 sensors_sample_hottest = _timed(
                     "sense", sensors_sample_hottest
                 )
                 policy_update_hottest = _timed("policy", policy_update_hottest)
             policy_update = _timed("policy", policy_update)
-            power_vector_fn = _timed("power", power_vector_fn)
-            dynamic_w = _timed("power", dynamic_w)
             perf_advance = _timed("perf", perf_advance)
 
-        temps_vec = solver.temperatures
-        # Preallocated buffers reused every step: block temperatures are
-        # gathered with np.take(..., out=) instead of fancy indexing, so
-        # the steady-state loop allocates no per-step arrays at all.
-        block_temps = np.empty(n_blocks)
-        temps_vec.take(node_idx, out=block_temps)
-        act_vec = np.zeros(n_blocks)
-        zero_acts = np.zeros(n_blocks)
-        power_buffer = np.zeros(network.size)
-        # Fused-span power buffers: a phase run's dynamic part, a step's
-        # leakage and their sum (repro.sim.kernel).
-        dyn_w = np.empty(n_blocks)
-        leak_w = np.empty(n_blocks)
-        span_w = np.empty(n_blocks)
-
-        # Deterministic solver-corruption fault: poison the power vector
-        # at one configured execution step so the solver's numerical
-        # guards (and the sweep supervisor above) are exercised end to
-        # end.  Counts execution steps only, like the plan documents.
-        plan = self._config.fault_plan
-        if (
-            plan is not None
-            and plan.targets(self._seed)
-            and plan.corrupt_power_at_step is not None
-        ):
-            fault_corrupt_step: Optional[int] = plan.corrupt_power_at_step
-            fault_poison = plan.poison
-        else:
-            fault_corrupt_step = None
-            fault_poison = 0.0
-        exec_steps = 0
         # Event-driven stepping: between DTM decision points (sensor
         # samples) the dynamic power cannot change -- same phase run,
         # actuation and operating point until the next sample -- so only
@@ -559,86 +439,22 @@ class SimulationEngine(SimEngine):
             self._config.fast_forward
             and isinstance(solver, ExponentialSolver)
             and trace is None
-            and fault_corrupt_step is None
+            and chip.fault_step is None
         )
         stride_ok = True
         planner = (
             StridePlanner(
                 solver,
-                node_idx,
+                chip.node_idx,
                 self._power,
                 self._config.stride_drift_tol_w,
-                trigger_c,
-                emergency_c,
-                raise_on_violation,
+                self._thresholds.trigger_c,
+                self._thresholds.emergency_c,
+                self._config.raise_on_violation,
             )
             if ff_enabled
             else None
         )
-        # Fused dense spans: when no decision can occur before the next
-        # sensor sample (the stride disarmed, so the remaining steps run
-        # dense), the span executes as one DenseSpanTask request through
-        # the contract instead of one generator round-trip per step.
-        # Bit-identical to per-step dispatch by construction -- the task
-        # body is the per-step pipeline below, verbatim.
-        # Runs that must surface every step (trace recording, injected
-        # solver faults, raise_on_violation) keep the per-step path.
-        kernel_enabled = (
-            _FUSE_DENSE_SPANS
-            and trace is None
-            and not raise_on_violation
-            and fault_corrupt_step is None
-        )
-        kernel_spans = 0
-        kernel_steps = 0
-
-        def block_temps_mapping() -> Dict[str, float]:
-            return {
-                name: float(block_temps[i]) for i, name in enumerate(block_names)
-            }
-
-        def idle_step_power():
-            """Full-node power vector (and block total) with zero
-            switching activity at the current operating point."""
-            blocks_w = power_vector_fn(
-                zero_acts, voltage, frequency, block_temps, check=False
-            )
-            power_buffer[node_idx] = blocks_w
-            return power_buffer, float(sum_reduce(blocks_w))
-
-        def account_thermal(dt_acct: float, power_sum_w: float) -> None:
-            """Measured-window statistics shared by execution steps and
-            stall/migration sub-steps (which the accounting previously
-            skipped -- an emergency reached during a 10 us stall window
-            was silently missed)."""
-            nonlocal max_temp, hottest_block, violations
-            nonlocal above_trigger_s, low_time_s, energy_j
-            nonlocal above_trigger, trigger_crossings
-            step_max = float(max_reduce(block_temps))
-            if step_max > max_temp:
-                # argmax only when the maximum moved: the hottest block's
-                # identity changes rarely, its temperature every step.
-                max_temp = step_max
-                hottest_block = block_names[int(np.argmax(block_temps))]
-            if step_max > emergency_c:
-                violations += 1
-                if raise_on_violation:
-                    raise ThermalViolationError(
-                        step_max,
-                        emergency_c,
-                        time_s,
-                        block_names[int(np.argmax(block_temps))],
-                    )
-            if step_max > trigger_c:
-                above_trigger_s += dt_acct
-                if not above_trigger:
-                    above_trigger = True
-                    trigger_crossings += 1
-            else:
-                above_trigger = False
-            if voltage < nominal_v - 1e-12:
-                low_time_s += dt_acct
-            energy_j += power_sum_w * dt_acct
 
         def append_trace() -> None:
             # Callers guard on ``trace is not None`` so the common
@@ -646,165 +462,104 @@ class SimulationEngine(SimEngine):
             # TraceBuffer, not per-step Python objects.
             k = int(np.argmax(block_temps))
             trace.append(
-                time_s,
+                chip.time_s,
                 k,
                 float(block_temps[k]),
                 command.gating_fraction,
-                voltage,
+                chip.voltage,
                 command.clock_enabled_fraction,
                 done,
             )
 
-        def stalled_substep(dt_sub: float):
-            """Advance the thermal state through a stall window (DVS
-            switch or migration flush) at idle power, with full thermal
-            accounting and trace coverage.  A sub-generator: callers
-            ``yield from`` it so the thermal step is serviced by the
-            outer driver like any other."""
-            nonlocal time_s, stall_s
-            power, power_sum = idle_step_power()
-            stepped = yield (solver, power, dt_sub, 1)
-            stepped.take(node_idx, out=block_temps)
-            time_s += dt_sub
-            if measuring:
-                stall_s += dt_sub
-                account_thermal(dt_sub, power_sum)
-            if trace is not None:
-                append_trace()
+        def scatter(samples) -> np.ndarray:
+            """The step's activity vector: the sample's, with an active
+            migration moving its share of the source block's activity
+            to the target."""
+            ((_, acts),) = samples
+            if command.migration is None:
+                return acts
+            source, target, fraction = command.migration
+            try:
+                si = pos[source]
+                ti = pos[target]
+            except KeyError as exc:
+                raise SimulationError(
+                    f"migration names unknown block {exc.args[0]!r}"
+                ) from None
+            # Cached vectors are shared; mutate a scratch copy.
+            act_vec[:] = acts
+            moved = act_vec[si] * fraction
+            act_vec[si] -= moved
+            act_vec[ti] = min(1.0, act_vec[ti] + moved)
+            return act_vec
 
-        def run_dense_span(count: int):
-            """Execute ``count`` fused dense steps inside the engine.
-
-            The main loop's per-step pipeline over phase runs
-            (:mod:`repro.sim.kernel`): per run, the sample, the
-            migration and the dynamic power once; per step, the leakage,
-            the power scatter, the solver step and the accounting --
-            the same float operations on the same buffers in the same
-            order as the per-step path, minus the events that cannot
-            occur before the next sensor sample (sensing, policy
-            updates, actuation rebuilds, voltage switches, migration
-            transitions), which is exactly what the invocation guards
-            exclude, so it is bit-identical to the per-step path.
-            """
-            nonlocal time_s, done, cycles_f, exec_steps, no_progress_steps
+        def commit(samples, dt: float, power_sum: float) -> bool:
+            """Budget accounting of one execution step, per-step and
+            fused alike: the no-progress guard, the committed
+            instructions (the final step interpolated for exact elapsed
+            time), the chip accounting, gating and engaged time.  True
+            once the budget is spent."""
+            nonlocal done, cycles_f, no_progress_steps
             nonlocal gating_time_weighted, engaged_s
-            nonlocal kernel_spans, kernel_steps
-            stepped = temps_vec
-            gating = command.gating_fraction
-            migration = command.migration
-            span_step = solver.span_stepper(power_buffer, dt)
-            if timing:
-                span_step = _timed("thermal", span_step)
-            models = (perf,)
-            run_actuations = (actuation,)
-            ref_c, beta, leak_scale, leak_ref = leakage_coefficients(
-                voltage, frequency
-            )
-            first_step = exec_steps
-            left = count
-            while left:
-                n, samples, sized = next_phase_run(
-                    models, run_actuations, step_cycles, left
-                )
-                ((step_instr, span_acts),) = samples
-                if migration is not None:
-                    source, target, fraction = migration
-                    act_vec[:] = span_acts
-                    moved = act_vec[pos[source]] * fraction
-                    act_vec[pos[source]] -= moved
-                    act_vec[pos[target]] = min(
-                        1.0, act_vec[pos[target]] + moved
+            ((step_instr, _),) = samples
+            if step_instr <= 0.0:
+                # Zero-progress step (e.g. a fully clock-gated
+                # interval): the clock still runs wall-time forward, but
+                # interpolating ``remaining / step_instr`` would divide
+                # by zero and the commit counter would never advance.
+                no_progress_steps += 1
+                if no_progress_steps >= max_no_progress:
+                    raise SimulationError(
+                        f"no instructions committed in {no_progress_steps} "
+                        f"consecutive thermal steps (is the clock fully "
+                        f"gated?); raise max_no_progress_steps if this "
+                        f"workload legitimately idles this long"
                     )
-                    span_acts = act_vec
-                dynamic_w(span_acts, voltage, frequency, clock_gate, dyn_w)
-                run_start = exec_steps
-                for _ in range(n):
-                    # block_powers_vector's leakage half, inline.
-                    subtract(block_temps, ref_c, out=leak_w)
-                    multiply(leak_w, beta, out=leak_w)
-                    exp(leak_w, out=leak_w)
-                    multiply(leak_w, leak_scale, out=leak_w)
-                    multiply(leak_w, leak_ref, out=leak_w)
-                    add(dyn_w, leak_w, out=span_w)
-                    power_buffer[node_idx] = span_w
-                    span_power_sum = float(sum_reduce(span_w))
-                    exec_steps += 1
-                    stepped = span_step()
-                    stepped.take(node_idx, out=block_temps)
-                    if step_instr <= 0.0:
-                        no_progress_steps += 1
-                        if no_progress_steps >= max_no_progress:
-                            raise SimulationError(
-                                f"no instructions committed in "
-                                f"{no_progress_steps} consecutive thermal "
-                                f"steps (is the clock fully gated?); raise "
-                                f"max_no_progress_steps if this workload "
-                                f"legitimately idles this long"
-                            )
-                    else:
-                        no_progress_steps = 0
-                    remaining = instructions - done
-                    if step_instr <= 0.0:
-                        dt_measured = dt
-                        cycles_f += step_cycles
-                    elif step_instr >= remaining:
-                        fraction = remaining / step_instr
-                        dt_measured = dt * fraction
-                        cycles_f += step_cycles * fraction
-                        done = instructions
-                    else:
-                        dt_measured = dt
-                        cycles_f += step_cycles
-                        done += step_instr
-                    time_s += dt_measured
-                    account_thermal(dt_measured, span_power_sum)
-                    gating_time_weighted += gating * dt_measured
-                    if cmd_active:
-                        engaged_s += dt_measured
-                    if done >= instructions:
-                        break
-                if sized:
-                    commit_phase_run(models, exec_steps - run_start)
-                if done >= instructions:
-                    break
-                left -= n
-            kernel_spans += 1
-            kernel_steps += exec_steps - first_step
-            return stepped
-
-        # Progress heartbeat: the publisher (if a supervisor registered
-        # one) is captured once per run; with heartbeats off the hook
-        # below is a single ``is not None`` compare per sensor sample.
-        # Publishing reads loop locals only -- no physics state is
-        # touched, so results stay bit-identical either way.
-        hb_pub = obs_heartbeat.active()
-        hb_publish = hb_pub.publish if hb_pub is not None else None
+            else:
+                no_progress_steps = 0
+            if not chip.measuring:
+                account(dt, power_sum)
+                return False
+            remaining = instructions - done
+            if step_instr <= 0.0:
+                dt_measured = dt
+                cycles_f += step_cycles
+            elif step_instr >= remaining:
+                fraction = remaining / step_instr
+                dt_measured = dt * fraction
+                cycles_f += step_cycles * fraction
+                done = instructions
+            else:
+                dt_measured = dt
+                cycles_f += step_cycles
+                done += step_instr
+            account(dt_measured, power_sum)
+            gating_time_weighted += command.gating_fraction * dt_measured
+            if cmd_active:
+                engaged_s += dt_measured
+            return done >= instructions
 
         while done < instructions:
             # --- sensing and policy -------------------------------------------
-            if sensors_due(time_s):
-                sensor_samples += 1
+            if chip.sample_due():
                 stride_ok = True
                 # Every stride and fused dense span stops strictly
                 # before the next sensor sample, so this branch is hit
                 # on all execution paths, kernel or not.
-                if hb_publish is not None:
-                    hb_publish(done, time_s, exec_steps, max_temp, cmd_active)
+                if chip.heartbeat is not None:
+                    chip.heartbeat(
+                        done, chip.time_s, chip.exec_steps, chip.max_temp,
+                        cmd_active,
+                    )
                 if sensors_sample_hottest is not None:
                     new_command = policy_update_hottest(
-                        sensors_sample_hottest(block_temps, time_s),
-                        time_s,
+                        sensors_sample_hottest(block_temps, chip.time_s),
+                        chip.time_s,
                         sampling_period_s,
                     )
-                elif sensors_sample_vector is not None:
-                    readings = sensors_sample_vector(block_temps, time_s)
-                    new_command = policy_update(
-                        readings, time_s, sampling_period_s
-                    )
                 else:
-                    readings = sensors_sample(block_temps_mapping(), time_s)
                     new_command = policy_update(
-                        readings, time_s, sampling_period_s
+                        chip.read_sensors(), chip.time_s, sampling_period_s
                     )
                 new_active = (
                     new_command.gating_fraction > 0.0
@@ -816,37 +571,40 @@ class SimulationEngine(SimEngine):
                 if new_active and not cmd_active:
                     dtm_engagements += 1
                 cmd_active = new_active
-                if abs(new_command.voltage - voltage) > 1e-12 and (
+                if abs(new_command.voltage - chip.voltage) > 1e-12 and (
                     pending_voltage is None
                     or abs(new_command.voltage - pending_voltage) > 1e-12
                 ):
-                    if measuring:
+                    if chip.measuring:
                         switches += 1
                     if stall_mode:
                         if switch_time > 0.0:
-                            yield from stalled_substep(switch_time)
-                        voltage = new_command.voltage
-                        frequency = vf_frequency(voltage)
+                            yield from chip.stall(switch_time)
+                            if trace is not None:
+                                append_trace()
+                        chip.set_voltage(new_command.voltage)
                         pending_voltage = None
                     else:
                         pending_voltage = new_command.voltage
-                        pending_effective_s = time_s + switch_time
+                        pending_effective_s = chip.time_s + switch_time
                 command = new_command
 
-            if pending_voltage is not None and time_s >= pending_effective_s:
-                voltage = pending_voltage
-                frequency = vf_frequency(voltage)
+            if pending_voltage is not None and chip.time_s >= pending_effective_s:
+                chip.set_voltage(pending_voltage)
                 pending_voltage = None
 
             # --- activity-migration transitions --------------------------------
             if command.migration != previous_migration:
                 previous_migration = command.migration
-                if measuring:
+                if chip.measuring:
                     migrations += 1
                 if self._config.migration_time_s > 0.0:
-                    yield from stalled_substep(self._config.migration_time_s)
+                    yield from chip.stall(self._config.migration_time_s)
+                    if trace is not None:
+                        append_trace()
 
             # --- one thermal step of execution --------------------------------
+            frequency = chip.frequency
             f_rel = frequency / f_nominal
             if command is not actuation_cmd or f_rel != actuation_f_rel:
                 # The policy holds its command steady between 10 kHz sensor
@@ -865,7 +623,7 @@ class SimulationEngine(SimEngine):
 
             if command.domain_gating:
                 if command is not gate_cmd:
-                    clock_gate = np.ones(n_blocks)
+                    clock_gate = np.ones(len(block_names))
                     for domain, duty in command.domain_gating.items():
                         clock_gate[self._domain_positions(domain)] = (
                             command.clock_enabled_fraction * (1.0 - duty)
@@ -878,97 +636,23 @@ class SimulationEngine(SimEngine):
                 clock_gate = command.clock_enabled_fraction
             # The compiled model already produced the activity vector in
             # block order (cached and read-only).
-            step_acts = sample.acts
-            if command.migration is not None:
-                source, target, fraction = command.migration
-                try:
-                    si = pos[source]
-                    ti = pos[target]
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"migration names unknown block {exc.args[0]!r}"
-                    ) from None
-                # Cached vectors are shared; mutate a scratch copy.
-                act_vec[:] = step_acts
-                moved = act_vec[si] * fraction
-                act_vec[si] -= moved
-                act_vec[ti] = min(1.0, act_vec[ti] + moved)
-                step_acts = act_vec
-            blocks_w = power_vector_fn(
-                step_acts, voltage, frequency, block_temps, clock_gate,
-                check=False,
-            )
-            power_buffer[node_idx] = blocks_w
-            step_power = power_buffer
-            power_sum = float(sum_reduce(blocks_w))
-
-            if fault_corrupt_step is not None and exec_steps == fault_corrupt_step:
-                # Poison a copy: the shared power buffer must stay clean
-                # for any later (post-recovery) steps.
-                step_power = np.array(step_power, dtype=float, copy=True)
-                step_power[0] = fault_poison
-            exec_steps += 1
-
-            temps_vec = yield (solver, step_power, dt, 1)
-            temps_vec.take(node_idx, out=block_temps)
-
-            # --- accounting ----------------------------------------------------
-            if sample.instructions <= 0.0:
-                # Zero-progress step (e.g. a fully clock-gated interval):
-                # the clock still runs wall-time forward, but interpolating
-                # `remaining / sample.instructions` would divide by zero
-                # and the commit counter would never advance.
-                no_progress_steps += 1
-                if no_progress_steps >= max_no_progress:
-                    raise SimulationError(
-                        f"no instructions committed in {no_progress_steps} "
-                        f"consecutive thermal steps (is the clock fully "
-                        f"gated?); raise max_no_progress_steps if this "
-                        f"workload legitimately idles this long"
-                    )
-            else:
-                no_progress_steps = 0
-
-            if measuring:
-                remaining = instructions - done
-                if sample.instructions <= 0.0:
-                    dt_measured = dt
-                    cycles_f += step_cycles
-                elif sample.instructions >= remaining:
-                    # Interpolate the final partial step for exact elapsed
-                    # time.
-                    fraction = remaining / sample.instructions
-                    dt_measured = dt * fraction
-                    cycles_f += step_cycles * fraction
-                    done = instructions
-                else:
-                    dt_measured = dt
-                    cycles_f += step_cycles
-                    done += sample.instructions
-                time_s += dt_measured
-
-                account_thermal(dt_measured, power_sum)
-                gating_time_weighted += command.gating_fraction * dt_measured
-                if cmd_active:
-                    engaged_s += dt_measured
-            else:
-                time_s += dt
-                if time_s >= settle_time_s:
-                    measuring = True
-                    measure_start_s = time_s
-                    # Measure the same instruction window for every
-                    # technique (the paper's fixed SimPoint sample): the
-                    # settle lead-in warms the *thermal* state only.
-                    perf = CompiledIntervalModel(schedule, loop=True)
-                    perf_advance = (
-                        _timed("perf", perf.advance) if timing
-                        else perf.advance
-                    )
-                    # The step's sample came from the settle-phase
-                    # model; disarm the stride so the next jump is sized
-                    # from the fresh measurement model's samples.
-                    stride_ok = False
-
+            samples = ((sample.instructions, sample.acts),)
+            step_acts = scatter(samples)
+            power_sum = yield from chip.dense_step(step_acts, clock_gate, dt)
+            settling = not chip.measuring
+            commit(samples, dt, power_sum)
+            if settling and chip.measuring:
+                # Measure the same instruction window for every
+                # technique (the paper's fixed SimPoint sample): the
+                # settle lead-in warms the *thermal* state only.
+                perf = CompiledIntervalModel(schedule, loop=True)
+                perf_advance = (
+                    _timed("perf", perf.advance) if timing else perf.advance
+                )
+                # The step's sample came from the settle-phase model;
+                # disarm the stride so the next jump is sized from the
+                # fresh measurement model's samples.
+                stride_ok = False
             if trace is not None:
                 append_trace()
 
@@ -990,11 +674,9 @@ class SimulationEngine(SimEngine):
                 # final (interpolated) step and the settle crossing, so
                 # every event the dense path would handle still happens
                 # on a densely stepped iteration.
-                k = math.ceil(
-                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
-                )
+                k = chip.steps_to_sample(dt)
                 k = min(k, perf.run_length(step_cycles, actuation))
-                if measuring:
+                if chip.measuring:
                     # Cap with the span's own per-interval rate, not the
                     # last sample's: a boundary-crossing step commits a
                     # blend of two phases' rates, and the jump commits
@@ -1005,17 +687,15 @@ class SimulationEngine(SimEngine):
                     if span_instr <= 0.0:
                         k = 0
                     else:
-                        k_budget = int(
-                            (instructions - done) / span_instr
-                        )
+                        k_budget = int((instructions - done) / span_instr)
                         while (
                             k_budget > 0
-                            and done + k_budget * span_instr
-                            >= instructions
+                            and done + k_budget * span_instr >= instructions
                         ):
                             k_budget -= 1
                         k = min(k, k_budget)
                 else:
+                    time_s = chip.time_s
                     k_settle = int((settle_time_s - time_s) / dt)
                     while (
                         k_settle > 0
@@ -1032,8 +712,9 @@ class SimulationEngine(SimEngine):
                     # split into task.n_seg segments, the first one
                     # already proven.
                     task = planner.attempt(
-                        power_buffer, step_acts, voltage, frequency,
-                        clock_gate, actuation, k * dt, measuring,
+                        chip.power_buffer, step_acts, chip.voltage,
+                        frequency, clock_gate, actuation, k * dt,
+                        chip.measuring,
                     )
                     stepped = yield (solver, task, dt, k)
                     verdict = planner.settle()
@@ -1045,13 +726,8 @@ class SimulationEngine(SimEngine):
                             # Re-freeze the power from the jumped
                             # temperatures: exactly the value the next
                             # dense step would compute.
-                            blocks_seg = power_vector_fn(
-                                step_acts, voltage, frequency,
-                                block_temps, clock_gate, check=False,
-                            )
-                            power_buffer[node_idx] = blocks_seg
-                            power_sum = float(sum_reduce(blocks_seg))
-                            task = planner.segment(power_buffer, seg_s)
+                            power_sum = chip.power(step_acts, clock_gate)
+                            task = planner.segment(chip.power_buffer, seg_s)
                             stepped = yield (solver, task, dt, k_i)
                             verdict = planner.settle()
                         if verdict != ACCEPT:
@@ -1060,38 +736,18 @@ class SimulationEngine(SimEngine):
                         per_step_instr = perf.fast_forward(
                             step_cycles, actuation, k_i
                         )
-                        temps_vec = stepped
-                        temps_vec.take(node_idx, out=block_temps)
-                        time_s += seg_s
-                        if measuring:
+                        stepped.take(chip.node_idx, out=block_temps)
+                        chip.account_span(
+                            seg_s, power_sum, task.violations, task.trigger_s
+                        )
+                        if chip.measuring:
                             done += per_step_instr * k_i
                             cycles_f += step_cycles * k_i
-                            violations += task.violations
-                            # The envelope proved the jumped span either
-                            # uniformly above the trigger (trigger_s ==
-                            # seg_s) or uniformly at-or-below it, so
-                            # crossing state is exact.
-                            if task.trigger_s > 0.0:
-                                above_trigger_s += task.trigger_s
-                                if not above_trigger:
-                                    above_trigger = True
-                                    trigger_crossings += 1
-                            else:
-                                above_trigger = False
-                            if voltage < nominal_v - 1e-12:
-                                low_time_s += seg_s
-                            energy_j += power_sum * seg_s
                             gating_time_weighted += (
                                 command.gating_fraction * seg_s
                             )
                             if cmd_active:
                                 engaged_s += seg_s
-                            step_max = float(max_reduce(block_temps))
-                            if step_max > max_temp:
-                                max_temp = step_max
-                                hottest_block = block_names[
-                                    int(np.argmax(block_temps))
-                                ]
                     if verdict == REJECT:
                         stride_ok = False
 
@@ -1101,78 +757,50 @@ class SimulationEngine(SimEngine):
             # sample, so the remaining dense steps execute as one fused
             # request instead of one generator round-trip per step.
             if (
-                kernel_enabled
+                chip.fuse
                 and not stride_taken
                 and not (ff_enabled and stride_ok)
-                and measuring
+                and chip.measuring
                 and pending_voltage is None
                 and done < instructions
             ):
-                k = math.ceil(
-                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
+                yield from chip.fused_span(
+                    dt, (perf,), (actuation,), clock_gate, scatter, commit
                 )
-                if k >= 2:
-                    temps_vec = yield (
-                        solver,
-                        DenseSpanTask(run_dense_span, k),
-                        dt,
-                        k,
-                    )
 
-        elapsed_s = time_s - measure_start_s
-        if obs_metrics.enabled():
-            rejected = (
-                planner.rejected
-                if planner is not None
-                else dict.fromkeys(REJECT_REASONS, 0)
-            )
-            # One batch publish per run: registry counters for the
-            # process view, run-context metrics for the spill record the
-            # sweep report aggregates, and one completion event.
-            duty_cycle = engaged_s / max(elapsed_s, 1e-12)
-            counters = {
-                "engine.runs": 1.0,
-                "engine.exec_steps": float(exec_steps),
-                "engine.trigger_crossings": float(trigger_crossings),
-                "engine.sensor_samples": float(sensor_samples),
-                "engine.violations": float(violations),
+        elapsed_s = chip.measured_s
+        duty_cycle = engaged_s / max(elapsed_s, 1e-12)
+        rejected = (
+            planner.rejected
+            if planner is not None
+            else dict.fromkeys(REJECT_REASONS, 0)
+        )
+        chip.publish(
+            self._workload.name,
+            self._policy.name,
+            done,
+            elapsed_s,
+            {
                 "engine.ff_spans_taken": float(
                     planner.taken if planner is not None else 0
                 ),
                 "engine.ff_spans_rejected": float(sum(rejected.values())),
-                "engine.kernel_spans": float(kernel_spans),
-                "engine.kernel_steps": float(kernel_steps),
                 "dtm.engagements": float(dtm_engagements),
                 "dtm.dvs_switches": float(switches),
                 "dtm.migrations": float(migrations),
-            }
-            for reason, count in rejected.items():
-                counters["engine.ff_rejected." + reason] = float(count)
-            if solver.fallback_active:
-                counters["thermal.fallback_runs"] = 1.0
-            registry = obs_metrics.REGISTRY
-            for name, value in counters.items():
-                registry.counter(name).inc(value)
-            obs_runctx.add_metrics(counters)
-            obs_runctx.add_metric("dtm.duty_cycle", duty_cycle)
-            obs_runctx.add_metric("dtm.engaged_s", engaged_s)
-            obs_runctx.add_metric("engine.above_trigger_s", above_trigger_s)
-            obs_events.emit(
-                "engine.run_complete",
-                benchmark=self._workload.name,
-                policy=self._policy.name,
-                instructions=float(done),
-                elapsed_s=elapsed_s,
-                trigger_crossings=trigger_crossings,
-                violations=violations,
-                dtm_duty_cycle=duty_cycle,
-                fallback_active=bool(solver.fallback_active),
-            )
+                **{
+                    "engine.ff_rejected." + reason: float(count)
+                    for reason, count in rejected.items()
+                },
+            },
+            {"dtm.duty_cycle": duty_cycle, "dtm.engaged_s": engaged_s},
+            dtm_duty_cycle=duty_cycle,
+        )
         self._emit(
             "run.complete",
-            time_s,
+            chip.time_s,
             instructions=float(done),
-            violations=violations,
+            violations=chip.violations,
             fallback_active=bool(solver.fallback_active),
         )
         return RunResult(
@@ -1184,16 +812,16 @@ class SimulationEngine(SimEngine):
             # Fractional final-step cycles accumulate exactly and are
             # rounded once here, instead of truncating per run.
             cycles=int(round(cycles_f)),
-            violations=violations,
-            max_true_temp_c=max_temp,
-            hottest_block=hottest_block,
-            time_above_trigger_s=above_trigger_s,
+            violations=chip.violations,
+            max_true_temp_c=chip.max_temp,
+            hottest_block=chip.hottest_block,
+            time_above_trigger_s=chip.above_trigger_s,
             dvs_switches=switches,
-            dvs_low_time_s=low_time_s,
-            stall_time_s=stall_s,
+            dvs_low_time_s=chip.low_time_s,
+            stall_time_s=chip.stall_s,
             mean_gating_fraction=gating_time_weighted / max(elapsed_s, 1e-12),
-            mean_power_w=energy_j / max(elapsed_s, 1e-12),
+            mean_power_w=chip.energy_j / max(elapsed_s, 1e-12),
             migrations=migrations,
-            trigger_crossings=trigger_crossings,
+            trigger_crossings=chip.trigger_crossings,
             trace=trace.points() if trace is not None else None,
         )

@@ -138,6 +138,11 @@ def in_worker_process() -> bool:
     return multiprocessing.parent_process() is not None
 
 
+def targeted(plan: Optional[FaultPlan], seed: int) -> Optional[FaultPlan]:
+    """``plan`` when its faults apply to a run with ``seed``, else None."""
+    return plan if plan is not None and plan.targets(seed) else None
+
+
 def fire_prerun_faults(plan: Optional[FaultPlan], seed: int) -> None:
     """Fire the pre-run harness faults (delay, crash) of ``plan``.
 
@@ -146,7 +151,8 @@ def fire_prerun_faults(plan: Optional[FaultPlan], seed: int) -> None:
     :class:`~repro.errors.InjectedFaultError` so the supervisor's retry
     path is exercised without killing the interpreter.
     """
-    if plan is None or not plan.targets(seed):
+    plan = targeted(plan, seed)
+    if plan is None:
         return
     if plan.has_transient_faults:
         _LOGGER.warning(

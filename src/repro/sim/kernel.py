@@ -1,23 +1,27 @@
-"""Fused dense-span execution for the step pipeline.
+"""The chip-step stage both engines compose, and its fused dense spans.
 
-The engine's hot loop normally yields one ``(solver, power, dt, 1)``
-request per thermal step through the :mod:`repro.sim.contract` surface.
-Between DTM decision points (sensor samples) no step can change the
-engine's control state -- the command, actuation and operating point are
-frozen until the next sample -- so the per-step generator round-trip,
-request tuple and driver dispatch are pure overhead.  The fused kernel
-lowers such a decision-free span into a single :class:`DenseSpanTask`
-request: the driver makes one call, and a tight pre-bound loop inside
-the engine executes the span's sample/power/step/accounting pipeline
-without leaving the engine's frame.
+Both engines run one step pipeline -- sense, policy, power, thermal
+step, account -- over one thermal network.  :class:`ChipStep` is the
+part that does not depend on how many cores share the die, built once
+per run by the single-core :class:`~repro.sim.engine.SimulationEngine`
+and the dual-core :class:`~repro.multicore.engine.MultiCoreEngine`
+alike: the solver, the operating point and the reused buffers; the fault
+plan; sensing; the dense step, the idle-power stall sub-step and the
+fused dense span; the accounting, per step and per closed-form jump; and
+the end-of-run telemetry publish.  Each engine adds only its own stages
+(docs/ENGINES.md section 2): the single-core engine its instruction
+budget, stride and trace; the dual-core engine its per-core scatter and
+commit, hopper and duration exit.
 
-Both engines use it: the single-core
-:class:`~repro.sim.engine.SimulationEngine` for the dense residue its
-stride leaves, and the dual-core
-:class:`~repro.multicore.engine.MultiCoreEngine` for every span between
-sensor samples.  Inside a span the solver advances through
-``span_stepper(power, dt)``, which validates the step and looks up its
-operator once per span while health-checking every step.
+Fused dense spans.  Between DTM decision points (sensor samples) no
+step can change an engine's control state -- the command, actuation
+and operating point are frozen until the next sample -- so the
+per-step generator round-trip, request tuple and driver dispatch are
+pure overhead.  The kernel lowers such a decision-free span into a
+single :class:`DenseSpanTask` request that :meth:`ChipStep.run_span`
+executes without leaving the engine.  Inside a span the solver advances
+through ``span_stepper(power, dt)``, which validates the step and looks
+up its operator once per span while health-checking every step.
 
 A span body iterates over *phase runs*, not single steps.  Power is a
 per-interval average and DTM acts only at sensor samples, so within a
@@ -26,60 +30,111 @@ crosses a phase boundary: between boundaries every step commits the
 same instructions with the same cached activity vector.
 :func:`next_phase_run` sizes the run every core shares
 (:meth:`~repro.workloads.compiler.CompiledIntervalModel.phase_run`),
-the engine evaluates the run's dynamic power once
+the span evaluates the run's dynamic power once
 (:meth:`~repro.power.model.PowerModel.dynamic_vector_w`), and each step
 of the run computes only the temperature-dependent leakage -- the five
 ufuncs of :meth:`~repro.power.model.PowerModel.leakage_vector_w`,
 inline, on the operands :meth:`~repro.power.model.PowerModel.
 leakage_coefficients` returns once per span -- followed by the solver
-step and the accounting.  :func:`commit_phase_run` then applies the
-steps the run took to every model.  A core at a phase boundary sends
-that one step through ``advance()`` as before.
+step and the engine's commit.  :func:`commit_phase_run` then applies
+the steps the run took to every model.  A core at a phase boundary
+sends that one step through ``advance()`` as before.
 
 Bit-identity with per-step dispatch is by construction: the kernel runs
 the same float operations on the same buffers in the same order as the
 per-step path -- the dynamic/leakage split and the sequential
-phase-run replay are both exact -- and only the generator suspension
-points and the loop-invariant recomputation disappear.  The engines
-keep the per-step path for the runs that need every step to surface
-(trace recording, injected solver faults, ``raise_on_violation``), and
-``TestKernelBitIdentity`` in ``tests/sim/test_step_kernel.py`` and
-``tests/multicore/test_kernel.py`` pins the two paths equal across the
-nine single-core benchmark scenarios, the A9 dual-core grid and
-short-phase workloads whose boundaries fall inside spans.
+phase-run replay are both exact.  ``TestKernelBitIdentity`` in
+``tests/sim/test_step_kernel.py`` and ``tests/multicore/test_kernel.py``
+pins the two paths equal across the nine single-core benchmark
+scenarios, the A9 dual-core grid and short-phase workloads whose
+boundaries fall inside spans.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+import math
+from time import perf_counter
+from typing import Callable, Dict, List, Sequence, Tuple
 
-__all__ = ["DenseSpanTask", "commit_phase_run", "next_phase_run"]
+import numpy as np
+
+from repro.errors import ThermalViolationError
+from repro.obs import events as obs_events
+from repro.obs import heartbeat as obs_heartbeat
+from repro.obs import metrics as obs_metrics
+from repro.obs import runctx as obs_runctx
+from repro.obs import trace as obs_trace
+from repro.sim.faults import targeted
+from repro.thermal.solver import make_transient_solver
+
+# The per-step reductions call the ufunc methods directly: the same
+# reductions as ``.max()``/``.sum()`` (bit-identical), minus the Python
+# wrapper frames.
+_max_reduce = np.maximum.reduce
+_sum_reduce = np.add.reduce
+
+__all__ = [
+    "ChipStep",
+    "DenseSpanTask",
+    "commit_phase_run",
+    "next_phase_run",
+    "step_timing_enabled",
+]
+
+
+def step_timing_enabled() -> bool:
+    """True when the per-section step-timing breakdown is switched on,
+    i.e. when the observability layer is enabled (``REPRO_OBS=1`` or
+    :func:`repro.obs.metrics.set_enabled`).  The sections record
+    through :mod:`repro.obs.trace` as ``step.<section>`` spans;
+    :func:`repro.sim.engine.step_timers` reads them back."""
+    return obs_metrics.enabled()
+
+
+def _timed(section: str, fn):
+    """Wrap a hot-loop callable so its cumulative time and call count
+    land in the ``step.<section>`` span totals.  Only installed when
+    timing is enabled, so the normal hot loop carries no
+    instrumentation branches at all."""
+    name = "step." + section
+    record = obs_trace.record
+
+    def wrapper(*args, **kwargs):
+        t0 = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            record(name, perf_counter() - t0)
+
+    return wrapper
 
 
 class DenseSpanTask:
     """A fused dense span, shipped through the engine contract.
 
     Engines yield ``(solver, task, dt, count)`` where ``task`` carries a
-    pre-bound closure that executes ``count`` consecutive thermal steps
+    pre-bound runner that executes ``count`` consecutive thermal steps
     (workload sample, power evaluation, solver step, accounting) inside
-    the engine's own frame.  Drivers treat it like any other request:
-    :func:`repro.sim.contract.service_request` dispatches on the type
-    and calls :meth:`run` once instead of stepping the solver directly.
+    the engine: ``runner(count, *args)``.  Drivers treat it like any
+    other request: :func:`repro.sim.contract.service_request`
+    dispatches on the type and calls :meth:`run` once instead of
+    stepping the solver directly.
 
-    The closure returns the solver's state vector after the final step
+    The runner returns the solver's state vector after the final step
     (the same object a plain step request would have produced), so
     driver-side plumbing that inspects the reply keeps working.
     """
 
-    __slots__ = ("runner", "count")
+    __slots__ = ("runner", "count", "args")
 
-    def __init__(self, runner: Callable[[int], object], count: int):
+    def __init__(self, runner: Callable[..., object], count: int, *args):
         self.runner = runner
         self.count = count
+        self.args = args
 
     def run(self, solver: object) -> object:
         """Execute the span against ``solver`` and return its state."""
-        return self.runner(self.count)
+        return self.runner(self.count, *self.args)
 
 
 def next_phase_run(
@@ -118,3 +173,419 @@ def commit_phase_run(models: Sequence, steps: int) -> None:
     sized to every model."""
     for model in models:
         model.commit(steps)
+
+
+class ChipStep:
+    """The per-run chip-step stage both engines compose.
+
+    Built once per run over the engine's thermal ``network`` from the
+    ``initial`` node temperatures.  The engine moves the operating
+    point with :meth:`set_voltage` and reads the run's clock and
+    statistics back from the public attributes.  An engine's *commit*
+    stage has the signature ``commit(samples, dt, power_sum) -> stop``
+    (``samples`` holds one ``(instructions, acts)`` pair per core, as
+    :func:`next_phase_run` returns them) and must call :meth:`account`
+    once; its *scatter* stage maps ``samples`` to the chip activity
+    vector.  ``fuse`` is the engine's own condition for fused spans;
+    the fault plan and ``raise_on_violation`` veto it here.
+    """
+
+    def __init__(
+        self,
+        network,
+        initial: np.ndarray,
+        power,
+        sensors,
+        thresholds,
+        config,
+        seed: int,
+        settle_time_s: float,
+        fuse: bool,
+    ):
+        self.solver = make_transient_solver(
+            network, np.array(initial, dtype=float, copy=True),
+            config.thermal_stepper,
+        )
+        self.block_names = block_names = network.block_names
+        self.node_idx = node_idx = network.block_node_indices
+        n_blocks = len(block_names)
+        # Reused buffers: block temperatures are gathered with
+        # np.take(..., out=) and the node power vector is overwritten in
+        # place, so the steady-state loop allocates no per-step arrays.
+        self.block_temps = np.empty(n_blocks)
+        self.solver.temperatures.take(node_idx, out=self.block_temps)
+        self.power_buffer = np.zeros(network.size)
+        self._zero_acts = np.zeros(n_blocks)
+        # Fused-span power buffers: a phase run's dynamic part, a step's
+        # leakage and their sum.
+        self._dyn_w = np.empty(n_blocks)
+        self._leak_w = np.empty(n_blocks)
+        self._span_w = np.empty(n_blocks)
+        self._cycles = config.thermal_step_cycles
+
+        tech = power.technology
+        self.nominal_v = self.voltage = tech.vdd_nominal
+        self.frequency = tech.frequency_nominal
+        self._vf_frequency = power.vf_curve.frequency
+        self._low_v = self.nominal_v - 1e-12
+        self._trigger_c = thresholds.trigger_c
+        self._emergency_c = thresholds.emergency_c
+        self._raise_on_violation = config.raise_on_violation
+        self._settle_s = settle_time_s
+
+        # Deterministic solver-corruption fault: poison the power vector
+        # at one configured execution step so the solver's numerical
+        # guards (and the sweep supervisor above) are exercised end to
+        # end.  Counts execution steps only (stall sub-steps excluded),
+        # like the plan documents.
+        plan = targeted(config.fault_plan, seed)
+        self.fault_step = plan.corrupt_power_at_step if plan else None
+        self._poison = plan.poison if plan else 0.0
+        # Runs that must surface every step (injected solver faults,
+        # raise_on_violation, and whatever the engine excludes) keep
+        # the per-step path.
+        self.fuse = (
+            fuse and not self._raise_on_violation and self.fault_step is None
+        )
+
+        # Bound methods hoisted out of the loop: at ~10 us of work per
+        # thermal step, repeated attribute lookups are a measurable
+        # fraction of the whole run.
+        self._sensors = sensors
+        self._sensors_due = sensors.due
+        self._power_vector = power.block_powers_vector
+        self._dynamic_w = power.dynamic_vector_w
+        self._leakage_coefficients = power.leakage_coefficients
+        # Vectorized sensor sampling reads the whole array with a few
+        # NumPy ops straight from the block-temperature buffer, bit-
+        # identical to per-sensor scalar reads.  Faulted arrays (and
+        # injected arrays in a different block order) keep the scalar
+        # path with its per-sensor fault handling.
+        self.vector_sensors = sensors.vector_eligible and tuple(
+            sensors.block_names
+        ) == tuple(block_names)
+        self._sample_vector = (
+            sensors.sample_vector if self.vector_sensors else None
+        )
+        self._sample = sensors.sample
+        self._timing = step_timing_enabled()
+        if self._timing:
+            self._sample = _timed("sense", self._sample)
+            if self._sample_vector is not None:
+                self._sample_vector = _timed("sense", self._sample_vector)
+            self._power_vector = _timed("power", self._power_vector)
+            self._dynamic_w = _timed("power", self._dynamic_w)
+        # Progress heartbeat: the publisher (if a supervisor registered
+        # one) is captured once per run; publishing reads counters
+        # only, so results stay bit-identical either way.
+        publisher = obs_heartbeat.active()
+        self.heartbeat = publisher.publish if publisher is not None else None
+
+        self.time_s = 0.0
+        self.measuring = settle_time_s == 0.0
+        self.measure_start_s = 0.0
+        self.max_temp = -1e9
+        self.hottest_block = block_names[0]
+        self.violations = 0
+        self.above_trigger = False
+        self.above_trigger_s = 0.0
+        self.trigger_crossings = 0
+        self.low_time_s = 0.0
+        self.energy_j = 0.0
+        self.stall_s = 0.0
+        self.exec_steps = 0
+        self.sensor_samples = 0
+        self.kernel_spans = 0
+        self.kernel_steps = 0
+
+    @property
+    def measured_s(self) -> float:
+        """Simulated time inside the measured window so far."""
+        return self.time_s - self.measure_start_s if self.measuring else 0.0
+
+    def set_voltage(self, voltage: float) -> None:
+        """Move the chip to ``voltage`` and its V/f-curve frequency."""
+        self.voltage = voltage
+        self.frequency = self._vf_frequency(voltage)
+
+    # --- sensing ------------------------------------------------------------
+
+    def sample_due(self) -> bool:
+        """True (and counted) when the sensors sample at this time."""
+        if self._sensors_due(self.time_s):
+            self.sensor_samples += 1
+            return True
+        return False
+
+    def read_sensors(self):
+        """One sensor read of the current block temperatures."""
+        if self._sample_vector is not None:
+            return self._sample_vector(self.block_temps, self.time_s)
+        temps = self.block_temps
+        return self._sample(
+            {name: float(temps[i]) for i, name in enumerate(self.block_names)},
+            self.time_s,
+        )
+
+    def steps_to_sample(self, dt: float) -> int:
+        """Steps of ``dt`` that end strictly before the next sample."""
+        return math.ceil(
+            (self._sensors.next_due_s - 1e-12 - self.time_s) / dt
+        )
+
+    # --- stepping -----------------------------------------------------------
+
+    def power(self, acts: np.ndarray, clock_gate=1.0) -> float:
+        """Evaluate the block power at the operating point into the
+        node power buffer and return its block total."""
+        blocks_w = self._power_vector(
+            acts, self.voltage, self.frequency, self.block_temps, clock_gate,
+            check=False,
+        )
+        self.power_buffer[self.node_idx] = blocks_w
+        return float(_sum_reduce(blocks_w))
+
+    def dense_step(self, acts: np.ndarray, clock_gate, dt: float):
+        """One execution step through the contract (a sub-generator:
+        ``power_sum = yield from chip.dense_step(...)``).
+
+        Evaluates the power, applies the fault plan's poisoning to a
+        copy (the shared buffer must stay clean for any post-recovery
+        steps) and gathers the stepped block temperatures.  Returns the
+        block power total.
+        """
+        power_sum = self.power(acts, clock_gate)
+        power = self.power_buffer
+        if self.exec_steps == self.fault_step:
+            power = np.array(power, dtype=float, copy=True)
+            power[0] = self._poison
+        self.exec_steps += 1
+        stepped = yield (self.solver, power, dt, 1)
+        stepped.take(self.node_idx, out=self.block_temps)
+        return power_sum
+
+    def stall(self, dt_sub: float):
+        """Advance the thermal state through a stall window (a DVS
+        switch, a migration flush, a core hop) at idle power -- zero
+        switching activity at the current operating point -- with full
+        accounting inside the measured window.  A sub-generator, like
+        :meth:`dense_step`.  A stall never ends the settle lead-in."""
+        power_sum = self.power(self._zero_acts)
+        stepped = yield (self.solver, self.power_buffer, dt_sub, 1)
+        stepped.take(self.node_idx, out=self.block_temps)
+        if self.measuring:
+            self.stall_s += dt_sub
+            self.account(dt_sub, power_sum)
+        else:
+            self.time_s += dt_sub
+
+    def fused_span(self, dt: float, *args):
+        """Yield the steps up to the next sensor sample as one
+        :class:`DenseSpanTask` (a sub-generator; nothing when fewer
+        than two steps remain).  ``args`` are :meth:`run_span`'s."""
+        k = self.steps_to_sample(dt)
+        if k >= 2:
+            task = DenseSpanTask(self.run_span, k, dt, *args)
+            yield (self.solver, task, dt, k)
+
+    def run_span(
+        self,
+        count: int,
+        dt: float,
+        models: Sequence,
+        actuations: Sequence,
+        clock_gate,
+        scatter: Callable,
+        commit: Callable,
+    ):
+        """Execute up to ``count`` fused dense steps, stopping early
+        when ``commit`` returns true.
+
+        Per phase run: the samples, ``scatter`` and the dynamic power
+        once; per step: the leakage, the power scatter, the solver step
+        and ``commit`` -- the per-step path's float operations on the
+        same buffers in the same order, minus the events that cannot
+        occur before the next sensor sample (sensing, policy updates,
+        actuation rebuilds, voltage switches, migration transitions).
+        """
+        block_temps = self.block_temps
+        power_buffer = self.power_buffer
+        node_idx = self.node_idx
+        dyn_w, leak_w, span_w = self._dyn_w, self._leak_w, self._span_w
+        subtract = np.subtract
+        multiply = np.multiply
+        exp = np.exp
+        add = np.add
+        sum_reduce = _sum_reduce
+        dynamic_w = self._dynamic_w
+        voltage, frequency = self.voltage, self.frequency
+        cycles = self._cycles
+        span_step = self.solver.span_stepper(power_buffer, dt)
+        if self._timing:
+            span_step = _timed("thermal", span_step)
+        ref_c, beta, leak_scale, leak_ref = self._leakage_coefficients(
+            voltage, frequency
+        )
+        first_step = steps = self.exec_steps
+        stop = False
+        left = count
+        while left:
+            n, samples, sized = next_phase_run(models, actuations, cycles, left)
+            dynamic_w(scatter(samples), voltage, frequency, clock_gate, dyn_w)
+            run_start = steps
+            for _ in range(n):
+                # block_powers_vector's leakage half, inline.
+                subtract(block_temps, ref_c, out=leak_w)
+                multiply(leak_w, beta, out=leak_w)
+                exp(leak_w, out=leak_w)
+                multiply(leak_w, leak_scale, out=leak_w)
+                multiply(leak_w, leak_ref, out=leak_w)
+                add(dyn_w, leak_w, out=span_w)
+                power_buffer[node_idx] = span_w
+                power_sum = float(sum_reduce(span_w))
+                steps += 1
+                stepped = span_step()
+                stepped.take(node_idx, out=block_temps)
+                if commit(samples, dt, power_sum):
+                    stop = True
+                    break
+            if sized:
+                commit_phase_run(models, steps - run_start)
+            if stop:
+                break
+            left -= n
+        self.exec_steps = steps
+        self.kernel_spans += 1
+        self.kernel_steps += steps - first_step
+        return stepped
+
+    # --- accounting ---------------------------------------------------------
+
+    def account(self, dt: float, power_sum_w: float) -> None:
+        """Advance the clock by one execution step (or a stall inside
+        the measured window) and account it.
+
+        Before the measured window starts this only ends the settle
+        lead-in once the clock reaches it.  Inside it: the maximum and
+        hottest block, emergency violations (raised at the step's *end*
+        time under ``raise_on_violation``), trigger crossings and time
+        above the trigger, low-voltage time and energy.
+        """
+        time_s = self.time_s = self.time_s + dt
+        if not self.measuring:
+            if time_s >= self._settle_s:
+                self.measuring = True
+                self.measure_start_s = time_s
+            return
+        temps = self.block_temps
+        step_max = float(_max_reduce(temps))
+        if step_max > self.max_temp:
+            # argmax only when the maximum moved: the hottest block's
+            # identity changes rarely, its temperature every step.
+            self.max_temp = step_max
+            self.hottest_block = self.block_names[int(np.argmax(temps))]
+        if step_max > self._emergency_c:
+            self.violations += 1
+            if self._raise_on_violation:
+                raise ThermalViolationError(
+                    step_max,
+                    self._emergency_c,
+                    time_s,
+                    self.block_names[int(np.argmax(temps))],
+                )
+        if step_max > self._trigger_c:
+            self.above_trigger_s += dt
+            if not self.above_trigger:
+                self.above_trigger = True
+                self.trigger_crossings += 1
+        else:
+            self.above_trigger = False
+        if self.voltage < self._low_v:
+            self.low_time_s += dt
+        self.energy_j += power_sum_w * dt
+
+    def account_span(
+        self, span_s: float, power_sum_w: float, violations: int,
+        trigger_s: float,
+    ) -> None:
+        """:meth:`account` for a closed-form jump of ``span_s`` seconds
+        under constant ``power_sum_w``, ending at the current block
+        temperatures.
+
+        The stride proof counted the span's ``violations`` and proved
+        it either uniformly above the trigger (``trigger_s ==
+        span_s``) or uniformly at-or-below it (``trigger_s == 0``), so
+        the crossing state is exact.  A jump never straddles the end
+        of the settle lead-in.
+        """
+        self.time_s += span_s
+        if not self.measuring:
+            return
+        self.violations += violations
+        if trigger_s > 0.0:
+            self.above_trigger_s += trigger_s
+            if not self.above_trigger:
+                self.above_trigger = True
+                self.trigger_crossings += 1
+        else:
+            self.above_trigger = False
+        if self.voltage < self._low_v:
+            self.low_time_s += span_s
+        self.energy_j += power_sum_w * span_s
+        step_max = float(_max_reduce(self.block_temps))
+        if step_max > self.max_temp:
+            self.max_temp = step_max
+            self.hottest_block = self.block_names[
+                int(np.argmax(self.block_temps))
+            ]
+
+    # --- telemetry ----------------------------------------------------------
+
+    def publish(
+        self,
+        benchmark: str,
+        policy: str,
+        instructions: float,
+        elapsed_s: float,
+        counters: Dict[str, float],
+        metrics: Dict[str, float],
+        **event,
+    ) -> None:
+        """One batch publish per run when observability is on: registry
+        counters for the process view, run-context metrics for the
+        spill record the sweep report aggregates, and one
+        ``engine.run_complete`` event.  ``counters``, ``metrics`` and
+        ``event`` carry the engine's own additions."""
+        if not obs_metrics.enabled():
+            return
+        fallback = bool(self.solver.fallback_active)
+        counters = {
+            "engine.runs": 1.0,
+            "engine.exec_steps": float(self.exec_steps),
+            "engine.trigger_crossings": float(self.trigger_crossings),
+            "engine.sensor_samples": float(self.sensor_samples),
+            "engine.violations": float(self.violations),
+            "engine.kernel_spans": float(self.kernel_spans),
+            "engine.kernel_steps": float(self.kernel_steps),
+            **counters,
+        }
+        if fallback:
+            counters["thermal.fallback_runs"] = 1.0
+        registry = obs_metrics.REGISTRY
+        for name, value in counters.items():
+            registry.counter(name).inc(value)
+        obs_runctx.add_metrics(counters)
+        obs_runctx.add_metrics(
+            {"engine.above_trigger_s": self.above_trigger_s, **metrics}
+        )
+        obs_events.emit(
+            "engine.run_complete",
+            benchmark=benchmark,
+            policy=policy,
+            instructions=float(instructions),
+            elapsed_s=elapsed_s,
+            trigger_crossings=self.trigger_crossings,
+            violations=self.violations,
+            fallback_active=fallback,
+            **event,
+        )

@@ -31,6 +31,7 @@ from repro.sensors.faults import SensorFault
 from repro.sim import engine as engine_module
 from repro.sim.config import EngineConfig
 from repro.sim.faults import FaultPlan
+from repro.sim import kernel as kernel_module
 from repro.sim.kernel import DenseSpanTask
 from repro.thermal import ThermalPackage
 from repro.thermal.solver import (
@@ -191,7 +192,7 @@ class TestKernelBitIdentity:
 
     def test_short_phase_spans_split_into_runs(self, monkeypatch):
         spans = _count_spans(monkeypatch)
-        runs = _count_calls(monkeypatch, multicore_engine, "next_phase_run")
+        runs = _count_calls(monkeypatch, kernel_module, "next_phase_run")
         _run(PAIRS[1], short=True)
         assert len(runs) > 3 * len(spans)
 

@@ -19,6 +19,7 @@ from repro.multicore import (
     MultiCoreEngine,
 )
 from repro.sim.config import EngineConfig
+from repro.sim.contract import service_request
 from repro.sim.faults import FaultPlan
 from repro.workloads import build_benchmark
 
@@ -178,6 +179,34 @@ class TestViolationCounting:
         init = engine.compute_initial_temperatures()
         with pytest.raises(ThermalViolationError):
             engine.run(DURATION, initial=init, settle_time_s=SETTLE)
+
+
+    def test_violation_time_is_the_violating_step_end(self, pair):
+        # Regression: the engine accounted a step before advancing its
+        # clock, so a violation was reported at the *start* of the step
+        # whose end temperatures tripped it -- one step early.
+        thresholds = ThermalThresholds(
+            emergency_c=40.0, practical_limit_c=35.0, trigger_c=30.0
+        )
+        engine = MultiCoreEngine(
+            pair,
+            thresholds=thresholds,
+            config=EngineConfig(raise_on_violation=True),
+        )
+        steps = engine.iter_run(
+            DURATION, initial=engine.compute_initial_temperatures()
+        )
+        served = []
+        reply = None
+        with pytest.raises(ThermalViolationError) as excinfo:
+            while True:
+                request = steps.send(reply)
+                served.append(request)
+                reply = service_request(request)
+        dts = {dt for _solver, _power, dt, _count in served}
+        assert len(dts) == 1  # fixed frequency: every step is one dt
+        assert all(count == 1 for *_, count in served)
+        assert excinfo.value.time_s == len(served) * dts.pop()
 
 
 class TestInstructionConservation:

@@ -1,4 +1,4 @@
-"""Fused step kernel and event-driven stride edge cases.
+"""Fused step kernel, its shared accounting stage and stride edge cases.
 
 The fused kernel executes decision-free dense spans inside the engine's
 frame instead of yielding one request per step; its claim is
@@ -26,13 +26,17 @@ from repro.dtm import (
     NoDtmPolicy,
 )
 from repro.dtm.thresholds import ThermalThresholds
-from repro.errors import NumericalError
+from repro.errors import NumericalError, ThermalViolationError
+from repro.floorplan.alpha21364 import build_alpha21364_floorplan
+from repro.power.model import PowerModel
+from repro.sensors.array import SensorArray
 from repro.sensors.faults import SensorFault
 from repro.sim import EngineConfig, SimulationEngine
 from repro.sim import engine as engine_module
 from repro.sim.faults import FaultPlan
-from repro.sim.kernel import DenseSpanTask
+from repro.sim.kernel import ChipStep, DenseSpanTask
 from repro.thermal import ExponentialSolver
+from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.solver import _dt_key
 from repro.workloads import build_benchmark
 from repro.workloads.compiler import CompiledIntervalModel
@@ -429,3 +433,130 @@ class TestFusedSensing:
         monkeypatch.setattr(FetchGatingPolicy, "hottest_only", False)
         dict_path = _run(gcc, FetchGatingPolicy, fast_forward=False)
         _assert_bit_identical(fast, dict_path)
+
+
+class TestChipStepAccounting:
+    """The accounting stage both engines share, fed synthetic block
+    temperatures and voltages.  Every step length and power is a binary
+    fraction, so each statistic is exact."""
+
+    THRESHOLDS = ThermalThresholds(
+        trigger_c=80.0, practical_limit_c=82.0, emergency_c=85.0
+    )
+
+    @pytest.fixture(scope="class")
+    def substrate(self):
+        floorplan = build_alpha21364_floorplan()
+        return floorplan, HotSpotModel(floorplan), PowerModel(floorplan)
+
+    def _chip(self, substrate, settle_time_s=0.0, **config):
+        floorplan, hotspot, power = substrate
+        network = hotspot.network
+        return ChipStep(
+            network,
+            np.full(network.size, 60.0),
+            power,
+            SensorArray(floorplan, seed=0),
+            self.THRESHOLDS,
+            EngineConfig(**config),
+            0,
+            settle_time_s,
+            fuse=True,
+        )
+
+    @staticmethod
+    def _set(chip, hot_block, hot_c, low_voltage=False):
+        chip.block_temps[:] = 70.0
+        chip.block_temps[chip.block_names.index(hot_block)] = hot_c
+        chip.voltage = chip.nominal_v * (0.8 if low_voltage else 1.0)
+
+    def test_per_step(self, substrate):
+        chip = self._chip(substrate)
+        a, b, c = chip.block_names[:3]
+        # (hottest block, its temperature, low voltage, dt, power)
+        steps = [
+            (a, 75.0, False, 0.5, 10.0),   # below the trigger
+            (b, 81.0, True, 0.5, 20.0),    # crossing 1, low voltage
+            (b, 86.0, True, 0.25, 8.0),    # violation, still above
+            (a, 79.0, False, 0.5, 4.0),    # back below
+            (c, 82.0, False, 0.25, 16.0),  # crossing 2
+        ]
+        for block, temp, low, dt, power in steps:
+            self._set(chip, block, temp, low)
+            chip.account(dt, power)
+        assert chip.time_s == 2.0
+        assert chip.violations == 1
+        assert chip.trigger_crossings == 2
+        assert chip.above_trigger
+        assert chip.above_trigger_s == 1.0
+        assert chip.low_time_s == 0.75
+        assert chip.energy_j == 5.0 + 10.0 + 2.0 + 2.0 + 4.0
+        assert chip.max_temp == 86.0
+        assert chip.hottest_block == b
+
+    def test_jumped_spans(self, substrate):
+        chip = self._chip(substrate)
+        a, b = chip.block_names[:2]
+        self._set(chip, a, 84.0)
+        # A span proved uniformly above the trigger: trigger_s == span.
+        chip.account_span(2.0, 4.0, 3, 2.0)
+        assert (chip.trigger_crossings, chip.above_trigger_s) == (1, 2.0)
+        # Staying above: no new crossing.
+        self._set(chip, b, 83.0, low_voltage=True)
+        chip.account_span(1.0, 2.0, 0, 1.0)
+        assert (chip.trigger_crossings, chip.above_trigger_s) == (1, 3.0)
+        # Proved at or below the trigger, then above again: crossing 2.
+        self._set(chip, b, 79.0)
+        chip.account_span(0.5, 8.0, 0, 0.0)
+        assert not chip.above_trigger
+        self._set(chip, b, 81.0)
+        chip.account_span(0.25, 8.0, 1, 0.25)
+        assert chip.time_s == 3.75
+        assert chip.violations == 4
+        assert chip.trigger_crossings == 2
+        assert chip.above_trigger_s == 3.25
+        assert chip.low_time_s == 1.0
+        assert chip.energy_j == 8.0 + 2.0 + 4.0 + 2.0
+        assert chip.max_temp == 84.0
+        assert chip.hottest_block == a
+
+    def test_mixed_forms_share_the_crossing_state(self, substrate):
+        chip = self._chip(substrate)
+        a = chip.block_names[0]
+        self._set(chip, a, 81.0)
+        chip.account(0.5, 0.0)
+        chip.account_span(1.0, 0.0, 0, 1.0)
+        chip.account(0.5, 0.0)
+        assert chip.trigger_crossings == 1
+        assert chip.above_trigger_s == 2.0
+
+    def test_settle_lead_in(self, substrate):
+        # Before the measured window only the clock moves; the step
+        # that reaches the settle time opens it, a stall or a jump
+        # never does.
+        chip = self._chip(substrate, settle_time_s=1.0)
+        self._set(chip, chip.block_names[0], 90.0, low_voltage=True)
+        chip.account_span(0.5, 4.0, 2, 0.5)
+        chip.account(0.25, 4.0)
+        assert not chip.measuring
+        chip.account(0.25, 4.0)
+        assert chip.measuring and chip.measure_start_s == 1.0
+        assert chip.measured_s == 0.0
+        assert chip.violations == 0 and chip.energy_j == 0.0
+        assert chip.max_temp == -1e9
+        chip.account(0.5, 4.0)
+        assert chip.measured_s == 0.5
+        assert chip.violations == 1 and chip.low_time_s == 0.5
+
+    def test_violation_is_raised_at_the_step_end(self, substrate):
+        chip = self._chip(substrate, raise_on_violation=True)
+        a, b = chip.block_names[:2]
+        self._set(chip, a, 84.0)
+        chip.account(0.5, 1.0)
+        self._set(chip, b, 85.5)
+        with pytest.raises(ThermalViolationError) as excinfo:
+            chip.account(0.25, 1.0)
+        error = excinfo.value
+        assert error.time_s == 0.75 == chip.time_s
+        assert (error.block, error.temperature_c) == (b, 85.5)
+        assert chip.violations == 1
