@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -322,17 +323,25 @@ class MultiCoreEngine(SimEngine):
         state -- likely thermal runaway -- is used anyway but loudly:
         a warning, a structured event and an engine event all fire.
         """
-        activities = self._chip_activities(
-            [average_activities(w) for w in self._workloads]
-        )
-        vector, converged, iterations = leakage_fixed_point(
-            lambda temps: self._power.block_powers(
+        # The run's scatter on each workload's average activity.
+        names = self._block_names
+        samples = [
+            (0.0, np.array([avg.get(b, 0.0) for b in _WORKLOAD_BLOCK_ORDER]))
+            for avg in map(average_activities, self._workloads)
+        ]
+        activities = self._scatter(np.zeros(len(names)), samples)
+
+        def block_powers(temps: Dict[str, float]) -> Dict[str, float]:
+            powers = self._power.block_powers_vector(
                 activities,
                 self._tech.vdd_nominal,
                 self._tech.frequency_nominal,
-                temps,
-            ),
-            self._hotspot,
+                np.array([temps[name] for name in names]),
+            )
+            return dict(zip(names, powers.tolist()))
+
+        vector, converged, iterations = leakage_fixed_point(
+            block_powers, self._hotspot
         )
         if not converged:
             message = (
@@ -350,21 +359,18 @@ class MultiCoreEngine(SimEngine):
             self._emit("warmup.nonconverged", 0.0, iterations=iterations)
         return vector
 
-    def _chip_activities(
-        self, per_core: Sequence[Dict[str, float]]
-    ) -> Dict[str, float]:
-        """Map two base-named activity dicts onto the dual-core blocks."""
-        chip: Dict[str, float] = {}
-        for core, acts in zip(CORE_INSTANCES, per_core):
-            for base in CORE_BLOCKS:
-                chip[core_block(base, core)] = acts.get(base, 0.0)
-        # The shared L2 banks see both cores' traffic.
-        l2_demand = min(
-            1.0, sum(acts.get("L2", 0.0) for acts in per_core)
-        )
-        for bank in _L2_BANKS:
-            chip[bank] = l2_demand
-        return chip
+    def _scatter(self, chip_acts: np.ndarray, samples) -> np.ndarray:
+        """Scatter both cores' activity vectors (in
+        _WORKLOAD_BLOCK_ORDER) into ``chip_acts``, in chip block order;
+        the shared L2 banks see the sum of both cores' L2 demand,
+        min-clamped to 1."""
+        l2_slot = len(CORE_BLOCKS)  # L2 demand index in a workload vector
+        l2_demand = 0.0
+        for pos, (_, acts) in zip(self._core_pos, samples):
+            chip_acts[pos] = acts[:l2_slot]
+            l2_demand += acts[l2_slot]
+        chip_acts[self._l2_pos] = min(1.0, l2_demand)
+        return chip_acts
 
     # --- main loop ---------------------------------------------------------------
 
@@ -408,10 +414,7 @@ class MultiCoreEngine(SimEngine):
             settle_time_s,
             fuse=sim_engine._FUSE_DENSE_SPANS,
         )
-        account = chip.account
-        core_pos = self._core_pos
-        l2_pos = self._l2_pos
-        l2_slot = len(CORE_BLOCKS)  # L2 demand index in a workload vector
+        account_steps = chip.account_steps
 
         perf = [
             CompiledIntervalModel(
@@ -441,43 +444,44 @@ class MultiCoreEngine(SimEngine):
         hop_stall = self._hop_stall_s
         sampling_period_s = self._sensors.sampling_period_s
         f_nominal = self._tech.frequency_nominal
-        chip_acts = np.zeros(len(self._block_names))
+        scatter = partial(self._scatter, np.zeros(len(self._block_names)))
         # Per-core actuation reuse while the command and frequency hold.
         actuations: List[Optional[DtmActuation]] = [None, None]
         actuation_cmds = [None, None]
         actuation_f_rel = -1.0
 
-        def scatter(samples) -> np.ndarray:
-            """Scatter both cores' activity vectors (in
-            _WORKLOAD_BLOCK_ORDER) into chip block order; the shared L2
-            banks see the sum of both cores' L2 demand, min-clamped
-            to 1."""
-            l2_demand = 0.0
-            for pos, (_, acts) in zip(core_pos, samples):
-                chip_acts[pos] = acts[:l2_slot]
-                l2_demand += acts[l2_slot]
-            chip_acts[l2_pos] = min(1.0, l2_demand)
-            return chip_acts
-
-        def commit(samples, dt: float, power_sum: float) -> bool:
-            """Per-core commit of one execution step, per-step and fused
-            alike: inside the measured window each workload's
-            instructions and each core's gating time, then the chip
-            accounting.  True once the measured window is full."""
-            if chip.measuring:
-                # Unrolled over the two cores: this runs every fused step.
+        def commit(samples, dt: float, sums, rows) -> bool:
+            """Per-core commit of a run of execution steps (one step on
+            the per-step path): the chip accounting, then, for each
+            step that began inside the measured window, each workload's
+            instructions and each core's gating time, in per-step
+            order.  True once the measured window is full."""
+            measured = account_steps(dt, sums, rows)
+            if measured:
+                # Unrolled over the two cores.
                 (instr0, _), (instr1, _) = samples
                 workload0, workload1 = assignment
-                cmd0, cmd1 = commands
-                instructions[workload0] += instr0
-                instructions[workload1] += instr1
-                gating_weighted[0] += cmd0.gating_fraction * dt
-                gating_weighted[1] += cmd1.gating_fraction * dt
-            account(dt, power_sum)
+                gating0 = commands[0].gating_fraction * dt
+                gating1 = commands[1].gating_fraction * dt
+                total0 = instructions[workload0]
+                total1 = instructions[workload1]
+                weighted0, weighted1 = gating_weighted
+                for _ in range(measured):
+                    total0 += instr0
+                    total1 += instr1
+                    weighted0 += gating0
+                    weighted1 += gating1
+                instructions[workload0] = total0
+                instructions[workload1] = total1
+                gating_weighted[:] = weighted0, weighted1
             return (
                 chip.measuring
                 and chip.time_s - chip.measure_start_s >= duration_s
             )
+
+        def limit(samples, dt: float, n: int) -> int:
+            """The steps of a fused run up to the duration exit."""
+            return chip.steps_within(dt, n, duration_s)
 
         while chip.measured_s < duration_s:
             # --- sensing, policy, hopping ----------------------------------
@@ -554,7 +558,7 @@ class MultiCoreEngine(SimEngine):
                 )
                 samples.append((sample.instructions, sample.acts))
             power_sum = yield from chip.dense_step(scatter(samples), 1.0, dt)
-            commit(samples, dt, power_sum)
+            commit(samples, dt, (power_sum,), chip.step_row)
 
             # --- fused dense span ------------------------------------------
             # No decision can fire before the next sensor sample, so the
@@ -567,6 +571,7 @@ class MultiCoreEngine(SimEngine):
                     actuations,
                     1.0,
                     scatter,
+                    limit,
                     commit,
                 )
 

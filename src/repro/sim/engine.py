@@ -351,7 +351,7 @@ class SimulationEngine(SimEngine):
         )
         solver = chip.solver
         block_temps = chip.block_temps
-        account = chip.account
+        account_steps = chip.account_steps
         self._policy.reset()
         self._emit(
             "run.start",
@@ -445,7 +445,7 @@ class SimulationEngine(SimEngine):
         planner = (
             StridePlanner(
                 solver,
-                chip.node_idx,
+                self._hotspot.network.block_node_indices,
                 self._power,
                 self._config.stride_drift_tol_w,
                 self._thresholds.trigger_c,
@@ -493,12 +493,15 @@ class SimulationEngine(SimEngine):
             act_vec[ti] = min(1.0, act_vec[ti] + moved)
             return act_vec
 
-        def commit(samples, dt: float, power_sum: float) -> bool:
-            """Budget accounting of one execution step, per-step and
-            fused alike: the no-progress guard, the committed
-            instructions (the final step interpolated for exact elapsed
-            time), the chip accounting, gating and engaged time.  True
-            once the budget is spent."""
+        def commit(samples, dt: float, sums, rows) -> bool:
+            """Budget accounting of a run of execution steps (one step
+            on the per-step path), per step as the per-step path does:
+            the no-progress guard, the committed instructions (the
+            final step interpolated for exact elapsed time), the chip
+            accounting, gating and engaged time.  A run of several
+            steps lies inside the measured window (fused spans start
+            there) and commits a positive, constant instruction count
+            per step.  True once the budget is spent."""
             nonlocal done, cycles_f, no_progress_steps
             nonlocal gating_time_weighted, engaged_s
             ((step_instr, _),) = samples
@@ -518,8 +521,14 @@ class SimulationEngine(SimEngine):
             else:
                 no_progress_steps = 0
             if not chip.measuring:
-                account(dt, power_sum)
+                account_steps(dt, sums, rows)
                 return False
+            # limit() ends a fused run at its final step, so every step
+            # before the last commits its instructions in full.
+            full = len(sums) - 1
+            for _ in range(full):
+                cycles_f += step_cycles
+                done += step_instr
             remaining = instructions - done
             if step_instr <= 0.0:
                 dt_measured = dt
@@ -533,11 +542,34 @@ class SimulationEngine(SimEngine):
                 dt_measured = dt
                 cycles_f += step_cycles
                 done += step_instr
-            account(dt_measured, power_sum)
+            if dt_measured == dt:
+                account_steps(dt, sums, rows)
+            else:
+                if full:
+                    account_steps(dt, sums[:full], rows[:full])
+                account_steps(dt_measured, sums[full:], rows[full:])
+            gating_dt = command.gating_fraction * dt
+            for _ in range(full):
+                gating_time_weighted += gating_dt
+                if cmd_active:
+                    engaged_s += dt
             gating_time_weighted += command.gating_fraction * dt_measured
             if cmd_active:
                 engaged_s += dt_measured
             return done >= instructions
+
+        def limit(samples, dt: float, n: int) -> int:
+            """The steps of a fused run up to the one that spends the
+            budget: :func:`commit`'s sequential replay."""
+            ((step_instr, _),) = samples
+            spent = done
+            for i in range(n):
+                if step_instr >= instructions - spent:
+                    return i + 1
+                spent += step_instr
+                if spent >= instructions:
+                    return i + 1
+            return n
 
         while done < instructions:
             # --- sensing and policy -------------------------------------------
@@ -640,7 +672,7 @@ class SimulationEngine(SimEngine):
             step_acts = scatter(samples)
             power_sum = yield from chip.dense_step(step_acts, clock_gate, dt)
             settling = not chip.measuring
-            commit(samples, dt, power_sum)
+            commit(samples, dt, (power_sum,), chip.step_row)
             if settling and chip.measuring:
                 # Measure the same instruction window for every
                 # technique (the paper's fixed SimPoint sample): the
@@ -736,7 +768,7 @@ class SimulationEngine(SimEngine):
                         per_step_instr = perf.fast_forward(
                             step_cycles, actuation, k_i
                         )
-                        stepped.take(chip.node_idx, out=block_temps)
+                        chip.gather(stepped)
                         chip.account_span(
                             seg_s, power_sum, task.violations, task.trigger_s
                         )
@@ -765,7 +797,8 @@ class SimulationEngine(SimEngine):
                 and done < instructions
             ):
                 yield from chip.fused_span(
-                    dt, (perf,), (actuation,), clock_gate, scatter, commit
+                    dt, (perf,), (actuation,), clock_gate, scatter, limit,
+                    commit,
                 )
 
         elapsed_s = chip.measured_s

@@ -19,9 +19,7 @@ and operating point are frozen until the next sample -- so the
 per-step generator round-trip, request tuple and driver dispatch are
 pure overhead.  The kernel lowers such a decision-free span into a
 single :class:`DenseSpanTask` request that :meth:`ChipStep.run_span`
-executes without leaving the engine.  Inside a span the solver advances
-through ``span_stepper(power, dt)``, which validates the step and looks
-up its operator once per span while health-checking every step.
+executes without leaving the engine.
 
 A span body iterates over *phase runs*, not single steps.  Power is a
 per-interval average and DTM acts only at sensor samples, so within a
@@ -30,31 +28,49 @@ crosses a phase boundary: between boundaries every step commits the
 same instructions with the same cached activity vector.
 :func:`next_phase_run` sizes the run every core shares
 (:meth:`~repro.workloads.compiler.CompiledIntervalModel.phase_run`),
-the span evaluates the run's dynamic power once
-(:meth:`~repro.power.model.PowerModel.dynamic_vector_w`), and each step
-of the run computes only the temperature-dependent leakage -- the five
-ufuncs of :meth:`~repro.power.model.PowerModel.leakage_vector_w`,
-inline, on the operands :meth:`~repro.power.model.PowerModel.
-leakage_coefficients` returns once per span -- followed by the solver
-step and the engine's commit.  :func:`commit_phase_run` then applies
-the steps the run took to every model.  A core at a phase boundary
-sends that one step through ``advance()`` as before.
+the engine's *limit* stage cuts it at the engine's stop (the
+instruction budget, the measured duration), and the span evaluates the
+run's dynamic power once
+(:meth:`~repro.power.model.PowerModel.dynamic_vector_w`).  Each step
+of the run then does only the float work that cannot be hoisted: the
+five leakage ufuncs of :meth:`~repro.power.model.PowerModel.
+leakage_vector_w` on the previous step's block temperatures, the
+dynamic + leakage add written straight into the block prefix of the
+node power row, the two propagator matvecs and their ``+=``
+(:meth:`~repro.thermal.solver.ExponentialSolver.span_operators`), and
+the health test.  Node states and power rows live in per-run history
+buffers; the die blocks are the node prefix
+(:class:`~repro.thermal.rc_model.ThermalNetwork` checks it), so block
+temperatures and block powers are prefix views of those rows, not
+gathered or scattered copies.
+
+The run is accounted once: its step maxima and power sums are two row
+reductions, and the engine's *commit* stage (:meth:`ChipStep.
+account_steps` plus the engine's own instructions and gating time)
+replays the per-step scalar updates over them in one pass;
+:func:`commit_phase_run` then applies the steps the run took to every
+model.  A core at a phase boundary sends that one step through
+``advance()`` as before.  Backward-Euler runs (``thermal_stepper="be"``)
+take the per-step path: their step is a different operator.
 
 Bit-identity with per-step dispatch is by construction: the kernel runs
-the same float operations on the same buffers in the same order as the
-per-step path -- the dynamic/leakage split and the sequential
-phase-run replay are both exact.  ``TestKernelBitIdentity`` in
-``tests/sim/test_step_kernel.py`` and ``tests/multicore/test_kernel.py``
-pins the two paths equal across the nine single-core benchmark
-scenarios, the A9 dual-core grid and short-phase workloads whose
-boundaries fall inside spans.
+the same float operations on the same operands in the same order as the
+per-step path -- the dynamic/leakage split, the row reductions and the
+sequential phase-run, clock and budget replays are all exact, and a
+step that fails the health test goes through the solver's own check and
+backward-Euler recovery (:meth:`~repro.thermal.solver.ExponentialSolver.
+guard`).  ``TestKernelBitIdentity`` in ``tests/sim/test_step_kernel.py``
+and ``tests/multicore/test_kernel.py`` pins the two paths equal across
+the nine single-core benchmark scenarios, the A9 dual-core grid and
+short-phase workloads whose boundaries fall inside spans;
+``tests/sim/test_fused_differential.py`` draws the stops at random.
 """
 
 from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,13 +81,28 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.obs import trace as obs_trace
 from repro.sim.faults import targeted
-from repro.thermal.solver import make_transient_solver
+from repro.thermal.solver import (
+    DIVERGENCE_LIMIT_C,
+    ExponentialSolver,
+    make_transient_solver,
+)
 
-# The per-step reductions call the ufunc methods directly: the same
-# reductions as ``.max()``/``.sum()`` (bit-identical), minus the Python
-# wrapper frames.
+# The reductions call the ufunc methods directly: the same reductions
+# as ``.max()``/``.sum()`` (bit-identical), minus the Python wrapper
+# frames.  Over the rows of a run (``axis=1``) each row reduces exactly
+# as the 1-D block vector of a lone step does.
 _max_reduce = np.maximum.reduce
 _sum_reduce = np.add.reduce
+
+# The fast half of the solver's health test (``_healthy``): a sum of
+# squares below the squared limit proves every node healthy, whatever
+# the summation order.
+_HEALTHY_SQ = DIVERGENCE_LIMIT_C * DIVERGENCE_LIMIT_C
+
+_MAX_RUN = 1024
+"""Most steps a fused phase run takes at once: bounds the history
+buffers when sensor samples are far apart (a longer run is stepped as
+several)."""
 
 __all__ = [
     "ChipStep",
@@ -113,9 +144,9 @@ class DenseSpanTask:
     """A fused dense span, shipped through the engine contract.
 
     Engines yield ``(solver, task, dt, count)`` where ``task`` carries a
-    pre-bound runner that executes ``count`` consecutive thermal steps
-    (workload sample, power evaluation, solver step, accounting) inside
-    the engine: ``runner(count, *args)``.  Drivers treat it like any
+    pre-bound runner that executes up to ``count`` consecutive thermal
+    steps (workload sample, power evaluation, solver step, accounting)
+    inside the engine: ``runner(count, *args)``.  Drivers treat it like any
     other request: :func:`repro.sim.contract.service_request`
     dispatches on the type and calls :meth:`run` once instead of
     stepping the solver directly.
@@ -181,13 +212,26 @@ class ChipStep:
     Built once per run over the engine's thermal ``network`` from the
     ``initial`` node temperatures.  The engine moves the operating
     point with :meth:`set_voltage` and reads the run's clock and
-    statistics back from the public attributes.  An engine's *commit*
-    stage has the signature ``commit(samples, dt, power_sum) -> stop``
-    (``samples`` holds one ``(instructions, acts)`` pair per core, as
-    :func:`next_phase_run` returns them) and must call :meth:`account`
-    once; its *scatter* stage maps ``samples`` to the chip activity
-    vector.  ``fuse`` is the engine's own condition for fused spans;
-    the fault plan and ``raise_on_violation`` veto it here.
+    statistics back from the public attributes.  An engine's stages,
+    over ``samples`` (one ``(instructions, acts)`` pair per core, as
+    :func:`next_phase_run` returns them):
+
+    * *scatter* ``scatter(samples)`` maps them to the chip activity
+      vector;
+    * *commit* ``commit(samples, dt, sums, rows) -> stop`` accounts a
+      run of ``len(sums)`` steps of ``dt`` -- one step on the per-step
+      path -- that ended at the block temperatures ``rows`` (a 2-D
+      array, one row per step; :attr:`step_row` for a lone step)
+      under the block power totals ``sums``, through
+      :meth:`account_steps` (one call per step length: an interpolated
+      final step is its own call);
+    * *limit* ``limit(samples, dt, n) -> k`` cuts a fused run of ``n``
+      steps at the engine's stop: the run takes ``k <= n`` steps and,
+      when the stop falls inside it, the stopping step is the last.
+
+    ``fuse`` is the engine's own condition for fused spans; the fault
+    plan, ``raise_on_violation`` and the backward-Euler stepper veto
+    it here.
     """
 
     def __init__(
@@ -207,20 +251,27 @@ class ChipStep:
             config.thermal_stepper,
         )
         self.block_names = block_names = network.block_names
-        self.node_idx = node_idx = network.block_node_indices
-        n_blocks = len(block_names)
-        # Reused buffers: block temperatures are gathered with
-        # np.take(..., out=) and the node power vector is overwritten in
-        # place, so the steady-state loop allocates no per-step arrays.
-        self.block_temps = np.empty(n_blocks)
-        self.solver.temperatures.take(node_idx, out=self.block_temps)
+        self._n_blocks = n_blocks = len(block_names)
+        # Reused buffers.  The die blocks are the network's first nodes,
+        # so block temperatures are copied out of the node prefix and
+        # block power is written into the prefix of the node power
+        # vector (whose package entries stay zero): the steady-state
+        # loop allocates no per-step array buffers.
+        self.block_temps = self.solver.temperatures[:n_blocks].copy()
+        #: :attr:`block_temps` as a one-row history: a lone step's
+        #: ``rows`` for the engine's commit stage.
+        self.step_row = self.block_temps[np.newaxis]
         self.power_buffer = np.zeros(network.size)
+        self._power_blocks = self.power_buffer[:n_blocks]
         self._zero_acts = np.zeros(n_blocks)
-        # Fused-span power buffers: a phase run's dynamic part, a step's
-        # leakage and their sum.
+        # Fused-span buffers: a phase run's dynamic power, a step's
+        # leakage, the propagator scratch and the run histories (node
+        # states and node power rows, built on the first span).
         self._dyn_w = np.empty(n_blocks)
         self._leak_w = np.empty(n_blocks)
-        self._span_w = np.empty(n_blocks)
+        self._scratch = np.empty(network.size)
+        self._states: Optional[np.ndarray] = None
+        self._powers: Optional[np.ndarray] = None
         self._cycles = config.thermal_step_cycles
 
         tech = power.technology
@@ -243,9 +294,13 @@ class ChipStep:
         self._poison = plan.poison if plan else 0.0
         # Runs that must surface every step (injected solver faults,
         # raise_on_violation, and whatever the engine excludes) keep
-        # the per-step path.
+        # the per-step path, as do backward-Euler runs: the fused loop
+        # applies the exponential propagator.
         self.fuse = (
-            fuse and not self._raise_on_violation and self.fault_step is None
+            fuse
+            and not self._raise_on_violation
+            and self.fault_step is None
+            and isinstance(self.solver, ExponentialSolver)
         )
 
         # Bound methods hoisted out of the loop: at ~10 us of work per
@@ -342,8 +397,12 @@ class ChipStep:
             acts, self.voltage, self.frequency, self.block_temps, clock_gate,
             check=False,
         )
-        self.power_buffer[self.node_idx] = blocks_w
+        self._power_blocks[...] = blocks_w
         return float(_sum_reduce(blocks_w))
+
+    def gather(self, stepped: np.ndarray) -> None:
+        """Copy the block temperatures out of a stepped node vector."""
+        self.block_temps[...] = stepped[: self._n_blocks]
 
     def dense_step(self, acts: np.ndarray, clock_gate, dt: float):
         """One execution step through the contract (a sub-generator:
@@ -360,8 +419,7 @@ class ChipStep:
             power = np.array(power, dtype=float, copy=True)
             power[0] = self._poison
         self.exec_steps += 1
-        stepped = yield (self.solver, power, dt, 1)
-        stepped.take(self.node_idx, out=self.block_temps)
+        self.gather((yield (self.solver, power, dt, 1)))
         return power_sum
 
     def stall(self, dt_sub: float):
@@ -371,8 +429,7 @@ class ChipStep:
         accounting inside the measured window.  A sub-generator, like
         :meth:`dense_step`.  A stall never ends the settle lead-in."""
         power_sum = self.power(self._zero_acts)
-        stepped = yield (self.solver, self.power_buffer, dt_sub, 1)
-        stepped.take(self.node_idx, out=self.block_temps)
+        self.gather((yield (self.solver, self.power_buffer, dt_sub, 1)))
         if self.measuring:
             self.stall_s += dt_sub
             self.account(dt_sub, power_sum)
@@ -388,6 +445,21 @@ class ChipStep:
             task = DenseSpanTask(self.run_span, k, dt, *args)
             yield (self.solver, task, dt, k)
 
+    def _histories(
+        self, rows: int, ambient: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The node-state and node-power histories, at least ``rows``
+        steps deep.  Power rows hold the node power plus the
+        ``ambient`` source; the ambient is zero on the block prefix, so
+        a step writes only that prefix and the package entries keep the
+        ambient source."""
+        states = self._states
+        if states is None or len(states) <= rows:
+            self._states = states = np.empty((rows + 1, ambient.size))
+            self._powers = np.empty((rows, ambient.size))
+            self._powers[:] = ambient
+        return states, self._powers
+
     def run_span(
         self,
         count: int,
@@ -396,113 +468,201 @@ class ChipStep:
         actuations: Sequence,
         clock_gate,
         scatter: Callable,
+        limit: Callable,
         commit: Callable,
     ):
-        """Execute up to ``count`` fused dense steps, stopping early
-        when ``commit`` returns true.
+        """Execute up to ``count`` fused dense steps, stopping at the
+        engine's stop.
 
-        Per phase run: the samples, ``scatter`` and the dynamic power
-        once; per step: the leakage, the power scatter, the solver step
-        and ``commit`` -- the per-step path's float operations on the
-        same buffers in the same order, minus the events that cannot
-        occur before the next sensor sample (sensing, policy updates,
-        actuation rebuilds, voltage switches, migration transitions).
+        Per phase run: the samples, ``limit``, ``scatter`` and the
+        dynamic power once; per step: the leakage, the node power row,
+        the propagator step and its health test, each step's state a
+        row of the node-state history; then ``commit`` over the run's
+        power sums and block-temperature rows, once.  The per-step
+        path's float operations on the same operands in the same order,
+        minus the events that cannot occur before the next sensor
+        sample (sensing, policy updates, actuation rebuilds, voltage
+        switches, migration transitions).
         """
-        block_temps = self.block_temps
-        power_buffer = self.power_buffer
-        node_idx = self.node_idx
-        dyn_w, leak_w, span_w = self._dyn_w, self._leak_w, self._span_w
+        solver = self.solver
+        a_d, b_d, ambient = solver.span_operators(dt)
+        run_cap = min(count, _MAX_RUN)
+        states, powers = self._histories(run_cap, ambient)
+        m = self._n_blocks
+        block_rows = states[:, :m]
+        power_rows = powers[:, :m]
+        states[0] = solver.temperatures
+        dyn_w, leak_w, scratch = self._dyn_w, self._leak_w, self._scratch
         subtract = np.subtract
         multiply = np.multiply
         exp = np.exp
         add = np.add
-        sum_reduce = _sum_reduce
+        a_dot, b_dot = a_d.dot, b_d.dot
         dynamic_w = self._dynamic_w
         voltage, frequency = self.voltage, self.frequency
         cycles = self._cycles
-        span_step = self.solver.span_stepper(power_buffer, dt)
-        if self._timing:
-            span_step = _timed("thermal", span_step)
         ref_c, beta, leak_scale, leak_ref = self._leakage_coefficients(
             voltage, frequency
         )
-        first_step = steps = self.exec_steps
-        stop = False
+        timing = self._timing
+        steps = 0  # steps this span has taken
+        synced = 0  # of them, the steps already on the solver's clock
         left = count
-        while left:
-            n, samples, sized = next_phase_run(models, actuations, cycles, left)
+        stop = False
+        while left and not stop:
+            n, samples, sized = next_phase_run(
+                models, actuations, cycles, min(left, run_cap)
+            )
+            n = limit(samples, dt, n)
             dynamic_w(scatter(samples), voltage, frequency, clock_gate, dyn_w)
-            run_start = steps
-            for _ in range(n):
-                # block_powers_vector's leakage half, inline.
-                subtract(block_temps, ref_c, out=leak_w)
+            if timing:
+                t0 = perf_counter()
+            prev, prev_b = states[0], block_rows[0]
+            for j, nxt, nxt_b, power, power_b in zip(
+                range(n), states[1:], block_rows[1:], powers, power_rows
+            ):
+                # block_powers_vector's leakage half, then its sum with
+                # the run's dynamic part in the node power row.
+                subtract(prev_b, ref_c, out=leak_w)
                 multiply(leak_w, beta, out=leak_w)
                 exp(leak_w, out=leak_w)
                 multiply(leak_w, leak_scale, out=leak_w)
                 multiply(leak_w, leak_ref, out=leak_w)
-                add(dyn_w, leak_w, out=span_w)
-                power_buffer[node_idx] = span_w
-                power_sum = float(sum_reduce(span_w))
-                steps += 1
-                stepped = span_step()
-                stepped.take(node_idx, out=block_temps)
-                if commit(samples, dt, power_sum):
-                    stop = True
-                    break
+                add(dyn_w, leak_w, out=power_b)
+                # The solver's step: A_d T + B_d (P + ambient).  The
+                # ndarray methods run np.dot's product without its
+                # dispatch frame.
+                a_dot(prev, out=nxt)
+                b_dot(power, out=scratch)
+                nxt += scratch
+                if not nxt.dot(nxt) < _HEALTHY_SQ:
+                    solver.adopt(prev, dt, steps + j - synced)
+                    synced = steps + j + 1
+                    self._power_blocks[...] = power_b
+                    solver.guard(nxt, prev, self.power_buffer, dt)
+                prev, prev_b = nxt, nxt_b
+            if timing:
+                obs_trace.record("step.thermal", perf_counter() - t0)
             if sized:
-                commit_phase_run(models, steps - run_start)
-            if stop:
-                break
+                commit_phase_run(models, n)
+            stop = commit(
+                samples,
+                dt,
+                _sum_reduce(power_rows[:n], axis=1).tolist(),
+                block_rows[1 : n + 1],
+            )
+            states[0] = states[n]
+            steps += n
             left -= n
-        self.exec_steps = steps
+        self.block_temps[...] = block_rows[0]
+        self.exec_steps += steps
         self.kernel_spans += 1
-        self.kernel_steps += steps - first_step
-        return stepped
+        self.kernel_steps += steps
+        return solver.adopt(states[0], dt, steps - synced)
 
     # --- accounting ---------------------------------------------------------
 
     def account(self, dt: float, power_sum_w: float) -> None:
-        """Advance the clock by one execution step (or a stall inside
-        the measured window) and account it.
+        """:meth:`account_steps` for one step (or a stall inside the
+        measured window) that ended at :attr:`block_temps`."""
+        self.account_steps(dt, (power_sum_w,), self.step_row)
 
-        Before the measured window starts this only ends the settle
-        lead-in once the clock reaches it.  Inside it: the maximum and
-        hottest block, emergency violations (raised at the step's *end*
-        time under ``raise_on_violation``), trigger crossings and time
-        above the trigger, low-voltage time and energy.
+    def account_steps(self, dt: float, sums: Sequence, rows) -> int:
+        """Advance the clock by ``len(sums)`` execution steps of ``dt``
+        and account them; step ``i`` ended at the block temperatures
+        ``rows[i]`` under the block power total ``sums[i]``.  Returns
+        how many of the steps began inside the measured window.
+
+        Step by step, as the per-step path does: before the measured
+        window only the clock moves, and the step that reaches the
+        settle time opens the window.  Inside it: the maximum and
+        hottest block, emergency violations (raised at the step's
+        *end* time under ``raise_on_violation``), trigger crossings and
+        time above the trigger, low-voltage time and energy.
         """
-        time_s = self.time_s = self.time_s + dt
+        n = len(sums)
+        time_s = self.time_s
+        first = 0
         if not self.measuring:
-            if time_s >= self._settle_s:
-                self.measuring = True
-                self.measure_start_s = time_s
-            return
-        temps = self.block_temps
-        step_max = float(_max_reduce(temps))
-        if step_max > self.max_temp:
-            # argmax only when the maximum moved: the hottest block's
-            # identity changes rarely, its temperature every step.
-            self.max_temp = step_max
-            self.hottest_block = self.block_names[int(np.argmax(temps))]
-        if step_max > self._emergency_c:
-            self.violations += 1
-            if self._raise_on_violation:
-                raise ThermalViolationError(
-                    step_max,
-                    self._emergency_c,
-                    time_s,
-                    self.block_names[int(np.argmax(temps))],
-                )
-        if step_max > self._trigger_c:
-            self.above_trigger_s += dt
-            if not self.above_trigger:
-                self.above_trigger = True
-                self.trigger_crossings += 1
-        else:
-            self.above_trigger = False
-        if self.voltage < self._low_v:
-            self.low_time_s += dt
-        self.energy_j += power_sum_w * dt
+            settle_s = self._settle_s
+            while first < n:
+                time_s += dt
+                first += 1
+                if time_s >= settle_s:
+                    self.measuring = True
+                    self.measure_start_s = time_s
+                    break
+        if first == n:
+            self.time_s = time_s
+            return 0
+        maxima = _max_reduce(rows, axis=1).tolist()
+        max_temp = self.max_temp
+        emergency_c = self._emergency_c
+        trigger_c = self._trigger_c
+        above = self.above_trigger
+        above_s = self.above_trigger_s
+        crossings = self.trigger_crossings
+        low = self.voltage < self._low_v
+        low_s = self.low_time_s
+        energy_j = self.energy_j
+        violation = None
+        for i in range(first, n):
+            time_s += dt
+            step_max = maxima[i]
+            if step_max > max_temp:
+                # argmax only when the maximum moved: the hottest
+                # block's identity changes rarely, its temperature
+                # every step.
+                max_temp = step_max
+                self.hottest_block = self.block_names[int(np.argmax(rows[i]))]
+            if step_max > emergency_c:
+                self.violations += 1
+                if self._raise_on_violation:
+                    violation = ThermalViolationError(
+                        step_max,
+                        emergency_c,
+                        time_s,
+                        self.block_names[int(np.argmax(rows[i]))],
+                    )
+                    break
+            if step_max > trigger_c:
+                above_s += dt
+                if not above:
+                    above = True
+                    crossings += 1
+            else:
+                above = False
+            if low:
+                low_s += dt
+            energy_j += sums[i] * dt
+        self.time_s = time_s
+        self.max_temp = max_temp
+        self.above_trigger = above
+        self.above_trigger_s = above_s
+        self.trigger_crossings = crossings
+        self.low_time_s = low_s
+        self.energy_j = energy_j
+        if violation is not None:
+            raise violation
+        return n - first
+
+    def steps_within(self, dt: float, n: int, duration_s: float) -> int:
+        """How many of the next ``n`` steps of ``dt`` run until the
+        measured window holds ``duration_s``: the step that fills it
+        included.  Replays :meth:`account_steps`' clock adds and its
+        settle flip."""
+        time_s = self.time_s
+        measuring = self.measuring
+        start_s = self.measure_start_s
+        for i in range(n):
+            time_s += dt
+            if measuring:
+                if time_s - start_s >= duration_s:
+                    return i + 1
+            elif time_s >= self._settle_s:
+                measuring = True
+                start_s = time_s
+        return n
 
     def account_span(
         self, span_s: float, power_sum_w: float, violations: int,

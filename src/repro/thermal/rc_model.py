@@ -60,6 +60,13 @@ class ThermalNetwork:
         (n,) vector of conductances to ambient in W/K.
     ambient_c:
         Ambient temperature in degrees Celsius.
+
+    The die blocks are nodes ``0..m-1`` and carry no ambient
+    conductance, checked at construction: the engines keep block
+    quantities as the prefix of node vectors (block temperatures are
+    ``T[:m]``, block power is written into ``P[:m]``), and a node
+    power vector plus the ambient source is, on the block prefix, the
+    block power itself.
     """
 
     node_names: tuple
@@ -67,6 +74,20 @@ class ThermalNetwork:
     capacitance: np.ndarray
     ambient_conductance: np.ndarray
     ambient_c: float
+
+    def __post_init__(self) -> None:
+        m = len(self.block_names)
+        if self.node_names[:m] != self.block_names:
+            raise ThermalModelError(
+                "die blocks must be the first nodes of the network, "
+                "before every package node"
+            )
+        grounded = np.flatnonzero(self.ambient_conductance[:m])
+        if grounded.size:
+            raise ThermalModelError(
+                f"die block {self.node_names[grounded[0]]!r} has a "
+                f"conductance to ambient; only package nodes may"
+            )
 
     @property
     def size(self) -> int:
@@ -87,16 +108,9 @@ class ThermalNetwork:
 
     @cached_property
     def block_node_indices(self) -> np.ndarray:
-        """Node indices of the die blocks, in :attr:`block_names` order.
-
-        Cached so hot paths can scatter per-block power into the full
-        node-power vector (and gather block temperatures out of the node
-        vector) with one fancy-index operation per step.
-        """
-        index = self._node_index
-        return np.array(
-            [index[name] for name in self.block_names], dtype=np.intp
-        )
+        """Node indices of the die blocks, in :attr:`block_names` order:
+        ``0..m-1``, by the layout invariant."""
+        return np.arange(len(self.block_names), dtype=np.intp)
 
     @cached_property
     def conductance_inverse(self) -> np.ndarray:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -455,22 +455,6 @@ class TransientSolver:
         temps = self._solve(*self._bank.factorisation(dt), power, dt)
         return temps.copy() if copy else temps
 
-    def span_stepper(self, power: np.ndarray, dt: float):
-        """A no-argument callable that advances one ``dt`` step under
-        ``power`` (read at every call) and returns the solver's own
-        state array.
-
-        Each call is bit-identical to ``step(power, dt, copy=False)``,
-        health check included; the shape and dt checks and the
-        inverse lookup run once here instead of once per step.
-        For fused dense spans, whose steps share one power buffer and
-        one dt.
-        """
-        _check_step(self._network, power, dt)
-        return partial(
-            self._solve, *self._bank.factorisation(dt), power, dt
-        )
-
     def _solve(self, m_inv, c_over_dt, power, dt) -> np.ndarray:
         # Assemble the right-hand side in a reused buffer, then apply the
         # cached inverse into the state vector: the old state is fully
@@ -588,20 +572,6 @@ class ExponentialSolver:
         temps = self._advance(*self._bank.propagator(dt), power, dt)
         return temps.copy() if copy else temps
 
-    def span_stepper(self, power: np.ndarray, dt: float):
-        """A no-argument callable that advances one ``dt`` step under
-        ``power`` (read at every call) and returns the solver's own
-        state array.
-
-        Each call is bit-identical to ``step(power, dt, copy=False)``,
-        health check and backward-Euler recovery included; the shape
-        and dt checks and the propagator lookup run once here instead
-        of once per step.  For fused dense spans, whose steps share one
-        power buffer and one dt.
-        """
-        _check_step(self._network, power, dt)
-        return partial(self._advance, *self._bank.propagator(dt), power, dt)
-
     def _advance(self, a_d, b_d, power, dt) -> np.ndarray:
         """One guarded step with the given propagator pair."""
         self._apply(a_d, b_d, power)
@@ -609,6 +579,62 @@ class ExponentialSolver:
             self._recover(power, dt, 1)
         self._time_s += dt
         return self._temps
+
+    # --- steps taken outside the solver -------------------------------------------
+
+    def span_operators(
+        self, dt: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(a_d, b_d, ambient_source)`` for stepping ``dt`` outside
+        the solver.
+
+        A fused span loop (:meth:`repro.sim.kernel.ChipStep.run_span`)
+        applies :meth:`step`'s float operations itself --
+        ``dot(a_d, T, out=T')``, ``dot(b_d, power + ambient_source)``,
+        ``T' += ...`` -- on its own state rows, runs the health test of
+        every step (:meth:`guard` when the fast test fails) and hands
+        the final state back through :meth:`adopt`.  The dt check and
+        the propagator lookup run once here.
+        """
+        if dt <= 0.0:
+            raise ThermalModelError(f"time step must be > 0, got {dt}")
+        return (*self._bank.propagator(dt), self._ambient_source)
+
+    def adopt(self, state: np.ndarray, dt: float, steps: int) -> np.ndarray:
+        """Take ``state`` as the solver's state after ``steps`` steps
+        of ``dt`` taken outside it; the clock advances by the same
+        sequential adds :meth:`step` makes.  Returns the solver's own
+        state array."""
+        self._temps[:] = state
+        time_s = self._time_s
+        for _ in range(steps):
+            time_s += dt
+        self._time_s = time_s
+        return self._temps
+
+    def guard(
+        self,
+        state: np.ndarray,
+        previous: np.ndarray,
+        power: np.ndarray,
+        dt: float,
+    ) -> None:
+        """:meth:`step`'s health check of one step of ``dt`` taken
+        outside the solver, from ``previous`` to ``state`` under
+        ``power``.
+
+        The clock must stand at the step's start (:meth:`adopt`); it
+        advances by ``dt``.  An unhealthy ``state`` is overwritten with
+        the backward-Euler recovery from ``previous``
+        (:attr:`fallback_active` is then set), or
+        :class:`~repro.errors.NumericalError` is raised when that fails
+        too -- exactly as :meth:`step` would have done.
+        """
+        if not _healthy(state):
+            self._out[:] = previous
+            self._recover(power, dt, 1)
+            state[:] = self._temps
+        self._time_s += dt
 
     def fast_forward(
         self, power: np.ndarray, dt: float, steps: int, copy: bool = True

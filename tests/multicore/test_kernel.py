@@ -5,10 +5,13 @@ runs each span up to the next sample as one fused
 :class:`~repro.sim.kernel.DenseSpanTask`.  The claim is bit-identity
 with the per-step path (reached through the private
 ``repro.sim.engine._FUSE_DENSE_SPANS`` seam), across the A9 pair and
-manager grid, both steppers and the settle/hop-stall edge cases.  The
-solver half of the kernel, :meth:`span_stepper`, is pinned against
-plain ``step`` calls here too, as is the per-process substrate every
-default-package engine shares.
+manager grid and the settle/hop-stall edge cases (backward-Euler runs
+take the per-step path, so their grid cases check that both runs
+agree).  The solver half of the kernel --
+:meth:`~repro.thermal.solver.ExponentialSolver.span_operators`,
+``guard`` and ``adopt`` -- is pinned against plain ``step`` calls here
+too, as is the per-process substrate every default-package engine
+shares.
 """
 
 from dataclasses import asdict
@@ -34,12 +37,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim import kernel as kernel_module
 from repro.sim.kernel import DenseSpanTask
 from repro.thermal import ThermalPackage
-from repro.thermal.solver import (
-    ExponentialSolver,
-    OperatorBank,
-    TransientSolver,
-    _dt_key,
-)
+from repro.thermal.solver import ExponentialSolver, OperatorBank, _dt_key
 from repro.workloads import build_benchmark
 from repro.workloads.compiler import CompiledIntervalModel
 from tests.conftest import short_phase_workload
@@ -208,6 +206,13 @@ class TestKernelBitIdentity:
             _run(PAIRS[1], short=short)
         assert len(fused) * (2 if short else 10) < len(per_step)
 
+    def test_backward_euler_runs_never_fuse(self, monkeypatch):
+        # The fused loop applies the exponential propagator; the "be"
+        # grid cases above compare two per-step runs.
+        spans = _count_spans(monkeypatch)
+        _run(PAIRS[0], config=EngineConfig(thermal_stepper="be"))
+        assert not spans
+
     def test_violation_and_corruption_runs_never_fuse(self, monkeypatch):
         spans = _count_spans(monkeypatch)
         config = EngineConfig(raise_on_violation=True)
@@ -275,76 +280,96 @@ def _power(network, rng):
     return rng.uniform(0.0, 3.0, network.size)
 
 
-@pytest.mark.parametrize("solver_cls", [ExponentialSolver, TransientSolver])
-class TestSpanStepper:
+class TestSpanOperators:
+    """The solver half of the fused loop: steps taken outside the
+    solver with :meth:`span_operators`, checked with :meth:`guard` and
+    handed back with :meth:`adopt`, equal :meth:`step` calls."""
+
     DT = 1.0 / 3.0e6
 
-    def _pair(self, solver_cls, network):
+    def _pair(self, network):
         initial = np.full(network.size, 60.0)
-        return solver_cls(network, initial), solver_cls(network, initial)
+        return ExponentialSolver(network, initial), ExponentialSolver(
+            network, initial
+        )
 
-    def test_matches_step(self, solver_cls, network):
-        rng = np.random.default_rng(0)
-        stepped, spanned = self._pair(solver_cls, network)
-        power = _power(network, rng)
-        stepper = spanned.span_stepper(power, self.DT)
+    def _outside(self, solver, power, steps):
+        """``steps`` steps the way the fused loop takes them."""
+        a_d, b_d, ambient = solver.span_operators(self.DT)
+        previous = solver.temperatures
+        row = power + ambient
+        scratch = np.empty(previous.size)
+        for _ in range(steps):
+            state = np.empty(previous.size)
+            np.dot(a_d, previous, out=state)
+            np.dot(b_d, row, out=scratch)
+            state += scratch
+            solver.guard(state, previous, power, self.DT)
+            previous = state
+        return solver.adopt(previous, self.DT, 0)
+
+    def test_matches_step(self, network):
+        stepped, outside = self._pair(network)
+        power = _power(network, np.random.default_rng(0))
         for _ in range(40):
-            # The stepper reads the buffer at every call.
-            power += rng.uniform(-0.1, 0.1, network.size)
             want = stepped.step(power, self.DT, copy=False)
-            got = stepper()
-            assert got is spanned._temps
-            assert np.array_equal(got, want)
-        assert spanned.time_s == stepped.time_s
+        got = self._outside(outside, power, 40)
+        assert got is outside._temps
+        assert np.array_equal(got, want)
+        assert outside.time_s == stepped.time_s
 
-    def test_nan_power_mid_span(self, solver_cls, network):
-        rng = np.random.default_rng(1)
-        stepped, spanned = self._pair(solver_cls, network)
-        power = _power(network, rng)
-        stepper = spanned.span_stepper(power, self.DT)
+    def test_adopt_replays_the_clock(self, network):
+        stepped, outside = self._pair(network)
+        power = _power(network, np.random.default_rng(3))
+        for _ in range(7):
+            want = stepped.step(power, self.DT)
+        outside.adopt(want, self.DT, 7)
+        assert outside.time_s == stepped.time_s
+        assert np.array_equal(outside.temperatures, want)
+
+    def test_guard_raises_like_step(self, network):
+        # A NaN power fails the recovery the same way on both paths.
+        stepped, outside = self._pair(network)
+        power = _power(network, np.random.default_rng(1))
         for _ in range(5):
             stepped.step(power, self.DT, copy=False)
-            stepper()
+        self._outside(outside, power, 5)
         power[3] = np.nan
         errors = []
-        for advance in (lambda: stepped.step(power, self.DT), stepper):
+        for advance in (
+            lambda: stepped.step(power, self.DT),
+            lambda: self._outside(outside, power, 1),
+        ):
             with pytest.raises(NumericalError) as excinfo:
                 advance()
             errors.append(vars(excinfo.value))
         assert errors[0] == errors[1]
-        assert np.array_equal(
-            spanned.temperatures, stepped.temperatures, equal_nan=True
-        )
 
-    def test_validates_once_up_front(self, solver_cls, network):
-        solver, _ = self._pair(solver_cls, network)
+    def test_validates_dt(self, network):
+        solver, _ = self._pair(network)
         with pytest.raises(ThermalModelError):
-            solver.span_stepper(np.zeros(3), self.DT)
-        with pytest.raises(ThermalModelError):
-            solver.span_stepper(np.zeros(network.size), 0.0)
+            solver.span_operators(0.0)
 
-
-def test_span_stepper_recovers_like_step(network):
-    # A corrupt propagator sends both paths through the same
-    # backward-Euler recovery.
-    dt = TestSpanStepper.DT
-    power = _power(network, np.random.default_rng(2))
-    results = []
-    for use_stepper in (False, True):
-        solver = ExponentialSolver(network, np.full(network.size, 60.0))
-        bank = solver._bank = OperatorBank(network)
-        a_d, b_d = bank.propagator(dt)
-        bank._propagators.put(_dt_key(dt), (a_d * 1.0e30, b_d))
-        advance = (
-            solver.span_stepper(power, dt)
-            if use_stepper
-            else lambda: solver.step(power, dt, copy=False)
-        )
-        for _ in range(3):
-            advance()
-        assert solver.fallback_active
-        results.append(solver.temperatures)
-    assert np.array_equal(results[0], results[1])
+    def test_guard_recovers_like_step(self, network):
+        # A corrupt propagator sends both paths through the same
+        # backward-Euler recovery.
+        dt = self.DT
+        power = _power(network, np.random.default_rng(2))
+        results = []
+        for outside in (False, True):
+            solver = ExponentialSolver(network, np.full(network.size, 60.0))
+            bank = solver._bank = OperatorBank(network)
+            a_d, b_d = bank.propagator(dt)
+            bank._propagators.put(_dt_key(dt), (a_d * 1.0e30, b_d))
+            if outside:
+                self._outside(solver, power, 3)
+            else:
+                for _ in range(3):
+                    solver.step(power, dt, copy=False)
+            assert solver.fallback_active
+            results.append((solver.temperatures, solver.time_s))
+        assert np.array_equal(results[0][0], results[1][0])
+        assert results[0][1] == results[1][1]
 
 
 class TestSharedSubstrate:

@@ -4,11 +4,13 @@ The fused kernel executes decision-free dense spans inside the engine's
 frame instead of yielding one request per step; its claim is
 *bit-identity* with the per-step path (reached here by switching the
 engine's private ``_FUSE_DENSE_SPANS`` seam off), because it runs the
-same float operations on the same buffers in the same order.  The event-driven stride replaces
-dense spans with closed-form jumps whose claim is threshold safety: no
-trigger or emergency crossing is ever skipped or invented, even when
-the trajectory grazes a threshold exactly.  Both claims are pinned
-here, across every benchmark scenario and both steppers.
+same float operations on the same operands in the same order, and
+backward-Euler runs keep the per-step path (their cases here compare two
+per-step runs).  The event-driven stride replaces dense spans with
+closed-form jumps whose claim is threshold safety: no trigger or
+emergency crossing is ever skipped or invented, even when the
+trajectory grazes a threshold exactly.  Both claims are pinned here,
+across every benchmark scenario.
 """
 
 from dataclasses import asdict
@@ -560,3 +562,131 @@ class TestChipStepAccounting:
         assert error.time_s == 0.75 == chip.time_s
         assert (error.block, error.temperature_c) == (b, 85.5)
         assert chip.violations == 1
+
+
+class TestUnhealthyMidSpan:
+    """A step that fails the health test inside a fused span takes the
+    per-step path's backward-Euler recovery at the same step, from the
+    same state, and a recovery that fails raises the same error.
+
+    The fault plan keeps runs off the fused path, so the hot step comes
+    from a monkeypatched dynamic power instead: from the second distinct
+    activity vector on, one block's activity is raised so far that the
+    exact (exponential) step lands just past the divergence limit while
+    backward Euler, which lags it, lands just inside.  The next step's
+    leakage at that temperature overflows, and the recovery fails on the
+    non-finite power.  Steps of 300 us (900k cycles) open a ~9 % gap
+    between the two steppers' one-step responses, and a 100 Hz sensor
+    puts ~33 of them in every span.
+    """
+
+    CYCLES = 900_000
+
+    @pytest.fixture(scope="class")
+    def substrate(self):
+        floorplan = build_alpha21364_floorplan()
+        return floorplan, HotSpotModel(floorplan), PowerModel(floorplan)
+
+    def _hot_activities(self, substrate):
+        """(block index, hot activity) for the block whose one-step
+        responses differ most between the two steppers."""
+        _, hotspot, power = substrate
+        tech = power.technology
+        dt = self.CYCLES / tech.frequency_nominal
+        bank = hotspot.network.operator_bank
+        _, b_d = bank.propagator(dt)
+        m_inv, _ = bank.factorisation(dt)
+        n = len(power.block_names)
+        ratios = [b_d[j, j] / m_inv[j, j] for j in range(n)]
+        j = int(np.argmax(ratios))
+        # Centre the limit between the two responses.
+        target_w = 1.0e4 / np.sqrt(b_d[j, j] * m_inv[j, j])
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        args = (tech.vdd_nominal, tech.frequency_nominal)
+        per_activity_w = (
+            power.dynamic_vector_w(unit, *args)[j]
+            - power.dynamic_vector_w(np.zeros(n), *args)[j]
+        )
+        return j, target_w / per_activity_w
+
+    def _run(self, substrate, fused, monkeypatch):
+        floorplan, hotspot, power = substrate
+        engine = SimulationEngine(
+            build_benchmark("gzip"),
+            policy=NoDtmPolicy(),
+            floorplan=floorplan,
+            power_model=power,
+            hotspot=hotspot,
+            sensors=SensorArray(floorplan, seed=0, sampling_rate_hz=100.0),
+            config=EngineConfig(
+                thermal_step_cycles=self.CYCLES, fast_forward=False
+            ),
+        )
+        initial = engine.compute_initial_temperatures()
+        block, hot = self._hot_activities(substrate)
+        seen = []
+
+        def heated(acts):
+            key = acts.tobytes()
+            if key not in seen:
+                seen.append(key)
+            if seen.index(key) < 1:
+                return acts
+            acts = np.array(acts)
+            acts[block] = hot
+            return acts
+
+        total = power.block_powers_vector
+        dynamic = power.dynamic_vector_w
+        in_span = []
+        recoveries = []
+        recover = ExponentialSolver._recover
+        span_run = DenseSpanTask.run
+
+        def recording(solver, power_w, dt, steps):
+            entry = [solver.time_s, solver._out.copy(), bool(in_span)]
+            recoveries.append(entry)
+            recover(solver, power_w, dt, steps)
+            entry += [solver._temps.copy(), solver.fallback_active]
+
+        def spanning(task, solver):
+            in_span.append(True)
+            try:
+                return span_run(task, solver)
+            finally:
+                in_span.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "_FUSE_DENSE_SPANS", fused)
+            patch.setattr(
+                power, "block_powers_vector",
+                lambda acts, *a, **k: total(heated(acts), *a, **k),
+            )
+            patch.setattr(
+                power, "dynamic_vector_w",
+                lambda acts, *a, **k: dynamic(heated(acts), *a, **k),
+            )
+            patch.setattr(ExponentialSolver, "_recover", recording)
+            patch.setattr(DenseSpanTask, "run", spanning)
+            with pytest.raises(NumericalError) as excinfo:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    engine.run(50_000_000, initial=initial)
+        return recoveries, str(excinfo.value)
+
+    def test_recovery_and_failure_match_per_step(self, substrate, monkeypatch):
+        fused, fused_error = self._run(substrate, True, monkeypatch)
+        per_step, per_step_error = self._run(substrate, False, monkeypatch)
+        # The recovery succeeded inside a fused span; the next step's
+        # recovery failed.
+        assert len(fused) == 2
+        assert fused[0][2] and len(fused[0]) == 5 and fused[0][4]
+        assert len(fused[1]) == 3
+        assert len(per_step) == 2 and not per_step[0][2]
+        for got, want in zip(fused, per_step):
+            assert got[0] == want[0]
+            for a, b in zip(got[1::2], want[1::2]):
+                assert np.array_equal(a, b)
+            assert got[4:] == want[4:]
+        assert fused_error == per_step_error
+        assert "expm->be" in fused_error

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ThermalModelError
 from repro.floorplan import Block, Floorplan
 from repro.thermal import ThermalPackage, build_thermal_network
-from repro.thermal.rc_model import SINK_NODE, SPREADER_NODE
+from repro.thermal.rc_model import SINK_NODE, SPREADER_NODE, ThermalNetwork
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,41 @@ class TestStructure:
     def test_index_of_unknown_raises(self, network):
         with pytest.raises(ThermalModelError):
             network.index_of("missing")
+
+
+class TestBlockLayout:
+    """Die blocks are the node prefix and carry no ambient conductance:
+    the engines read block temperatures as ``T[:m]`` and write block
+    power into ``P[:m]``."""
+
+    @staticmethod
+    def _rebuilt(network, order=None, ambient=None):
+        order = list(range(network.size)) if order is None else order
+        return ThermalNetwork(
+            node_names=tuple(network.node_names[i] for i in order),
+            conductance=network.conductance[np.ix_(order, order)],
+            capacitance=network.capacitance[order],
+            ambient_conductance=(
+                network.ambient_conductance[order]
+                if ambient is None
+                else ambient
+            ),
+            ambient_c=network.ambient_c,
+        )
+
+    def test_built_networks_hold_it(self, network):
+        assert np.array_equal(network.block_node_indices, [0, 1])
+        assert self._rebuilt(network).block_names == ("a", "b")
+
+    def test_package_node_before_a_block_raises(self, network):
+        with pytest.raises(ThermalModelError, match="first nodes"):
+            self._rebuilt(network, order=[0, 2, 1, 3])
+
+    def test_grounded_block_raises(self, network):
+        ambient = network.ambient_conductance.copy()
+        ambient[1] = 0.5
+        with pytest.raises(ThermalModelError, match="'b'"):
+            self._rebuilt(network, ambient=ambient)
 
 
 class TestPowerVector:
