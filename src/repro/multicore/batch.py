@@ -68,8 +68,8 @@ class DualCoreRunSpec:
     thresholds:
         Emergency/trigger thresholds for the engine and hopper.
     engine_config:
-        Full engine configuration override (stepper, power path,
-        compiled traces, fault plan, ``raise_on_violation``).
+        Full engine configuration override (thermal step, fast-forward,
+        fault plan, ``raise_on_violation``).
     seed:
         Sensor-noise seed; each run is seeded from its spec alone.
     initial:

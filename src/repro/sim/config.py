@@ -12,9 +12,6 @@ from repro.sim.faults import FaultPlan
 DVS_MODE_STALL = "stall"
 DVS_MODE_IDEAL = "ideal"
 
-THERMAL_STEPPER_BE = "be"
-THERMAL_STEPPER_EXPM = "expm"
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -47,22 +44,16 @@ class EngineConfig:
         (e.g. under a fully clock-gated policy) before the engine raises
         :class:`~repro.errors.SimulationError` instead of spinning
         forever.
-    thermal_stepper:
-        ``"expm"`` (default) -- the exact exponential-propagator stepper
-        (:class:`~repro.thermal.solver.ExponentialSolver`): one matvec
-        pair per step, no time-discretisation error, and eligible for
-        constant-power fast-forward.  ``"be"`` -- backward Euler, kept
-        as the time-discretised regression anchor.
     fast_forward:
         Allow the engine to jump spans of steps between DTM decision
         points in closed form via ``A_d^K`` (event-driven stepping).
         The dynamic power is constant over such a span by construction
         (same phase, actuation and voltage until the next sensor
         sample); leakage drift within the span is closed by a widened
-        span envelope (see ``stride_drift_tol_w``).  Only effective
-        with the ``"expm"`` stepper; every jump is first proven safe
-        against the trigger/emergency thresholds (see docs/MODELING.md
-        section 8), otherwise the engine falls back to dense stepping.
+        span envelope (see ``stride_drift_tol_w``).  Every jump is
+        first proven safe against the trigger/emergency thresholds
+        (see docs/MODELING.md section 8), otherwise the engine falls
+        back to dense stepping.
     fault_plan:
         Deterministic faults to inject into matching runs (worker
         crashes, delays, solver corruption, sensor degradation; see
@@ -84,7 +75,6 @@ class EngineConfig:
     record_trace: bool = False
     migration_time_s: float = 2.0e-6
     max_no_progress_steps: int = 10_000
-    thermal_stepper: str = THERMAL_STEPPER_EXPM
     fast_forward: bool = True
     fault_plan: Optional[FaultPlan] = None
     stride_drift_tol_w: float = 1.0e-3
@@ -110,11 +100,6 @@ class EngineConfig:
             )
         if self.max_no_progress_steps < 1:
             raise SimulationError("no-progress step budget must be >= 1")
-        if self.thermal_stepper not in (THERMAL_STEPPER_BE, THERMAL_STEPPER_EXPM):
-            raise SimulationError(
-                f"thermal_stepper must be 'be' or 'expm', "
-                f"got {self.thermal_stepper!r}"
-            )
         if self.fault_plan is not None and not isinstance(
             self.fault_plan, FaultPlan
         ):

@@ -85,7 +85,7 @@ def service_request(request: Tuple) -> Any:
 def service_round(requests: Mapping) -> Dict:
     """Service a mapping of step requests, batching compatible ones.
 
-    Single-step requests sharing (stepper class, network identity, dt)
+    Single-step requests sharing (network identity, dt)
     advance together through one
     :func:`~repro.thermal.solver.step_lockstep` call, each row
     bit-identical to servicing it alone.  Stride
@@ -103,7 +103,7 @@ def service_round(requests: Mapping) -> Dict:
         if isinstance(_power, StrideTask):
             strides.append(key)
         elif count == 1 and not isinstance(_power, DenseSpanTask):
-            groups.setdefault((type(solver), id(solver.network), dt), []).append(key)
+            groups.setdefault((id(solver.network), dt), []).append(key)
         else:
             singles.append(key)
     replies: Dict = {}

@@ -335,8 +335,6 @@ class SimulationEngine(SimEngine):
             raise SimulationError("settle time must be >= 0")
         if initial is None:
             initial = self.compute_initial_temperatures()
-        from repro.thermal.solver import ExponentialSolver
-
         trace = TraceBuffer(self._block_names) if self._config.record_trace else None
         chip = ChipStep(
             self._hotspot.network,
@@ -437,7 +435,6 @@ class SimulationEngine(SimEngine):
         # fused kernel) instead of re-probing the envelope every step.
         ff_enabled = (
             self._config.fast_forward
-            and isinstance(solver, ExponentialSolver)
             and trace is None
             and chip.fault_step is None
         )

@@ -50,8 +50,7 @@ account_steps` plus the engine's own instructions and gating time)
 replays the per-step scalar updates over them in one pass;
 :func:`commit_phase_run` then applies the steps the run took to every
 model.  A core at a phase boundary sends that one step through
-``advance()`` as before.  Backward-Euler runs (``thermal_stepper="be"``)
-take the per-step path: their step is a different operator.
+``advance()`` as before.
 
 Bit-identity with per-step dispatch is by construction: the kernel runs
 the same float operations on the same operands in the same order as the
@@ -81,11 +80,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.obs import trace as obs_trace
 from repro.sim.faults import targeted
-from repro.thermal.solver import (
-    DIVERGENCE_LIMIT_C,
-    ExponentialSolver,
-    make_transient_solver,
-)
+from repro.thermal.solver import DIVERGENCE_LIMIT_C, ExponentialSolver
 
 # The reductions call the ufunc methods directly: the same reductions
 # as ``.max()``/``.sum()`` (bit-identical), minus the Python wrapper
@@ -230,8 +225,7 @@ class ChipStep:
       when the stop falls inside it, the stopping step is the last.
 
     ``fuse`` is the engine's own condition for fused spans; the fault
-    plan, ``raise_on_violation`` and the backward-Euler stepper veto
-    it here.
+    plan and ``raise_on_violation`` veto it here.
     """
 
     def __init__(
@@ -246,9 +240,8 @@ class ChipStep:
         settle_time_s: float,
         fuse: bool,
     ):
-        self.solver = make_transient_solver(
-            network, np.array(initial, dtype=float, copy=True),
-            config.thermal_stepper,
+        self.solver = ExponentialSolver(
+            network, np.array(initial, dtype=float, copy=True)
         )
         self.block_names = block_names = network.block_names
         self._n_blocks = n_blocks = len(block_names)
@@ -294,13 +287,11 @@ class ChipStep:
         self._poison = plan.poison if plan else 0.0
         # Runs that must surface every step (injected solver faults,
         # raise_on_violation, and whatever the engine excludes) keep
-        # the per-step path, as do backward-Euler runs: the fused loop
-        # applies the exponential propagator.
+        # the per-step path.
         self.fuse = (
             fuse
             and not self._raise_on_violation
             and self.fault_step is None
-            and isinstance(self.solver, ExponentialSolver)
         )
 
         # Bound methods hoisted out of the loop: at ~10 us of work per

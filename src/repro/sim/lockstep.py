@@ -8,7 +8,7 @@ step and asks the driver to advance its solver.  The
 :class:`LockstepEngine` collects the pending requests of all live runs
 and yields them as one *round* (a mapping of index -> request); the
 contract driver (:func:`~repro.sim.contract.service_round`) groups the
-compatible ones (same stepper class, same shared network, same dt) and
+compatible ones (same shared network, same dt) and
 services each group with one batched call to
 :func:`~repro.thermal.solver.step_lockstep`; odd time steps and the
 last survivors of a draining batch are serviced individually.  Before

@@ -9,10 +9,9 @@ spreader and heat sink are lumped nodes; the sink couples to ambient through
 a convection resistance (1.0 K/W for the paper's low-cost package).
 
 Heat flow is solved with a dense symmetric conductance matrix: steady state
-via one small dense linear solve, transients via either the exact
-exponential propagator (default) or backward Euler (regression anchor),
-both reading their per-time-step operators from one LRU-bounded bank per
-network.
+via one small dense linear solve, transients via the exact exponential
+propagator with backward Euler as its recovery stepper, both reading
+their per-time-step operators from one LRU-bounded bank per network.
 """
 
 from repro.thermal.materials import COPPER, SILICON, Material
@@ -23,11 +22,8 @@ from repro.thermal.rc_model import (
     build_thermal_network,
 )
 from repro.thermal.solver import (
-    STEPPER_BACKWARD_EULER,
-    STEPPER_EXPONENTIAL,
     ExponentialSolver,
     TransientSolver,
-    make_transient_solver,
     steady_state,
 )
 from repro.thermal.hotspot import HotSpotModel
@@ -43,9 +39,6 @@ __all__ = [
     "build_detailed_thermal_network",
     "TransientSolver",
     "ExponentialSolver",
-    "make_transient_solver",
-    "STEPPER_BACKWARD_EULER",
-    "STEPPER_EXPONENTIAL",
     "steady_state",
     "HotSpotModel",
 ]

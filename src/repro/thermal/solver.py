@@ -5,19 +5,22 @@ source term) is::
 
     C dT/dt = P + g_amb * T_amb - L T
 
-Steady state is one small dense linear solve.  Transients offer two
-steppers behind one interface:
+Steady state is one small dense linear solve.  Transients have one
+stepper and one recovery stepper:
 
-* :class:`TransientSolver` -- backward Euler,
-  ``(C/dt + L) T_{k+1} = (C/dt) T_k + P + g_amb * T_amb``,
-  unconditionally stable, with ``(C/dt + L)^{-1}`` inverted once per
-  distinct dt.  Kept as the regression anchor.
 * :class:`ExponentialSolver` -- the *exact* discrete propagator for the
   LTI network, ``T_{k+1} = A_d T_k + B_d u`` with
   ``A_d = expm(-C^{-1} L dt)`` and ``B_d = (I - A_d) L^{-1}``: one
   ~n x n matvec pair per step instead of a linear solve, no
   time-discretisation error, plus closed-form multi-step fast-forward
   ``T_{k+K} = A_d^K T_k + (I - A_d^K) T_ss`` for constant-power spans.
+  The engines step every run with it.
+* :class:`TransientSolver` -- backward Euler,
+  ``(C/dt + L) T_{k+1} = (C/dt) T_k + P + g_amb * T_amb``,
+  unconditionally stable, with ``(C/dt + L)^{-1}`` inverted once per
+  distinct dt.  :class:`ExponentialSolver` falls back to it when a step
+  goes unhealthy; the tests also run whole engine runs on it as the
+  time-discretised reference.
 
 Every operator that depends only on the network and the step length --
 per-dt propagators and backward-Euler inverses, the ``(dt, K)`` powers,
@@ -410,10 +413,6 @@ class TransientSolver:
     :class:`~repro.errors.NumericalError` directly.
     """
 
-    #: Interface parity with :class:`ExponentialSolver`: backward Euler
-    #: has no further fallback, so this never becomes true.
-    fallback_active = False
-
     def __init__(self, network: ThermalNetwork, initial: np.ndarray):
         if initial.shape != (network.size,):
             raise ThermalModelError(
@@ -502,9 +501,9 @@ class ExponentialSolver:
     on the constant-power trajectory over the span so callers can prove
     a jump crosses no thermal threshold.
 
-    The interface matches :class:`TransientSolver` (``step`` /
-    ``temperatures`` / ``time_s`` / ``reset``), so the two are
-    interchangeable behind :func:`make_transient_solver`.
+    An unhealthy step is re-integrated with the backward-Euler
+    :class:`TransientSolver`, whose ``step`` / ``temperatures`` /
+    ``time_s`` / ``reset`` interface this one shares.
     """
 
     def __init__(self, network: ThermalNetwork, initial: np.ndarray):
@@ -1019,18 +1018,17 @@ class _ProbeScratch:
 
 
 def step_lockstep(solvers, powers, dt: float):
-    """Advance many same-network solvers by one ``dt`` step at once.
+    """Advance many same-network exponential solvers by one ``dt`` step
+    at once.
 
-    All solvers must be the same stepper class over the *same*
-    :class:`~repro.thermal.rc_model.ThermalNetwork` object (the lockstep
-    batch runner builds its engines on one shared substrate).  For the
-    exponential stepper the R states and inputs are stacked as
-    ``(R, n, 1)`` and advanced by two stacked products, ``A_d @ T`` then
-    ``+= B_d @ U``: each row is the same matrix-vector product, in the
-    same order, as :meth:`ExponentialSolver.step`, so every row is
-    bit-identical to stepping its solver alone, whichever other rows
-    share the batch.  Backward Euler (the opt-in anchor) steps each
-    solver through :meth:`TransientSolver.step`.
+    All solvers must be :class:`ExponentialSolver` instances over the
+    *same* :class:`~repro.thermal.rc_model.ThermalNetwork` object (the
+    lockstep batch runner builds its engines on one shared substrate).
+    The R states and inputs are stacked as ``(R, n, 1)`` and advanced by
+    two stacked products, ``A_d @ T`` then ``+= B_d @ U``: each row is
+    the same matrix-vector product, in the same order, as
+    :meth:`ExponentialSolver.step`, so every row is bit-identical to
+    stepping its solver alone, whichever other rows share the batch.
 
     Returns the list of the solvers' own state arrays (no copies), in
     input order.
@@ -1040,15 +1038,13 @@ def step_lockstep(solvers, powers, dt: float):
         raise ThermalModelError(f"time step must be > 0, got {dt}")
     network = first._network
     for solver in solvers:
-        if type(solver) is not type(first) or solver._network is not network:
+        if not isinstance(solver, ExponentialSolver) or (
+            solver._network is not network
+        ):
             raise ThermalModelError(
-                "lockstep stepping needs solvers of one class over one "
+                "lockstep stepping needs exponential solvers over one "
                 "shared network"
             )
-    if not isinstance(first, ExponentialSolver):
-        for solver, power in zip(solvers, powers):
-            solver.step(power, dt, copy=False)
-        return [solver._temps for solver in solvers]
     a_d, b_d = first._bank.propagator(dt)
     shape = (len(solvers), network.size, 1)
     t_rows = np.empty(shape)
@@ -1077,22 +1073,3 @@ def step_lockstep(solvers, powers, dt: float):
             else:
                 solver.step(powers[i], dt, copy=False)
     return [solver._temps for solver in solvers]
-
-
-def make_transient_solver(
-    network: ThermalNetwork, initial: np.ndarray, stepper: str = STEPPER_EXPONENTIAL
-):
-    """Build a transient stepper by name.
-
-    ``"expm"`` (default) -- the exact :class:`ExponentialSolver`;
-    ``"be"`` -- the backward-Euler :class:`TransientSolver`, kept as the
-    time-discretised regression anchor.
-    """
-    if stepper == STEPPER_EXPONENTIAL:
-        return ExponentialSolver(network, initial)
-    if stepper == STEPPER_BACKWARD_EULER:
-        return TransientSolver(network, initial)
-    raise ThermalModelError(
-        f"thermal stepper must be {STEPPER_BACKWARD_EULER!r} or "
-        f"{STEPPER_EXPONENTIAL!r}, got {stepper!r}"
-    )

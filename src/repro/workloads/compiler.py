@@ -23,10 +23,9 @@ This module *compiles* the workload side once per run instead:
 * the compiled activity math is *bit-identical* to the interpreted
   path: both compute ``min(1.0, base * factor)`` in IEEE double
   precision, so the power vectors (and therefore every downstream
-  temperature, violation count and slowdown) match exactly.  The
-  ``verify`` mode re-derives every sample through the interpreted
-  :class:`~repro.uarch.activity.ActivityModel` and asserts equality;
-  the compiler tests walk every SPEC workload through it.
+  temperature, violation count and slowdown) match exactly; the
+  compiler tests walk every SPEC workload through both models and
+  compare each activity vector.
 
 Phase-boundary-crossing intervals (rare: phases span millions of
 instructions, intervals span thousands of cycles) delegate to the
@@ -250,23 +249,11 @@ class CompiledIntervalModel(IntervalPerformanceModel):
     activity vector), and :meth:`commit` applies them afterwards with
     the same sequential arithmetic, so a run of ``n`` steps costs two
     calls instead of ``n``.
-
-    With ``verify=True`` every fast-path vector is re-derived through
-    the interpreted :class:`~repro.uarch.activity.ActivityModel` and
-    compared bit for bit; a mismatch raises
-    :class:`~repro.errors.SimulationError`.  This is the compiled
-    pipeline's equivalence mode, used by its component tests.
     """
 
-    def __init__(
-        self,
-        schedule: CompiledSchedule,
-        loop: bool = True,
-        verify: bool = False,
-    ):
+    def __init__(self, schedule: CompiledSchedule, loop: bool = True):
         super().__init__(schedule.phases, loop=loop)
         self._schedule = schedule
-        self._verify = verify
         self._sample = CompiledSample()
         # The run sized by the last phase_run() -- (instructions per
         # interval, activity vector, fetch rate, commit rate, phase name,
@@ -277,20 +264,6 @@ class CompiledIntervalModel(IntervalPerformanceModel):
     def schedule(self) -> CompiledSchedule:
         """The compiled schedule this model advances over."""
         return self._schedule
-
-    def _verify_sample(self, phase, vector: np.ndarray, fetch: float,
-                       commit: float) -> None:
-        reference = self._schedule.vector_from_mapping(
-            phase.activity_model.activities(fetch, commit)
-        )
-        if not np.array_equal(vector, reference):
-            bad = int(np.argmax(vector != reference))
-            name = self._schedule.block_names[bad]
-            raise SimulationError(
-                f"compiled activity diverged from the interpreted path at "
-                f"phase {phase.name!r}, block {name!r}: "
-                f"{vector[bad]!r} != {reference[bad]!r}"
-            )
 
     def advance(self, cycles: int, actuation: DtmActuation) -> CompiledSample:
         """Advance by ``cycles`` cycles under ``actuation``.
@@ -318,8 +291,6 @@ class CompiledIntervalModel(IntervalPerformanceModel):
                 acts = self._schedule.activities(
                     self._phase_index, fetch_rel, commit_rel
                 )
-                if self._verify:
-                    self._verify_sample(phase, acts, fetch_rel, commit_rel)
                 self._total_instructions += possible
                 sample.cycles = cycles
                 sample.instructions = possible
@@ -349,15 +320,14 @@ class CompiledIntervalModel(IntervalPerformanceModel):
         take the fast path, commit ``instructions`` and return the same
         cached, read-only ``acts`` array.  ``n`` is 0 -- and the next
         step must go through :meth:`advance` -- when that step crosses a
-        phase boundary, when the clock is fully gated, and in verify
-        mode, whose check runs inside :meth:`advance`.  The model's
+        phase boundary and when the clock is fully gated.  The model's
         state is left untouched; :meth:`commit` applies the first
         ``k <= n`` advances of the run.
         """
         if cycles <= 0:
             raise SimulationError("interval length must be > 0")
         remaining = float(cycles) * actuation.clock_enabled_fraction
-        if remaining <= 1e-9 or self._verify:
+        if remaining <= 1e-9:
             return 0, 0.0, None
         phase = self.current_phase
         cpi = self._cpi(phase, actuation)

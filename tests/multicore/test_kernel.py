@@ -5,9 +5,10 @@ runs each span up to the next sample as one fused
 :class:`~repro.sim.kernel.DenseSpanTask`.  The claim is bit-identity
 with the per-step path (reached through the private
 ``repro.sim.engine._FUSE_DENSE_SPANS`` seam), across the A9 pair and
-manager grid and the settle/hop-stall edge cases (backward-Euler runs
-take the per-step path, so their grid cases check that both runs
-agree).  The solver half of the kernel --
+manager grid and the settle/hop-stall edge cases.  The same grid run
+on the backward-Euler test oracle (:func:`tests.conftest.backward_euler`)
+agrees with the exponential propagator to the single-core tolerance.
+The solver half of the kernel --
 :meth:`~repro.thermal.solver.ExponentialSolver.span_operators`,
 ``guard`` and ``adopt`` -- is pinned against plain ``step`` calls here
 too, as is the per-process substrate every default-package engine
@@ -40,7 +41,7 @@ from repro.thermal import ThermalPackage
 from repro.thermal.solver import ExponentialSolver, OperatorBank, _dt_key
 from repro.workloads import build_benchmark
 from repro.workloads.compiler import CompiledIntervalModel
-from tests.conftest import short_phase_workload
+from tests.conftest import backward_euler, short_phase_workload
 
 PAIRS = (("crafty", "mesa"), ("crafty", "gcc"), ("gzip", "eon"))
 MANAGERS = ("none", "Hyb/core", "hopping", "hop+Hyb")
@@ -104,13 +105,11 @@ def _count_spans(monkeypatch):
 class TestKernelBitIdentity:
     """Fused dense spans == the per-step path, float for float."""
 
-    @pytest.mark.parametrize("stepper", ["expm", "be"])
     @pytest.mark.parametrize("manager", MANAGERS)
     @pytest.mark.parametrize("pair", PAIRS, ids="+".join)
-    def test_a9_grid(self, pair, manager, stepper, monkeypatch):
-        config = EngineConfig(thermal_stepper=stepper)
-        fused = _run(pair, manager, config=config)
-        anchor = _run_per_step(monkeypatch, pair, manager, config=config)
+    def test_a9_grid(self, pair, manager, monkeypatch):
+        fused = _run(pair, manager)
+        anchor = _run_per_step(monkeypatch, pair, manager)
         assert asdict(fused) == asdict(anchor)
 
     def test_hopping_scenario_swaps(self):
@@ -174,18 +173,13 @@ class TestKernelBitIdentity:
         _run_per_step(monkeypatch, PAIRS[0])
         assert not spans
 
-    @pytest.mark.parametrize("stepper", ["expm", "be"])
     @pytest.mark.parametrize("manager", MANAGERS)
-    def test_phase_boundaries_inside_spans(
-        self, manager, stepper, monkeypatch
-    ):
+    @pytest.mark.parametrize("pair", PAIRS, ids="+".join)
+    def test_phase_boundaries_inside_spans(self, pair, manager, monkeypatch):
         # Short phases put several boundaries inside every span, so the
         # span alternates phase runs and boundary steps.
-        config = EngineConfig(thermal_stepper=stepper)
-        fused = _run(PAIRS[1], manager, short=True, config=config)
-        anchor = _run_per_step(
-            monkeypatch, PAIRS[1], manager, short=True, config=config
-        )
+        fused = _run(pair, manager, short=True)
+        anchor = _run_per_step(monkeypatch, pair, manager, short=True)
         assert asdict(fused) == asdict(anchor)
 
     def test_short_phase_spans_split_into_runs(self, monkeypatch):
@@ -206,13 +200,6 @@ class TestKernelBitIdentity:
             _run(PAIRS[1], short=short)
         assert len(fused) * (2 if short else 10) < len(per_step)
 
-    def test_backward_euler_runs_never_fuse(self, monkeypatch):
-        # The fused loop applies the exponential propagator; the "be"
-        # grid cases above compare two per-step runs.
-        spans = _count_spans(monkeypatch)
-        _run(PAIRS[0], config=EngineConfig(thermal_stepper="be"))
-        assert not spans
-
     def test_violation_and_corruption_runs_never_fuse(self, monkeypatch):
         spans = _count_spans(monkeypatch)
         config = EngineConfig(raise_on_violation=True)
@@ -220,6 +207,30 @@ class TestKernelBitIdentity:
         config = EngineConfig(fault_plan=FaultPlan(corrupt_power_at_step=10**9))
         _run(PAIRS[2], "none", config=config)
         assert not spans
+
+
+class TestStepperAgreement:
+    """The dual-core engine on the backward-Euler oracle.
+
+    At the 10k-cycle step the two steppers see the same discrete
+    behaviour -- violations, hottest block, swaps and every per-core
+    statistic -- and the continuous metrics agree to the single-core
+    tolerance (``tests/sim/test_fast_forward.py``).
+    """
+
+    CLOSE_FIELDS = (("max_true_temp_c", 1e-3), ("mean_power_w", 1e-2))
+
+    @pytest.mark.parametrize("manager", MANAGERS)
+    @pytest.mark.parametrize("pair", PAIRS, ids="+".join)
+    def test_a9_grid_matches_backward_euler(self, pair, manager):
+        expm = asdict(_run(pair, manager))
+        with backward_euler():
+            euler = asdict(_run(pair, manager))
+        for field, atol in self.CLOSE_FIELDS:
+            assert expm.pop(field) == pytest.approx(
+                euler.pop(field), rel=1e-6, abs=atol
+            ), field
+        assert expm == euler
 
 
 def _counters(run):

@@ -9,16 +9,20 @@ tests pin the two claims that make it safe to leave on by default:
   statistic for statistic -- in particular every *discrete* statistic
   (violation count, switch count, hottest block) is bit-identical, so no
   threshold crossing is ever skipped or invented;
-* the exponential stepper agrees with the backward-Euler regression
-  anchor to the documented tolerance at the paper's operating step.
+* the exponential stepper agrees with the backward-Euler test oracle
+  (:func:`tests.conftest.backward_euler`) to the documented tolerance
+  at the paper's operating step.
 """
 
 import pytest
 
-from repro.dtm import DvsPolicy, FetchGatingPolicy, NoDtmPolicy
+from repro.dtm import DvsPolicy, FetchGatingPolicy, HybPolicy, NoDtmPolicy
 from repro.sim import EngineConfig, SimulationEngine
-from repro.thermal import ExponentialSolver
+from repro.sim.kernel import DenseSpanTask
+from repro.thermal import ExponentialSolver, TransientSolver
 from repro.workloads import build_benchmark
+from repro.workloads.spec import SPEC_BENCHMARK_NAMES
+from tests.conftest import backward_euler
 
 EXACT_FIELDS = (
     "instructions",
@@ -127,22 +131,83 @@ class TestFastForwardEquivalence:
 class TestStepperAgreement:
     @pytest.mark.parametrize("name,factory", POLICIES)
     def test_expm_matches_backward_euler_anchor(self, gcc, name, factory):
-        # The CI smoke sweep enforces the same bound at full scale: the
-        # exact propagator and the backward-Euler anchor see identical
-        # discrete behaviour at the paper's 10k-cycle thermal step, and
-        # continuous metrics agree to the documented tolerance.
-        expm = _run(gcc, factory, thermal_stepper="expm", fast_forward=False)
-        euler = _run(gcc, factory, thermal_stepper="be", fast_forward=False)
+        # The exact propagator and the backward-Euler oracle see
+        # identical discrete behaviour at the paper's 10k-cycle thermal
+        # step, and continuous metrics agree to the documented
+        # tolerance.
+        expm = _run(gcc, factory, fast_forward=False)
+        with backward_euler():
+            euler = _run(gcc, factory, fast_forward=False)
         _assert_equivalent(expm, euler)
 
-    def test_backward_euler_ignores_fast_forward_knob(self, gcc):
-        # fast_forward requires the exponential stepper; with "be" the
-        # engine must silently fall back to explicit stepping rather
-        # than fail.
-        result = _run(
-            gcc, NoDtmPolicy, thermal_stepper="be", fast_forward=True
-        )
-        reference = _run(
-            gcc, NoDtmPolicy, thermal_stepper="be", fast_forward=False
-        )
-        _assert_equivalent(result, reference)
+    @pytest.mark.parametrize("bench_name", SPEC_BENCHMARK_NAMES)
+    def test_hyb_matches_backward_euler_across_suite(self, bench_name):
+        # The paper's policy on every benchmark: the cool ones never
+        # reach the trigger, while crafty and gcc violate, so the
+        # discrete counts compared are non-trivial there.
+        workload = build_benchmark(bench_name)
+        expm = _run(workload, HybPolicy, fast_forward=False)
+        with backward_euler():
+            euler = _run(workload, HybPolicy, fast_forward=False)
+        _assert_equivalent(expm, euler)
+
+
+def _record_stepper_classes(monkeypatch):
+    """Record the class of every solver whose ``step`` is called."""
+    stepped = []
+    for cls in (ExponentialSolver, TransientSolver):
+        original = cls.step
+
+        def recording(self, *args, _original=original, **kwargs):
+            stepped.append(type(self))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "step", recording)
+    return stepped
+
+
+class TestBackwardEulerOracle:
+    """:func:`tests.conftest.backward_euler` does what it promises, so
+    the agreement tests above compare two different steppers."""
+
+    def test_steps_every_step_with_backward_euler(self, gcc, monkeypatch):
+        stepped = _record_stepper_classes(monkeypatch)
+        with backward_euler():
+            _run(gcc, NoDtmPolicy, fast_forward=False)
+        assert stepped
+        assert all(issubclass(cls, TransientSolver) for cls in stepped)
+
+    def test_restores_exponential_stepper_on_exit(self, gcc, monkeypatch):
+        with backward_euler():
+            pass
+        stepped = _record_stepper_classes(monkeypatch)
+        spans = _count_spans(monkeypatch)
+        _run(gcc, NoDtmPolicy, fast_forward=False)
+        assert spans, "fused spans stay off after the oracle block"
+        assert stepped and set(stepped) == {ExponentialSolver}
+
+    def test_never_fuses(self, gcc, monkeypatch):
+        spans = _count_spans(monkeypatch)
+        with backward_euler():
+            _run(gcc, FetchGatingPolicy, fast_forward=False)
+        assert not spans
+
+    def test_rejects_fast_forward(self, gcc):
+        # A closed-form stride is exponential-only; the oracle refuses
+        # it rather than silently stepping a mixed trajectory.
+        with backward_euler():
+            with pytest.raises(AssertionError, match="fast_forward=False"):
+                _run(gcc, NoDtmPolicy, fast_forward=True)
+
+
+def _count_spans(monkeypatch):
+    """Record the step count of every fused span that executes."""
+    spans = []
+    original = DenseSpanTask.run
+
+    def counting(self, solver):
+        spans.append(self.count)
+        return original(self, solver)
+
+    monkeypatch.setattr(DenseSpanTask, "run", counting)
+    return spans

@@ -8,12 +8,14 @@ summation order on another machine, nothing more).
 
 The scenarios cover single-core runs under every kind of actuation
 (none, fetch gating, multi-level DVS with stall sub-steps, the hybrids),
-both thermal steppers, a sensor fault plan, a recorded trace, the whole
-SPEC suite, and one dual-core run with an eager core hopper.
+one run on the backward-Euler test oracle
+(:func:`tests.conftest.backward_euler`), a sensor fault plan, a recorded
+trace, the whole SPEC suite, and one dual-core run with an eager core
+hopper.
 
 Regenerate the fixture only for a deliberate physics change::
 
-    PYTHONPATH=src python tests/sim/test_golden_runs.py
+    PYTHONPATH=src python -m tests.sim.test_golden_runs
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.sim import EngineConfig, SimulationEngine
 from repro.sim.faults import FaultPlan
 from repro.workloads import build_benchmark
 from repro.workloads.spec import SPEC_BENCHMARK_NAMES
+from tests.conftest import backward_euler
 
 FIXTURE = Path(__file__).with_name("golden_runs.json")
 
@@ -98,6 +101,14 @@ def _suite_run(bench, policy="Hyb", **config):
     )
 
 
+def _on_backward_euler(run):
+    def oracle() -> dict:
+        with backward_euler():
+            return run()
+
+    return oracle
+
+
 SCENARIOS: Dict[str, Callable[..., dict]] = {
     "gcc-none-dense": _dense_gcc(NoDtmPolicy),
     "gcc-fg-dense": _dense_gcc(FetchGatingPolicy),
@@ -108,8 +119,10 @@ SCENARIOS: Dict[str, Callable[..., dict]] = {
         settle_time_s=0.0, dvs_mode="stall",
     ),
     **{f"{name}-hyb": _suite_run(name) for name in SPEC_BENCHMARK_NAMES},
-    "gzip-dvs-be": _suite_run("gzip", "DVS", thermal_stepper="be"),
-    "gzip-dvs-expm": _suite_run("gzip", "DVS", thermal_stepper="expm"),
+    "gzip-dvs-be": _on_backward_euler(
+        _suite_run("gzip", "DVS", fast_forward=False)
+    ),
+    "gzip-dvs-expm": _suite_run("gzip", "DVS"),
     "gzip-hyb-dropout": _suite_run(
         "gzip",
         fault_plan=FaultPlan(sensor_faults=(SensorFault.dropout("FPMul"),)),

@@ -4,9 +4,8 @@ The fused kernel executes decision-free dense spans inside the engine's
 frame instead of yielding one request per step; its claim is
 *bit-identity* with the per-step path (reached here by switching the
 engine's private ``_FUSE_DENSE_SPANS`` seam off), because it runs the
-same float operations on the same operands in the same order, and
-backward-Euler runs keep the per-step path (their cases here compare two
-per-step runs).  The event-driven stride replaces dense spans with
+same float operations on the same operands in the same order.  The
+event-driven stride replaces dense spans with
 closed-form jumps whose claim is threshold safety: no trigger or
 emergency crossing is ever skipped or invented, even when the
 trajectory grazes a threshold exactly.  Both claims are pinned here,
@@ -91,12 +90,15 @@ class TestKernelBitIdentity:
     """Fused dense spans == the per-step path, float for float."""
 
     @pytest.mark.parametrize("bench_name", SPEC_BENCHMARK_NAMES)
-    @pytest.mark.parametrize("stepper", ["expm", "be"])
-    def test_matches_anchor_dense(self, bench_name, stepper, monkeypatch):
+    @pytest.mark.parametrize(
+        "policy", [FetchGatingPolicy, HybPolicy], ids=lambda cls: cls.__name__
+    )
+    def test_matches_anchor_dense(self, bench_name, policy, monkeypatch):
         # fast_forward off forces every span through the dense path, so
-        # the kernel executes essentially the whole run.
+        # the kernel executes essentially the whole run.  Hyb's DVS half
+        # also moves the operating point between spans.
         workload = build_benchmark(bench_name)
-        kwargs = dict(thermal_stepper=stepper, fast_forward=False)
+        kwargs = dict(policy_factory=policy, fast_forward=False)
         fused = _run(workload, **kwargs)
         anchor = _run_per_step(monkeypatch, workload, **kwargs)
         _assert_bit_identical(fused, anchor)
@@ -185,16 +187,15 @@ class TestPhaseRunSpans:
         DvsPolicy,
     )
 
-    @pytest.mark.parametrize("stepper", ["expm", "be"])
     @pytest.mark.parametrize(
         "policy", POLICIES, ids=lambda cls: cls.__name__
     )
-    def test_short_phases_match_anchor(self, policy, stepper, monkeypatch):
-        workload = short_phase_workload("gzip")
+    @pytest.mark.parametrize("bench_name", ["gzip", "gcc"])
+    def test_short_phases_match_anchor(self, bench_name, policy, monkeypatch):
+        workload = short_phase_workload(bench_name)
         kwargs = dict(
             policy_factory=policy,
             instructions=4_000_000,
-            thermal_stepper=stepper,
             fast_forward=False,
         )
         fused = _run(workload, **kwargs)

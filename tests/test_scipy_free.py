@@ -4,9 +4,9 @@ scipy serves :mod:`repro.analysis.significance` and the tests; importing
 ``scipy.linalg`` loads every numpy submodule and roughly doubles a fresh
 process's set-up time and adds ~20 MB of memory, so no simulation path
 may load it.  A fresh interpreter
-drives every entry point -- lockstep and backward-Euler single-core
-runs, a dual-core run and the sweep service answering one submission --
-and then checks ``sys.modules``.
+drives every entry point -- lockstep single-core runs, the
+backward-Euler recovery stepper, a dual-core run and the sweep service
+answering one submission -- and then checks ``sys.modules``.
 """
 
 import os
@@ -22,17 +22,23 @@ SCRIPT = textwrap.dedent(
     import os, sys, tempfile
 
     import repro
+    from repro.floorplan import build_alpha21364_floorplan
     from repro.multicore import DualCoreRunSpec
     from repro.service.client import ServiceClient
     from repro.service.server import ServerThread, ServiceConfig
-    from repro.sim import EngineConfig, RunSpec, run_many, run_one
+    from repro.sim import RunSpec, run_many, run_one
+    from repro.thermal import HotSpotModel, TransientSolver
 
     short = dict(instructions=300_000, settle_time_s=1e-4)
     specs = [RunSpec("gzip", "PI-Hyb", **short), RunSpec("art", "DVS", **short)]
     assert all(r.instructions > 0 for r in run_many(specs))
-    run_one(RunSpec(
-        "gzip", "FG", engine_config=EngineConfig(thermal_stepper="be"), **short
-    ))
+    solver = HotSpotModel(build_alpha21364_floorplan()).make_transient()
+    assert type(solver) is TransientSolver
+    power = solver.network.power_vector(
+        {name: 1.0 for name in solver.network.block_names}
+    )
+    for _ in range(3):
+        solver.step(power, 3.3e-6)
     run_one(DualCoreRunSpec(("gzip", "art"), duration_s=0.002))
     with tempfile.TemporaryDirectory() as tmp:
         server = ServerThread(ServiceConfig(

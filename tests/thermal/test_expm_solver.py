@@ -17,16 +17,9 @@ from repro.thermal import (
     ThermalPackage,
     TransientSolver,
     build_thermal_network,
-    make_transient_solver,
     steady_state,
 )
-from repro.thermal.solver import (
-    FACTOR_CACHE_SIZE,
-    STEPPER_BACKWARD_EULER,
-    STEPPER_EXPONENTIAL,
-    _LruCache,
-    step_lockstep,
-)
+from repro.thermal.solver import FACTOR_CACHE_SIZE, _LruCache, step_lockstep
 
 
 def _private_network():
@@ -186,10 +179,7 @@ class TestSpanEnvelope:
 
 
 class TestLockstepStepping:
-    @pytest.mark.parametrize(
-        "stepper", [STEPPER_EXPONENTIAL, STEPPER_BACKWARD_EULER]
-    )
-    def test_matches_individual_steps(self, network, stepper):
+    def test_matches_individual_steps(self, network):
         dt = 3.3e-6
         starts = [
             _perturbed_start(network),
@@ -201,8 +191,8 @@ class TestLockstepStepping:
             network.power_vector({"a": 0.0, "b": 6.0}),
             network.power_vector({"a": 2.0, "b": 2.0}),
         ]
-        batched = [make_transient_solver(network, s, stepper) for s in starts]
-        serial = [make_transient_solver(network, s, stepper) for s in starts]
+        batched = [ExponentialSolver(network, s) for s in starts]
+        serial = [ExponentialSolver(network, s) for s in starts]
         for _ in range(5):
             step_lockstep(batched, powers, dt)
             for solver, p in zip(serial, powers):
@@ -223,12 +213,22 @@ class TestLockstepStepping:
         assert out[1] is solvers[1]._temps
 
     def test_rejects_mixed_classes(self, network, power):
-        pair = [
-            ExponentialSolver(network, _perturbed_start(network)),
-            TransientSolver(network, _perturbed_start(network)),
-        ]
-        with pytest.raises(ThermalModelError):
-            step_lockstep(pair, [power, power], 1e-6)
+        # The batched step applies the exponential propagator to every
+        # row: a backward-Euler solver, beside an exponential one or in
+        # a batch of its own kind, would come back stepped by the wrong
+        # operator.  A rejected batch leaves every solver untouched.
+        for classes in (
+            (ExponentialSolver, TransientSolver),
+            (TransientSolver, TransientSolver),
+        ):
+            pair = [cls(network, _perturbed_start(network)) for cls in classes]
+            with pytest.raises(ThermalModelError):
+                step_lockstep(pair, [power, power], 1e-6)
+            for solver in pair:
+                assert np.array_equal(
+                    solver.temperatures, _perturbed_start(network)
+                )
+                assert solver.time_s == 0.0
 
     def test_rejects_different_networks(self, network, power):
         fp = Floorplan(
@@ -309,23 +309,3 @@ class TestSteadyStateFactorisationCache:
     def test_conductance_inverse_consistent_with_factor(self, network):
         identity = network.conductance @ network.conductance_inverse
         assert np.allclose(identity, np.eye(network.size), atol=1e-9)
-
-
-class TestFactory:
-    def test_builds_requested_stepper(self, network):
-        start = _perturbed_start(network)
-        assert isinstance(
-            make_transient_solver(network, start), ExponentialSolver
-        )
-        assert isinstance(
-            make_transient_solver(network, start, STEPPER_EXPONENTIAL),
-            ExponentialSolver,
-        )
-        assert isinstance(
-            make_transient_solver(network, start, STEPPER_BACKWARD_EULER),
-            TransientSolver,
-        )
-
-    def test_rejects_unknown_stepper(self, network):
-        with pytest.raises(ThermalModelError):
-            make_transient_solver(network, _perturbed_start(network), "rk4")

@@ -101,7 +101,7 @@ class TestCompiledIntervalModel:
             else _WORKLOAD_BLOCK_ORDER
         )
         schedule = compile_workload(workload, block_order)
-        compiled = CompiledIntervalModel(schedule, loop=True, verify=True)
+        compiled = CompiledIntervalModel(schedule, loop=True)
         interpreted = IntervalPerformanceModel(workload.phases, loop=True)
         actuations = [
             DtmActuation(),
@@ -133,20 +133,6 @@ class TestCompiledIntervalModel:
         first = model.advance(10_000, DtmActuation())
         second = model.advance(10_000, DtmActuation(gating_fraction=0.2))
         assert first is second
-
-    def test_verify_mode_accepts_clean_schedule(self, gcc, floorplan):
-        model = CompiledIntervalModel(
-            compile_workload(gcc, floorplan.block_names), verify=True
-        )
-        for _ in range(50):
-            model.advance(50_000, DtmActuation(gating_fraction=0.3))
-
-    def test_verify_mode_detects_divergence(self, gcc, floorplan):
-        tampered = CompiledSchedule(gcc.phases, tuple(floorplan.block_names))
-        tampered.base_activities *= 0.5
-        model = CompiledIntervalModel(tampered, verify=True)
-        with pytest.raises(SimulationError, match="diverged"):
-            model.advance(10_000, DtmActuation())
 
     def test_rejects_non_positive_interval(self, gcc, floorplan):
         model = CompiledIntervalModel(
@@ -255,10 +241,6 @@ class TestPhaseRun:
         model = CompiledIntervalModel(gcc_schedule)
         assert model.phase_run(10_000, actuation, 30) == (0, 0.0, None)
         assert model.advance(10_000, actuation).instructions == 0.0
-
-    def test_verify_mode_is_never_a_run(self, gcc_schedule):
-        model = CompiledIntervalModel(gcc_schedule, verify=True)
-        assert model.phase_run(10_000, DtmActuation(), 30)[0] == 0
 
     def test_commit_rejects_a_stale_or_overlong_run(self, gcc_schedule):
         model = CompiledIntervalModel(gcc_schedule)
