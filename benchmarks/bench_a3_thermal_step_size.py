@@ -3,7 +3,8 @@
 The paper samples power every 10 000 cycles, claiming sampling error below
 0.1 % in temperature with under 1 % simulation overhead.  This ablation
 integrates the same stepped power trace at several step sizes and compares
-against a fine-grained reference.
+against a fine-grained reference.  The cost of each step size is host
+timing, reported on the ``[throughput: ...]`` line under the table.
 """
 
 import time
@@ -46,16 +47,21 @@ def _run() -> str:
     reference_temp, _ = _integrate(hotspot, STEP_CYCLES[0])
     ambient = hotspot.package.ambient_c
     rows = []
+    walls = []
     for step_cycles in STEP_CYCLES:
         temp, elapsed = _integrate(hotspot, step_cycles)
         error = abs(temp - reference_temp) / max(reference_temp - ambient, 1e-9)
-        rows.append([step_cycles, temp, error * 100.0, elapsed])
-    return render_table(
-        ["step (cycles)", "IntReg temp (C)", "error vs 1k (%)", "wall (s)"],
+        rows.append([step_cycles, temp, error * 100.0])
+        walls.append(f"{step_cycles}-cycle steps {elapsed:.4f} s")
+    table = render_table(
+        ["step (cycles)", "IntReg temp (C)", "error vs 1k (%)"],
         rows,
         title="A3: thermal step-size sweep (paper: 10k-cycle steps keep "
               "sampling error below 0.1%)",
     )
+    # Host timing stays off the table, which holds simulation output
+    # only and so regenerates bit-identically.
+    return table + "\n\n[throughput: " + ", ".join(walls) + "]"
 
 
 def test_a3_thermal_step_size(benchmark):

@@ -38,6 +38,8 @@ from _helpers import (
     save_table,
 )
 
+from repro.sim import EngineConfig
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON_PATH = REPO_ROOT / "BENCH_results.json"
 
@@ -106,7 +108,7 @@ def main(argv: List[str] = None) -> int:
     config = {
         "instructions": bench_instructions(),
         "processes": bench_processes() or 1,
-        "thermal_stepper": "default (expm + fast-forward)",
+        "fast_forward": EngineConfig().fast_forward,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
     }

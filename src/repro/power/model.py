@@ -20,6 +20,13 @@ from repro.power.technology import Technology, default_technology
 from repro.power.vf_curve import VoltageFrequencyCurve
 
 
+def _scalar(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array."""
+    array = np.array(value, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 class PowerModel:
     """Computes per-block power from activities, operating point and
     temperatures.
@@ -69,6 +76,11 @@ class PowerModel:
         )
         # Handed out by leakage_coefficients(); never written after this.
         self._leakage_ref_w.setflags(write=False)
+        # The scalar leakage operands as 0-d arrays: a Python float
+        # operand is converted to an array on every ufunc call, which
+        # on a ~17-block vector costs about as much as the arithmetic.
+        self._ref_temp_c = _scalar(self._leakage.reference_temp_c)
+        self._beta_per_k = _scalar(self._leakage.beta_per_k)
         # Dynamic power split into its activity-independent and
         # activity-proportional parts, so the hot path evaluates
         # ``base + slope * activity`` without forming the intermediate
@@ -140,7 +152,8 @@ class PowerModel:
 
     def _operating_point(self, voltage: float, frequency: float) -> tuple:
         """Validated ``(dynamic scale, leakage scale)`` for (V, f), cached
-        per distinct operating point."""
+        per distinct operating point; the leakage scale is a 0-d array
+        (it only ever multiplies the leakage vector)."""
         key = (voltage, frequency)
         cached = self._op_cache.get(key)
         if cached is None:
@@ -148,7 +161,7 @@ class PowerModel:
             f_rel = frequency / self._tech.frequency_nominal
             cached = (
                 v_rel * v_rel * f_rel,
-                v_rel**self._leakage.voltage_exponent,
+                _scalar(v_rel**self._leakage.voltage_exponent),
             )
             if len(self._op_cache) >= 256:
                 self._op_cache.clear()
@@ -241,7 +254,7 @@ class PowerModel:
         # ~17-block chip the per-call cost is numpy dispatch, not flops,
         # so every avoided temporary counts.
         out = self._dyn_buf
-        np.multiply(self._dyn_act_w, acts, out=out)
+        np.multiply(self._dyn_act_w, acts, out)
         out += self._dyn_base_w
         if isinstance(gate, np.ndarray):
             out *= gate
@@ -249,9 +262,9 @@ class PowerModel:
         else:
             out *= gate * dyn_scale
         leak = self._leak_buf
-        np.subtract(temps, self._leakage.reference_temp_c, out=leak)
-        leak *= self._leakage.beta_per_k
-        np.exp(leak, out=leak)
+        np.subtract(temps, self._ref_temp_c, leak)
+        leak *= self._beta_per_k
+        np.exp(leak, leak)
         leak *= leak_scale
         leak *= self._leakage_ref_w
         out += leak
@@ -281,7 +294,7 @@ class PowerModel:
             out = np.empty(len(self._names))
         dyn_scale, _ = self._operating_point(voltage, frequency)
         gate = clock_enabled_fraction
-        np.multiply(self._dyn_act_w, activities, out=out)
+        np.multiply(self._dyn_act_w, activities, out)
         out += self._dyn_base_w
         if isinstance(gate, np.ndarray):
             out *= gate
@@ -307,9 +320,9 @@ class PowerModel:
         if out is None:
             out = np.empty(len(self._names))
         _, leak_scale = self._operating_point(voltage, frequency)
-        np.subtract(temperatures, self._leakage.reference_temp_c, out=out)
-        out *= self._leakage.beta_per_k
-        np.exp(out, out=out)
+        np.subtract(temperatures, self._ref_temp_c, out)
+        out *= self._beta_per_k
+        np.exp(out, out)
         out *= leak_scale
         out *= self._leakage_ref_w
         return out
@@ -318,8 +331,8 @@ class PowerModel:
         """The leakage operands of :meth:`leakage_vector_w` at (V, f).
 
         Returns ``(reference_temp_c, beta_per_k, leak_scale,
-        leakage_ref_w)``, where ``leakage_ref_w`` is the shared,
-        read-only per-block array.  Applying ``subtract
+        leakage_ref_w)``: three shared, read-only 0-d arrays and the
+        shared, read-only per-block array.  Applying ``subtract
         reference_temp_c``, ``* beta_per_k``, ``exp``, ``* leak_scale``
         and ``* leakage_ref_w`` in that order to the block temperatures
         reproduces :meth:`leakage_vector_w` bit for bit; the fused span
@@ -328,8 +341,8 @@ class PowerModel:
         """
         _, leak_scale = self._operating_point(voltage, frequency)
         return (
-            self._leakage.reference_temp_c,
-            self._leakage.beta_per_k,
+            self._ref_temp_c,
+            self._beta_per_k,
             leak_scale,
             self._leakage_ref_w,
         )

@@ -36,13 +36,21 @@ of the run then does only the float work that cannot be hoisted: the
 five leakage ufuncs of :meth:`~repro.power.model.PowerModel.
 leakage_vector_w` on the previous step's block temperatures, the
 dynamic + leakage add written straight into the block prefix of the
-node power row, the two propagator matvecs and their ``+=``
-(:meth:`~repro.thermal.solver.ExponentialSolver.span_operators`), and
-the health test.  Node states and power rows live in per-run history
-buffers; the die blocks are the node prefix
+node power row, and the two propagator matvecs and their ``+=``
+(:meth:`~repro.thermal.solver.ExponentialSolver.span_operators`).  The
+health test runs once per phase run, over the run's new state rows
+(:meth:`ChipStep.run_span`).  Node states and power rows live in
+per-run history buffers; the die blocks are the node prefix
 (:class:`~repro.thermal.rc_model.ThermalNetwork` checks it), so block
 temperatures and block powers are prefix views of those rows, not
-gathered or scattered copies.
+gathered or scattered copies, and the per-row views are built with the
+buffers.
+
+At 34-36 elements a NumPy call costs its dispatch (about 0.5-1 us), not
+its arithmetic, so the step follows two rules: outputs are passed
+positionally, and scalar operands are 0-d arrays (a Python float is
+converted to an array on every call).  docs/MODELING.md section 8 gives
+the measured cost per step.
 
 The run is accounted once: its step maxima and power sums are two row
 reductions, and the engine's *commit* stage (:meth:`ChipStep.
@@ -56,13 +64,15 @@ Bit-identity with per-step dispatch is by construction: the kernel runs
 the same float operations on the same operands in the same order as the
 per-step path -- the dynamic/leakage split, the row reductions and the
 sequential phase-run, clock and budget replays are all exact, and a
-step that fails the health test goes through the solver's own check and
-backward-Euler recovery (:meth:`~repro.thermal.solver.ExponentialSolver.
-guard`).  ``TestKernelBitIdentity`` in ``tests/sim/test_step_kernel.py``
-and ``tests/multicore/test_kernel.py`` pins the two paths equal across
-the nine single-core benchmark scenarios, the A9 dual-core grid and
-short-phase workloads whose boundaries fall inside spans;
-``tests/sim/test_fused_differential.py`` draws the stops at random.
+step whose row fails the run's health test goes through the solver's
+own check and backward-Euler recovery at its own step
+(:meth:`~repro.thermal.solver.ExponentialSolver.guard`) before the rest
+of the run is stepped again.  ``TestKernelBitIdentity`` in
+``tests/sim/test_step_kernel.py`` and ``tests/multicore/test_kernel.py``
+pins the two paths equal across the nine single-core benchmark
+scenarios, the A9 dual-core grid and short-phase workloads whose
+boundaries fall inside spans; ``tests/sim/test_fused_differential.py``
+draws the stops and the unhealthy rows at random.
 """
 
 from __future__ import annotations
@@ -263,8 +273,7 @@ class ChipStep:
         self._dyn_w = np.empty(n_blocks)
         self._leak_w = np.empty(n_blocks)
         self._scratch = np.empty(network.size)
-        self._states: Optional[np.ndarray] = None
-        self._powers: Optional[np.ndarray] = None
+        self._history: Optional[tuple] = None
         self._cycles = config.thermal_step_cycles
 
         tech = power.technology
@@ -436,20 +445,36 @@ class ChipStep:
             task = DenseSpanTask(self.run_span, k, dt, *args)
             yield (self.solver, task, dt, k)
 
-    def _histories(
-        self, rows: int, ambient: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _histories(self, rows: int, ambient: np.ndarray) -> tuple:
         """The node-state and node-power histories, at least ``rows``
-        steps deep.  Power rows hold the node power plus the
-        ``ambient`` source; the ambient is zero on the block prefix, so
-        a step writes only that prefix and the package entries keep the
-        ambient source."""
-        states = self._states
-        if states is None or len(states) <= rows:
-            self._states = states = np.empty((rows + 1, ambient.size))
-            self._powers = np.empty((rows, ambient.size))
-            self._powers[:] = ambient
-        return states, self._powers
+        steps deep, with the views a run steps through.
+
+        Returns ``(states, squares, block_rows, power_rows, views)``:
+        ``rows + 1`` node-state rows (row 0 a run's start state), a
+        scratch of ``rows`` node rows for the health test, the block
+        prefixes of the states and of the ``rows`` node-power rows, and
+        ``views`` -- the per-row views of the states, their block
+        prefixes, the power rows and their block prefixes, as four
+        lists.  Power rows hold the node power plus the ``ambient``
+        source; the ambient is zero on the block prefix, so a step
+        writes only that prefix and the package entries keep the
+        ambient source.  All of it is built when the histories
+        (re)allocate, so a step takes its rows from the lists instead
+        of making four views."""
+        history = self._history
+        if history is None or len(history[0]) <= rows:
+            m = self._n_blocks
+            states = np.empty((rows + 1, ambient.size))
+            powers = np.empty((rows, ambient.size))
+            powers[:] = ambient
+            block_rows, power_rows = states[:, :m], powers[:, :m]
+            views = (
+                list(states), list(block_rows), list(powers), list(power_rows)
+            )
+            self._history = history = (
+                states, np.empty_like(powers), block_rows, power_rows, views
+            )
+        return history
 
     def run_span(
         self,
@@ -466,22 +491,33 @@ class ChipStep:
         engine's stop.
 
         Per phase run: the samples, ``limit``, ``scatter`` and the
-        dynamic power once; per step: the leakage, the node power row,
-        the propagator step and its health test, each step's state a
-        row of the node-state history; then ``commit`` over the run's
-        power sums and block-temperature rows, once.  The per-step
-        path's float operations on the same operands in the same order,
-        minus the events that cannot occur before the next sensor
-        sample (sensing, policy updates, actuation rebuilds, voltage
-        switches, migration transitions).
+        dynamic power once; per step: the leakage, the node power row
+        and the propagator step, each step's state a row of the
+        node-state history; then one health test over the run's new
+        state rows and ``commit`` over the run's power sums and
+        block-temperature rows, once.  The per-step path's float
+        operations on the same operands in the same order, minus the
+        events that cannot occur before the next sensor sample
+        (sensing, policy updates, actuation rebuilds, voltage switches,
+        migration transitions).
+
+        The health test is :func:`~repro.thermal.solver._healthy`'s
+        fast half row by row: a sum of squares below the squared limit
+        proves every node of that state healthy, and NaN or Inf fail
+        the comparison.  When a row fails it, the steps before it are
+        adopted, the solver checks the failed step from its pre-step
+        state and power row at its own clock (:meth:`~repro.thermal.
+        solver.ExponentialSolver.guard`: the per-step path's check and
+        backward-Euler recovery, or its error), and the rest of the run
+        is stepped again from the checked state.
         """
         solver = self.solver
         a_d, b_d, ambient = solver.span_operators(dt)
         run_cap = min(count, _MAX_RUN)
-        states, powers = self._histories(run_cap, ambient)
-        m = self._n_blocks
-        block_rows = states[:, :m]
-        power_rows = powers[:, :m]
+        states, squares, block_rows, power_rows, views = self._histories(
+            run_cap, ambient
+        )
+        state_l, block_l, power_l, power_block_l = views
         states[0] = solver.temperatures
         dyn_w, leak_w, scratch = self._dyn_w, self._leak_w, self._scratch
         subtract = np.subtract
@@ -492,6 +528,7 @@ class ChipStep:
         dynamic_w = self._dynamic_w
         voltage, frequency = self.voltage, self.frequency
         cycles = self._cycles
+        # The scalar operands are 0-d arrays: no per-call conversion.
         ref_c, beta, leak_scale, leak_ref = self._leakage_coefficients(
             voltage, frequency
         )
@@ -508,30 +545,44 @@ class ChipStep:
             dynamic_w(scatter(samples), voltage, frequency, clock_gate, dyn_w)
             if timing:
                 t0 = perf_counter()
-            prev, prev_b = states[0], block_rows[0]
-            for j, nxt, nxt_b, power, power_b in zip(
-                range(n), states[1:], block_rows[1:], powers, power_rows
-            ):
-                # block_powers_vector's leakage half, then its sum with
-                # the run's dynamic part in the node power row.
-                subtract(prev_b, ref_c, out=leak_w)
-                multiply(leak_w, beta, out=leak_w)
-                exp(leak_w, out=leak_w)
-                multiply(leak_w, leak_scale, out=leak_w)
-                multiply(leak_w, leak_ref, out=leak_w)
-                add(dyn_w, leak_w, out=power_b)
-                # The solver's step: A_d T + B_d (P + ambient).  The
-                # ndarray methods run np.dot's product without its
-                # dispatch frame.
-                a_dot(prev, out=nxt)
-                b_dot(power, out=scratch)
-                nxt += scratch
-                if not nxt.dot(nxt) < _HEALTHY_SQ:
-                    solver.adopt(prev, dt, steps + j - synced)
-                    synced = steps + j + 1
-                    self._power_blocks[...] = power_b
-                    solver.guard(nxt, prev, self.power_buffer, dt)
-                prev, prev_b = nxt, nxt_b
+            first = 0  # the run's first step still to take
+            while first < n:
+                for prev, nxt, prev_b, power, power_b in zip(
+                    state_l[first:n],
+                    state_l[first + 1 : n + 1],
+                    block_l[first:n],
+                    power_l[first:n],
+                    power_block_l[first:n],
+                ):
+                    # block_powers_vector's leakage half, then its sum
+                    # with the run's dynamic part in the node power row.
+                    subtract(prev_b, ref_c, leak_w)
+                    multiply(leak_w, beta, leak_w)
+                    exp(leak_w, leak_w)
+                    multiply(leak_w, leak_scale, leak_w)
+                    multiply(leak_w, leak_ref, leak_w)
+                    add(dyn_w, leak_w, power_b)
+                    # The solver's step: A_d T + B_d (P + ambient).  The
+                    # ndarray methods run np.dot's product without its
+                    # dispatch frame.
+                    a_dot(prev, nxt)
+                    b_dot(power, scratch)
+                    add(nxt, scratch, nxt)
+                # The run's health test: one sum of squares per new
+                # state row.  A failed row k takes the per-step path's
+                # check at step k; the run re-steps from row k + 1.
+                new = states[first + 1 : n + 1]
+                squared = squares[: n - first]
+                multiply(new, new, squared)
+                sums = _sum_reduce(squared, axis=1)
+                if _max_reduce(sums) < _HEALTHY_SQ:
+                    break
+                k = first + int(np.argmin(sums < _HEALTHY_SQ))
+                solver.adopt(state_l[k], dt, steps + k - synced)
+                synced = steps + k + 1
+                self._power_blocks[...] = power_block_l[k]
+                solver.guard(state_l[k + 1], state_l[k], self.power_buffer, dt)
+                first = k + 1
             if timing:
                 obs_trace.record("step.thermal", perf_counter() - t0)
             if sized:

@@ -546,11 +546,14 @@ class ExponentialSolver:
     # --- stepping ----------------------------------------------------------------
 
     def _apply(self, a_d: np.ndarray, b_d: np.ndarray, power: np.ndarray) -> None:
+        # Outputs passed positionally and np.dot's product run through
+        # the ndarray method: on a ~36-node network a call costs its
+        # dispatch, not its flops.
         u = self._u
-        np.add(power, self._ambient_source, out=u)
-        np.dot(a_d, self._temps, out=self._out)
-        np.dot(b_d, u, out=self._scratch)
-        self._out += self._scratch
+        np.add(power, self._ambient_source, u)
+        a_d.dot(self._temps, self._out)
+        b_d.dot(u, self._scratch)
+        np.add(self._out, self._scratch, self._out)
         self._temps, self._out = self._out, self._temps
 
     def step(self, power: np.ndarray, dt: float, copy: bool = True) -> np.ndarray:
@@ -589,11 +592,15 @@ class ExponentialSolver:
 
         A fused span loop (:meth:`repro.sim.kernel.ChipStep.run_span`)
         applies :meth:`step`'s float operations itself --
-        ``dot(a_d, T, out=T')``, ``dot(b_d, power + ambient_source)``,
-        ``T' += ...`` -- on its own state rows, runs the health test of
-        every step (:meth:`guard` when the fast test fails) and hands
-        the final state back through :meth:`adopt`.  The dt check and
-        the propagator lookup run once here.
+        ``a_d.dot(T, T')``, ``b_d.dot(power + ambient_source, s)``,
+        ``add(T', s, T')``, outputs passed positionally -- on its own
+        state rows.  It tests the health of each phase run once, after
+        stepping it: :func:`_healthy`'s fast half on every new row (one
+        sum of squares per row).  The first row that fails gets
+        :meth:`guard` at its own step, after :meth:`adopt` of the steps
+        before it, and the rest of the run is stepped again from the
+        checked row; the final state comes back through :meth:`adopt`.
+        The dt check and the propagator lookup run once here.
         """
         if dt <= 0.0:
             raise ThermalModelError(f"time step must be > 0, got {dt}")

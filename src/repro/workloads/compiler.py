@@ -28,10 +28,13 @@ This module *compiles* the workload side once per run instead:
   compare each activity vector.
 
 Phase-boundary-crossing intervals (rare: phases span millions of
-instructions, intervals span thousands of cycles) delegate to the
-interpreted slow path and translate its blended dict, so the compiled
-model never re-implements the blending arithmetic it would have to keep
-bit-compatible.
+instructions, intervals span thousands of cycles) blend their chunks'
+activity vectors cycle-weighted in block order, with the interpreted
+slow path's float operations in its order: ``0.0 + act * chunk_cycles``,
+then ``+=`` per further chunk, then ``/ consumed``.  A block a phase
+does not mention is ``0.0 * chunk_cycles = 0.0`` in the vector, so the
+blend equals translating the interpreted blended dict bit for bit; the
+interpreted model stays as the test oracle of every boundary step.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ class CompiledSchedule:
 
     def vector_from_mapping(self, activities) -> np.ndarray:
         """Translate an interpreted ``{block: activity}`` dict into the
-        compiled block order (slow path; phase-boundary intervals)."""
+        compiled block order (blocks the dict omits are 0): how an
+        interpreted sample compares with a compiled one."""
         out = np.zeros(len(self.block_names))
         position = self._position
         for name, value in activities.items():
@@ -238,10 +242,9 @@ class CompiledIntervalModel(IntervalPerformanceModel):
     :meth:`run_length`/:meth:`fast_forward` span maths) whose
     :meth:`advance` returns a :class:`CompiledSample` carrying the
     activity *vector*.  The fast path -- interval strictly inside the
-    current phase -- allocates nothing; boundary-crossing intervals
-    delegate to the interpreted slow path and translate its blended
-    activity dict, keeping the rare-path arithmetic in exactly one
-    place.
+    current phase -- allocates nothing; a boundary-crossing interval
+    blends its chunks' activity vectors in block order
+    (:meth:`_blend`).
 
     Fused dense spans step the model by *phase runs*:
     :meth:`phase_run` sizes how many upcoming advances take the fast
@@ -299,15 +302,69 @@ class CompiledIntervalModel(IntervalPerformanceModel):
                 sample.commit_rate_rel = commit_rel
                 sample.phase_name = phase.name
                 return sample
-        interpreted = super().advance(cycles, actuation)
-        sample.cycles = interpreted.cycles
-        sample.instructions = interpreted.instructions
-        acts = self._schedule.vector_from_mapping(interpreted.activities)
-        acts.setflags(write=False)
-        sample.acts = acts
-        sample.fetch_rate_rel = interpreted.fetch_rate_rel
-        sample.commit_rate_rel = interpreted.commit_rate_rel
-        sample.phase_name = interpreted.phase_name
+        return self._blend(cycles, actuation, remaining)
+
+    def _blend(
+        self, cycles: int, actuation: DtmActuation, remaining: float
+    ) -> CompiledSample:
+        """The interpreted slow path (an interval that crosses a phase
+        boundary, or a fully gated one) on block-order vectors.
+
+        The same chunk walk and the same float operations in the same
+        order as :meth:`~repro.uarch.interval.IntervalPerformanceModel.
+        advance`: each chunk adds ``acts * chunk_cycles`` to a zero
+        vector, as the interpreted dict adds ``value * chunk_cycles``
+        to ``0.0``, and the sums are divided by the consumed cycles
+        once.  A fully gated interval (nothing consumed) switches
+        nothing: zero activities and rates.
+        """
+        schedule = self._schedule
+        weighted = np.zeros(len(schedule.block_names))
+        instructions = 0.0
+        weighted_fetch = 0.0
+        weighted_commit = 0.0
+        consumed = 0.0
+        start_phase = self.current_phase.name
+        while remaining > 1e-9:
+            phase = self.current_phase
+            index = self._phase_index
+            cpi = self._cpi(phase, actuation)
+            possible = remaining / cpi
+            if possible >= self._instructions_left:
+                chunk_instr = self._instructions_left
+                chunk_cycles = chunk_instr * cpi
+                self._advance_phase()
+            else:
+                chunk_instr = possible
+                chunk_cycles = remaining
+                self._instructions_left -= chunk_instr
+            fetch_rel = 1.0 - actuation.gating_fraction
+            commit_rel = min((1.0 / cpi) / phase.base_ipc, 1.0)
+            weighted += (
+                schedule.activities(index, fetch_rel, commit_rel)
+                * chunk_cycles
+            )
+            weighted_fetch += fetch_rel * chunk_cycles
+            weighted_commit += commit_rel * chunk_cycles
+            instructions += chunk_instr
+            consumed += chunk_cycles
+            remaining -= chunk_cycles
+        if consumed > 0.0:
+            np.divide(weighted, consumed, weighted)
+            fetch_rate = weighted_fetch / consumed
+            commit_rate = weighted_commit / consumed
+        else:
+            fetch_rate = 0.0
+            commit_rate = 0.0
+        self._total_instructions += instructions
+        weighted.setflags(write=False)
+        sample = self._sample
+        sample.cycles = cycles
+        sample.instructions = instructions
+        sample.acts = weighted
+        sample.fetch_rate_rel = fetch_rate
+        sample.commit_rate_rel = commit_rate
+        sample.phase_name = start_phase
         return sample
 
     def phase_run(

@@ -161,6 +161,56 @@ class TestKernelBitIdentity:
         assert not spans
 
 
+class TestHistoryRegrow:
+    """A span longer than every earlier one regrows the run histories
+    and rebuilds their row views mid-run; the run stays bit-identical
+    to the per-step path."""
+
+    def test_longer_later_span_matches_anchor(self, gcc, monkeypatch):
+        floorplan = build_alpha21364_floorplan()
+
+        def run():
+            # A 7 kHz sensor after a 100 us settle: the first span is
+            # shorter than the ones after it.
+            engine = SimulationEngine(
+                gcc,
+                policy=DvsPolicy(),
+                sensors=SensorArray(
+                    floorplan, seed=0, sampling_rate_hz=7_000.0
+                ),
+                config=EngineConfig(fast_forward=False),
+                seed=1,
+            )
+            initial = engine.compute_initial_temperatures()
+            return engine.run(
+                3_000_000, initial=initial, settle_time_s=1.0e-4
+            )
+
+        calls = []
+        histories = ChipStep._histories
+
+        def recording(self, rows, ambient):
+            history = histories(self, rows, ambient)
+            calls.append((rows, history[0]))
+            return history
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ChipStep, "_histories", recording)
+            fused = run()
+        regrown = [
+            i for i in range(1, len(calls))
+            if calls[i][0] > max(rows for rows, _ in calls[:i])
+        ]
+        assert regrown
+        assert all(
+            calls[i][1] is not calls[i - 1][1] for i in regrown
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "_FUSE_DENSE_SPANS", False)
+            anchor = run()
+        _assert_bit_identical(fused, anchor)
+
+
 def _count_advances(monkeypatch):
     calls = []
     original = CompiledIntervalModel.advance

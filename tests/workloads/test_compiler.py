@@ -95,6 +95,11 @@ class TestCompiledIntervalModel:
     @pytest.mark.parametrize("order", ["single", "dual"])
     @pytest.mark.parametrize("bench_name", SPEC_BENCHMARK_NAMES)
     def test_matches_interpreted(self, bench_name, order, floorplan):
+        """Every step equals the interpreted model's, bit for bit: under
+        each actuation the walk crosses every phase boundary of the
+        schedule (the loop back to the first phase included), with a
+        fully gated interval every few steps, and then takes intervals
+        longer than a whole pass, whose blends span many chunks."""
         workload = build_benchmark(bench_name)
         block_order = (
             floorplan.block_names if order == "single"
@@ -108,23 +113,41 @@ class TestCompiledIntervalModel:
             DtmActuation(gating_fraction=0.4),
             DtmActuation(relative_frequency=0.7, clock_enabled_fraction=0.9),
         ]
-        phase_names = set()
-        for i in range(300):
-            act = actuations[i % len(actuations)]
-            a = compiled.advance(100_000, act)
-            b = interpreted.advance(100_000, act)
+        gated = DtmActuation(clock_enabled_fraction=0.0)
+
+        def step(cycles, act):
+            before = compiled._phase_index
+            a = compiled.advance(cycles, act)
+            b = interpreted.advance(cycles, act)
             assert a.cycles == b.cycles
             assert a.instructions == b.instructions
             assert a.fetch_rate_rel == b.fetch_rate_rel
             assert a.commit_rate_rel == b.commit_rate_rel
             assert a.phase_name == b.phase_name
-            assert np.array_equal(
-                a.acts, schedule.vector_from_mapping(b.activities)
-            )
-            phase_names.add(a.phase_name)
-        # The walk must cross at least one phase boundary so the
-        # delegating slow path is exercised, not just the fast path.
-        assert len(phase_names) > 1
+            want = schedule.vector_from_mapping(b.activities)
+            assert a.acts.tobytes() == want.tobytes()
+            assert not a.acts.flags.writeable
+            assert compiled._phase_index == interpreted._phase_index
+            assert compiled._instructions_left == interpreted._instructions_left
+            assert compiled.total_instructions == interpreted.total_instructions
+            return before
+
+        for act in actuations:
+            crossed = set()
+            for i in range(5_000):
+                before = step(100_000, act)
+                if compiled._phase_index != before:
+                    crossed.add(before)
+                    if len(crossed) == schedule.n_phases:
+                        break
+                if i % 7 == 0:
+                    step(100_000, gated)
+            assert crossed == set(range(schedule.n_phases))
+        for act in actuations:
+            step(20_000_000, act)
+        assert compiled.advance(10_000, gated).acts.tobytes() == bytes(
+            8 * len(block_order)
+        )
 
     def test_sample_is_reused_in_place(self, gcc, floorplan):
         model = CompiledIntervalModel(
