@@ -31,11 +31,13 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
+import importlib.util
 import pstats
 import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 from typing import List, Optional
 
 from repro.analysis.experiments import t4_benchmark_characterisation
@@ -50,12 +52,7 @@ from repro.core.evaluation import (
 from repro.core.metrics import slowdown_factor
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.sim.config import EngineConfig
-from repro.obs import metrics as obs_metrics
-from repro.sim.engine import (
-    SimulationEngine,
-    reset_step_timers,
-    step_timers,
-)
+from repro.sim.engine import SimulationEngine
 from repro.workloads.spec import SPEC_BENCHMARK_NAMES, build_benchmark
 
 
@@ -566,74 +563,68 @@ def _cmd_characterise(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
+    repo_root = Path(__file__).resolve().parents[2]
+    bench_dir = repo_root / "benchmarks"
     if not (bench_dir / "run_all.py").is_file():
         print(
             f"error: benchmark harness not found at {bench_dir}",
             file=sys.stderr,
         )
         return 2
+    tracer_path = repo_root / "perfbench" / "layers.py"
+    if not tracer_path.is_file():
+        print(
+            f"error: layer tracer not found at {tracer_path}",
+            file=sys.stderr,
+        )
+        return 2
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", tracer_path
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
     if str(bench_dir) not in sys.path:
         sys.path.insert(0, str(bench_dir))
     run_all = importlib.import_module("run_all")
-
-    # Per-section timers are cheap enough to leave on for the whole
-    # harness; they power the breakdown table printed below.  They run
-    # whenever the observability layer is on, so switch it on for the
-    # harness and restore the caller's setting afterwards.
-    reset_step_timers()
 
     harness_argv: List[str] = []
     if args.only:
         harness_argv.extend(["--only", *args.only])
 
+    # The tracer wraps each layer's entry points from outside the
+    # library for the harness run only; untraced runs execute the
+    # unmodified code.  Layer self times add up to the traced wall,
+    # less what no wrapped layer covers (bench setup, table rendering).
+    tracer = layers.Tracer()
     profiler = cProfile.Profile() if args.profile else None
-    obs_was_enabled = obs_metrics.set_enabled(True)
-    if profiler is not None:
-        profiler.enable()
     try:
+        # Inside the ``try``: a renamed entry point fails ``install``
+        # part-way, and what it did patch must still be restored.
+        layers.install(tracer)
+        if profiler is not None:
+            profiler.enable()
+        started = perf_counter()
         code = run_all.main(harness_argv)
+        wall = perf_counter() - started
     finally:
         if profiler is not None:
             profiler.disable()
-        obs_metrics.set_enabled(obs_was_enabled)
+        layers.uninstall(tracer)
 
-    timers = step_timers()
-    if timers:
-        # ``kernel`` is a *boundary* span: it wraps whole fused dense
-        # spans whose inner sense/perf/power/thermal work records under
-        # the other sections too (see engine.STEP_SECTIONS), so it is
-        # excluded from the additive total and reported separately.
-        boundary = timers.pop("kernel", None)
-        total = sum(seconds for seconds, _ in timers.values())
-        rows = [
-            [
-                section,
-                round(seconds, 3),
-                calls,
-                round(1e6 * seconds / calls, 1) if calls else 0.0,
-                round(100.0 * seconds / total, 1) if total else 0.0,
-            ]
-            for section, (seconds, calls) in sorted(
-                timers.items(), key=lambda item: -item[1][0]
-            )
-        ]
-        print()
-        print(render_table(
-            ["section", "seconds", "calls", "us/call", "% timed"],
-            rows,
-            title="per-phase step timing",
-        ))
-        if boundary is not None:
-            seconds, calls = boundary
-            per_span = 1e6 * seconds / calls if calls else 0.0
-            covered = 100.0 * seconds / total if total else 0.0
-            print(
-                f"[step.kernel boundary span: {seconds:.3f} s over "
-                f"{calls} fused spans ({per_span:.1f} us/span), covering "
-                f"{covered:.1f}% of the timed sections above -- overlaps "
-                f"them, so it is excluded from the additive total]"
-            )
+    totals = sorted(tracer.totals().items(), key=lambda item: -item[1].self_s)
+    unattributed = wall - sum(stats.self_s for _, stats in totals)
+    rows = [
+        [layer, stats.self_s, stats.calls, 100.0 * stats.self_s / wall]
+        for layer, stats in totals
+    ]
+    rows.append(["unattributed", unattributed, "", 100.0 * unattributed / wall])
+    print()
+    print(render_table(
+        ["layer", "self s", "calls", "% wall"],
+        rows,
+        title="per-layer self time (outside-in trace)",
+    ))
+    print(f"[traced wall: {wall:.4f} s]")
 
     if profiler is not None:
         print("\n[cProfile: top functions by total time]")
@@ -827,8 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="run the benchmark harness with a per-phase step-timing "
-             "breakdown (and optionally cProfile)",
+        help="run the benchmark harness under the per-layer tracer "
+             "(perfbench/layers.py) and print each layer's self time "
+             "(and optionally cProfile)",
     )
     bench_parser.add_argument(
         "--only", nargs="+", default=None, metavar="BENCH",

@@ -37,7 +37,6 @@ from repro.multicore.hopping import CoreHopper, HoppingConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.obs import spill as obs_spill
-from repro.obs import trace as obs_trace
 from repro.sim.config import EngineConfig
 from repro.sim.faults import fire_prerun_faults
 from repro.sim.supervisor import policy_token, spec_digest
@@ -241,12 +240,11 @@ def run_dual_core(spec: DualCoreRunSpec) -> MultiCoreResult:
     )
     error: Optional[str] = None
     try:
-        with obs_trace.span("run.total"):
-            return engine.run(
-                spec.duration_s,
-                initial=initial_vec,
-                settle_time_s=spec.settle_time_s,
-            )
+        return engine.run(
+            spec.duration_s,
+            initial=initial_vec,
+            settle_time_s=spec.settle_time_s,
+        )
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"
         raise

@@ -1,4 +1,4 @@
-"""Observability: metrics, structured events, span tracing, reports.
+"""Observability: metrics, structured events, run records, reports.
 
 The paper's argument is carried entirely by time-series evidence --
 sensor temperatures crossing the trigger, controller duty cycles, DVS
@@ -10,12 +10,10 @@ telemetry layer the rest of :mod:`repro` publishes into:
   gauges and fixed-bucket histograms (:data:`~repro.obs.metrics.REGISTRY`);
 * :mod:`repro.obs.events` -- structured JSONL event logging with
   run/sweep context (run id, worker pid) and a validating schema;
-* :mod:`repro.obs.trace` -- ``with span("thermal.step"):`` timing with
-  process-lifetime totals and per-run aggregation (the engine's
-  per-section step timers record through it);
 * :mod:`repro.obs.runctx` / :mod:`repro.obs.spill` -- per-run telemetry
   records that survive process-pool workers via per-worker spill files,
-  merged by :func:`repro.sim.batch.run_many`;
+  merged by :func:`repro.sim.batch.run_many` (each record carries its
+  run's ``wall_seconds``);
 * :mod:`repro.obs.report` -- the merged :class:`~repro.obs.report.
   SweepReport` (JSONL + Prometheus export, rendered by
   ``python -m repro report``);
@@ -24,10 +22,12 @@ telemetry layer the rest of :mod:`repro` publishes into:
 
 Everything is gated on one module-level flag (``REPRO_OBS=1`` or
 :func:`set_enabled`).  When disabled, the hot paths pay one boolean
-check per run (not per step), ``span()`` returns a shared no-op
-singleton, and ``emit()``/``inc()`` return immediately without
-allocating -- the disabled-overhead tests assert both properties, and
-results are bit-identical with observability on or off.
+check per run (not per step) and ``emit()``/``inc()`` return
+immediately without allocating -- the disabled-overhead tests assert
+it.  The flag never changes which code the step loop runs, so results
+are bit-identical with observability on or off.  Host time per layer
+is not measured here: ``python -m repro bench`` reads it from the
+benchmark's outside-in tracer (``perfbench/layers.py``).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from repro.obs.metrics import (
     set_enabled,
 )
 from repro.obs.report import SweepReport
-from repro.obs.trace import span
 
 __all__ = [
     "FLIGHT_DIR_ENV",
@@ -92,7 +91,6 @@ __all__ = [
     "registry_snapshot",
     "reset_for_testing",
     "set_enabled",
-    "span",
     "validate_events_file",
     "validate_record",
 ]
@@ -137,15 +135,13 @@ def logging_setup(
 def reset_for_testing() -> None:
     """Reset every piece of module-level observability state.
 
-    For test isolation only: zeroes the registry, the span totals, any
-    active run context, the event-log handle and the in-process spill
+    For test isolation only: zeroes the registry, any active run
+    context, the event-log handle and the in-process spill
     records.  Does *not* touch the enabled flag.
     """
-    from repro.obs import events, flightrec, heartbeat, runctx, spill, trace
+    from repro.obs import events, flightrec, heartbeat, runctx, spill
 
     REGISTRY.reset()
-    trace.reset_totals()
-    trace.reset_run_stack()
     runctx.reset()
     events.reset()
     spill.reset()

@@ -3,16 +3,14 @@
 The Prometheus exposition follows the text format conventions: metric
 names are the registry's dotted names with dots mangled to underscores
 under a ``repro_`` prefix; histograms expose cumulative ``le`` bucket
-series plus ``_sum`` / ``_count``; span totals are exported alongside
-the registry as ``repro_span_seconds_total`` / ``repro_span_calls_total``
-with a ``name`` label.
+series plus ``_sum`` / ``_count``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs import metrics, trace
+from repro.obs import metrics
 
 _INF = float("inf")
 
@@ -20,15 +18,10 @@ _INF = float("inf")
 def registry_snapshot(
     registry: Optional[metrics.MetricsRegistry] = None,
 ) -> Dict[str, object]:
-    """Registry contents plus span totals as one JSON-serialisable
-    mapping (``counters`` / ``gauges`` / ``histograms`` / ``spans``)."""
+    """Registry contents as one JSON-serialisable mapping
+    (``counters`` / ``gauges`` / ``histograms``)."""
     registry = registry if registry is not None else metrics.REGISTRY
-    snapshot = registry.snapshot()
-    snapshot["spans"] = {
-        name: {"seconds": seconds, "calls": calls}
-        for name, (seconds, calls) in trace.totals().items()
-    }
-    return snapshot
+    return registry.snapshot()
 
 
 def _mangle(name: str) -> str:
@@ -49,22 +42,13 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def prometheus_text(
     registry: Optional[metrics.MetricsRegistry] = None,
     counters: Optional[Dict[str, float]] = None,
-    spans: Optional[Dict[str, object]] = None,
 ) -> str:
-    """The registry (or explicit ``counters`` / ``spans`` tables, as a
+    """The registry (or an explicit ``counters`` table, as a
     :class:`~repro.obs.report.SweepReport` holds) in Prometheus text
-    exposition format.
-
-    ``spans`` values may be ``(seconds, calls)`` tuples/lists or
-    ``{"seconds": ..., "calls": ...}`` mappings.
-    """
+    exposition format."""
     registry = registry if registry is not None else metrics.REGISTRY
     lines: List[str] = []
 
@@ -107,27 +91,5 @@ def prometheus_text(
             lines.append(f'{mangled}_bucket{{le="+Inf"}} {hist.count}')
             lines.append(f"{mangled}_sum {repr(float(hist.sum))}")
             lines.append(f"{mangled}_count {hist.count}")
-
-    span_table: Dict[str, object] = (
-        spans
-        if spans is not None
-        else {name: pair for name, pair in trace.totals().items()}
-    )
-    if span_table:
-        lines.append("# TYPE repro_span_seconds_total counter")
-        lines.append("# TYPE repro_span_calls_total counter")
-        for name in sorted(span_table):
-            value = span_table[name]
-            if isinstance(value, dict):
-                seconds, calls = value["seconds"], value["calls"]
-            else:
-                seconds, calls = value[0], value[1]
-            label = _escape_label(name)
-            lines.append(
-                f'repro_span_seconds_total{{name="{label}"}} {repr(float(seconds))}'
-            )
-            lines.append(
-                f'repro_span_calls_total{{name="{label}"}} {_fmt(float(calls))}'
-            )
 
     return "\n".join(lines) + "\n" if lines else ""

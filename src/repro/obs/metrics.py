@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 OBS_ENV = "REPRO_OBS"
 """Set to ``1`` to enable the observability layer (metrics registry,
-structured events, span tracing, sweep reports).  Off by default."""
+structured events, run records, sweep reports).  Off by default."""
 
 OBS_DIR_ENV = "REPRO_OBS_DIR"
 """Directory that receives event logs, worker spill files and sweep

@@ -7,7 +7,6 @@ telemetry and folds them into one :class:`SweepReport`:
 * ``counters`` -- the sum of every run's numeric metrics (trigger
   crossings, DTM engagement steps, fast-forward spans, fallback
   activations, ...) plus sweep-level counters (retries, pool rebuilds);
-* ``spans`` -- per-run span tables summed across all workers;
 * ``runs`` -- the individual run records, for per-run drill-down
   (per-run trigger crossings, DTM duty cycle, wall time);
 * ``failures`` -- failed-run descriptions from the supervisor;
@@ -28,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import export
 
@@ -48,7 +47,6 @@ class SweepReport:
 
     meta: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
-    spans: Dict[str, Tuple[float, int]] = field(default_factory=dict)
     runs: List[Dict[str, object]] = field(default_factory=list)
     failures: List[Dict[str, object]] = field(default_factory=list)
 
@@ -65,16 +63,11 @@ class SweepReport:
         sweep rather than any run (retries, pool rebuilds, degradation).
         """
         counters: Dict[str, float] = {}
-        spans: Dict[str, List[float]] = {}
         runs: List[Dict[str, object]] = []
         for record in records:
             runs.append(record)
             for name, value in (record.get("metrics") or {}).items():
                 counters[name] = counters.get(name, 0.0) + float(value)
-            for name, pair in (record.get("spans") or {}).items():
-                entry = spans.setdefault(name, [0.0, 0])
-                entry[0] += float(pair[0])
-                entry[1] += int(pair[1])
         for name, value in (sweep_counters or {}).items():
             if value:
                 counters[name] = counters.get(name, 0.0) + float(value)
@@ -87,9 +80,6 @@ class SweepReport:
         return cls(
             meta=report_meta,
             counters=counters,
-            spans={
-                name: (entry[0], entry[1]) for name, entry in spans.items()
-            },
             runs=runs,
             failures=list(failures),
         )
@@ -100,10 +90,6 @@ class SweepReport:
         return {
             "meta": self.meta,
             "counters": self.counters,
-            "spans": {
-                name: [seconds, calls]
-                for name, (seconds, calls) in self.spans.items()
-            },
             "runs": self.runs,
             "failures": self.failures,
         }
@@ -115,10 +101,6 @@ class SweepReport:
             counters={
                 str(k): float(v)
                 for k, v in (data.get("counters") or {}).items()
-            },
-            spans={
-                str(k): (float(v[0]), int(v[1]))
-                for k, v in (data.get("spans") or {}).items()
             },
             runs=list(data.get("runs") or []),
             failures=list(data.get("failures") or []),
@@ -134,10 +116,6 @@ class SweepReport:
                 "kind": "sweep_report",
                 "meta": self.meta,
                 "counters": self.counters,
-                "spans": {
-                    name: [seconds, calls]
-                    for name, (seconds, calls) in self.spans.items()
-                },
             }
             handle.write(json.dumps(head, sort_keys=True, default=str) + "\n")
             for run in self.runs:
@@ -155,7 +133,6 @@ class SweepReport:
         """Read a report written by :meth:`save`."""
         meta: Dict[str, object] = {}
         counters: Dict[str, float] = {}
-        spans: Dict[str, Tuple[float, int]] = {}
         runs: List[Dict[str, object]] = []
         failures: List[Dict[str, object]] = []
         with open(path, encoding="utf-8") as handle:
@@ -171,10 +148,6 @@ class SweepReport:
                         str(k): float(v)
                         for k, v in (record.get("counters") or {}).items()
                     }
-                    spans = {
-                        str(k): (float(v[0]), int(v[1]))
-                        for k, v in (record.get("spans") or {}).items()
-                    }
                 elif kind == "failure":
                     failures.append(
                         {k: v for k, v in record.items() if k != "kind"}
@@ -184,17 +157,13 @@ class SweepReport:
         return cls(
             meta=meta,
             counters=counters,
-            spans=spans,
             runs=runs,
             failures=failures,
         )
 
     def prometheus_text(self) -> str:
         """The report's aggregates in Prometheus text format."""
-        return export.prometheus_text(
-            counters=self.counters,
-            spans={name: pair for name, pair in self.spans.items()},
-        )
+        return export.prometheus_text(counters=self.counters)
 
     # --- rendering ----------------------------------------------------------
 
@@ -212,23 +181,6 @@ class SweepReport:
             sections.append(
                 _render_table(["counter", "total"], counter_rows,
                              title="counters")
-            )
-        if self.spans:
-            span_rows = [
-                [
-                    name,
-                    self.spans[name][0],
-                    self.spans[name][1],
-                    self.spans[name][0] / max(self.spans[name][1], 1),
-                ]
-                for name in sorted(self.spans)
-            ]
-            sections.append(
-                _render_table(
-                    ["span", "seconds", "calls", "mean_s"],
-                    span_rows,
-                    title="spans (summed across workers)",
-                )
             )
         if self.runs:
             run_rows = []

@@ -2,12 +2,12 @@
 
 A *run* here is one engine execution inside a sweep (one
 :class:`~repro.sim.batch.RunSpec`).  :func:`begin` opens the context --
-pushing the run id into the ambient event context and opening a span
-aggregate -- and :func:`end` closes it, returning the finished run
-record: identity fields, numeric metrics published by the engine, and
-the run's span table.  :func:`repro.sim.batch.run_one` writes that
-record through :mod:`repro.obs.spill` so it reaches the sweep parent
-even from a pool worker.
+pushing the run id into the ambient event context -- and :func:`end`
+closes it, returning the finished run record: identity fields, numeric
+metrics published by the engine, and the run's wall time.
+:func:`repro.sim.batch.run_one` writes that record through
+:mod:`repro.obs.spill` so it reaches the sweep parent even from a pool
+worker.
 
 Contexts nest (supervised serial fallback re-running a spec inside a
 sweep), and are process-local like everything else in the obs layer.
@@ -19,7 +19,7 @@ import os
 import time
 from typing import Dict, List, Optional
 
-from repro.obs import events, metrics, trace
+from repro.obs import events, metrics
 
 
 class _RunContext:
@@ -39,7 +39,6 @@ _STACK: List[_RunContext] = []
 def begin(run_id: str, **meta) -> None:
     """Open a run context; ``meta`` are identity fields (benchmark,
     policy, seed, ...) copied verbatim into the run record."""
-    trace.begin_run()
     _STACK.append(_RunContext(run_id, dict(meta)))
 
 
@@ -68,11 +67,9 @@ def end(error: Optional[str] = None) -> Dict[str, object]:
     """Close the innermost run context and return its record.
 
     The record is flat-ish JSON: identity fields at top level, numeric
-    metrics under ``"metrics"``, per-run span aggregates under
-    ``"spans"`` as ``{name: [seconds, calls]}``.  Wall time also lands
-    in the shared ``run.wall_seconds`` histogram.
+    metrics under ``"metrics"`` and the run's ``wall_seconds``, which
+    also lands in the shared ``run.wall_seconds`` histogram.
     """
-    spans = trace.end_run()
     if not _STACK:
         return {}
     ctx = _STACK.pop()
@@ -89,9 +86,6 @@ def end(error: Optional[str] = None) -> Dict[str, object]:
     if error is not None:
         record["error"] = error
     record["metrics"] = dict(ctx.metrics)
-    record["spans"] = {
-        name: [seconds, calls] for name, (seconds, calls) in spans.items()
-    }
     return record
 
 

@@ -1,7 +1,7 @@
 """Per-worker spill files: run records that survive the process pool.
 
 A pool worker returns each run's result to the sweep parent, but not
-its per-run telemetry (span tables, named metric dicts), so workers
+its per-run telemetry (wall time, named metric dicts), so workers
 append each finished run record as one JSON line to their own
 ``<obs_dir>/spill-<pid>.jsonl``.  Appends are O_APPEND single writes,
 so records from a worker that is later killed remain intact.  In the

@@ -36,7 +36,6 @@ from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
 from repro.obs import spill as obs_spill
-from repro.obs import trace as obs_trace
 from repro.obs.report import SweepReport
 from repro.sim.config import EngineConfig
 from repro.sim.faults import fire_prerun_faults
@@ -417,12 +416,11 @@ def _run_one_impl(spec) -> RunResult:
     )
     error: Optional[str] = None
     try:
-        with obs_trace.span("run.total"):
-            return engine.run(
-                spec.instructions,
-                initial=initial_vec,
-                settle_time_s=spec.settle_time_s,
-            )
+        return engine.run(
+            spec.instructions,
+            initial=initial_vec,
+            settle_time_s=spec.settle_time_s,
+        )
     except BaseException as exc:
         error = f"{type(exc).__name__}: {exc}"
         raise

@@ -45,13 +45,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import flightrec as obs_flightrec
-from repro.obs import trace as obs_trace
-from repro.sim.kernel import DenseSpanTask, step_timing_enabled
+from repro.sim.kernel import DenseSpanTask
 from repro.sim.stride import StrideTask, serve_stride, serve_strides
 
 
@@ -130,47 +128,22 @@ def drive(steps) -> Any:
     Services every yielded request (tuples and rounds) and returns the
     generator's return value.  A request that is not a tuple is a round
     (``isinstance(request, tuple)`` is much cheaper than an instance
-    check against ``typing.Mapping``).  With step timing enabled
-    (observability on), tuple requests record under the
-    ``step.thermal`` span exactly as the pre-contract engine loop did;
-    stride requests record under ``step.stride`` (proof and jump);
-    fused :class:`~repro.sim.kernel.DenseSpanTask` requests
-    record under ``step.kernel`` instead (the span covers the whole
-    fused pipeline -- the kernel attributes its inner sections itself,
-    so ``step.kernel`` is a boundary measure, not an additive one).  If
-    servicing raises, the generator is closed so the engine unwinds
-    immediately instead of at garbage collection.
+    check against ``typing.Mapping``).  The loop carries no timing:
+    per-layer host time is measured from outside the library
+    (``python -m repro bench``).  If servicing raises, the generator is
+    closed so the engine unwinds immediately instead of at garbage
+    collection.
     """
     reply: Any = None
     try:
-        if step_timing_enabled():
-            record = obs_trace.record
-            try:
-                while True:
-                    request = steps.send(reply)
-                    if not isinstance(request, tuple):
-                        reply = service_round(request)
-                        continue
-                    t0 = perf_counter()
-                    reply = service_request(request)
-                    task = request[1]
-                    if isinstance(task, DenseSpanTask):
-                        record("step.kernel", perf_counter() - t0)
-                    elif isinstance(task, StrideTask):
-                        record("step.stride", perf_counter() - t0)
-                    else:
-                        record("step.thermal", perf_counter() - t0)
-            except StopIteration as stop:
-                return stop.value
-        try:
-            while True:
-                request = steps.send(reply)
-                if isinstance(request, tuple):
-                    reply = service_request(request)
-                else:
-                    reply = service_round(request)
-        except StopIteration as stop:
-            return stop.value
+        while True:
+            request = steps.send(reply)
+            if isinstance(request, tuple):
+                reply = service_request(request)
+            else:
+                reply = service_round(request)
+    except StopIteration as stop:
+        return stop.value
     except BaseException:
         steps.close()
         raise

@@ -10,7 +10,6 @@ from repro.dtm.base import DtmCommand, DtmPolicy
 from repro.dtm.none import NoDtmPolicy
 from repro.dtm.thresholds import ThermalThresholds
 from repro.errors import SimulationError
-from repro.obs import trace as obs_trace
 from repro.floorplan.alpha21364 import build_alpha21364_floorplan
 from repro.floorplan.floorplan import Floorplan
 from repro.power.model import PowerModel
@@ -18,7 +17,7 @@ from repro.sensors.array import SensorArray
 from repro.sim.config import DVS_MODE_STALL, EngineConfig
 from repro.sim.faults import targeted
 from repro.sim.contract import SimEngine, drive
-from repro.sim.kernel import ChipStep, _timed, step_timing_enabled
+from repro.sim.kernel import ChipStep
 from repro.sim.stride import ACCEPT, REJECT, REJECT_REASONS, StridePlanner
 from repro.sim.results import RunResult, TracePoint
 from repro.sim.warmup import initial_temperatures
@@ -28,41 +27,12 @@ from repro.uarch.interval import DtmActuation
 from repro.workloads.compiler import CompiledIntervalModel, compile_workload
 from repro.workloads.workload import Workload
 
-STEP_SECTIONS = (
-    "sense", "policy", "perf", "power", "thermal", "stride", "kernel"
-)
-"""The per-section names :func:`step_timers` reports.
-
-``kernel`` is a *boundary* span: it covers whole fused dense spans
-(:class:`~repro.sim.kernel.DenseSpanTask` requests) whose inner
-perf/power/thermal work records under the other sections too, so it
-must not be added to them when computing a total."""
-
 _FUSE_DENSE_SPANS = True
 """Whether decision-free dense spans run as fused
 :class:`~repro.sim.kernel.DenseSpanTask` requests.  Tests set it to
 ``False`` to compare the fused path with the per-step path, which is
 bit-identical by construction; it is neither a configuration field nor
 part of a run's identity."""
-
-
-def step_timers() -> Dict[str, Tuple[float, int]]:
-    """Accumulated ``{section: (seconds, calls)}`` since the last reset.
-
-    A back-compat view over :func:`repro.obs.trace.totals` restricted
-    to the ``step.*`` spans, with the prefix stripped.
-    """
-    totals = obs_trace.totals()
-    return {
-        section: totals["step." + section]
-        for section in STEP_SECTIONS
-        if "step." + section in totals
-    }
-
-
-def reset_step_timers() -> None:
-    """Zero the step-timing accumulators (all span totals)."""
-    obs_trace.reset_totals()
 
 
 class TraceBuffer:
@@ -411,15 +381,6 @@ class SimulationEngine(SimEngine):
         policy_update_hottest = (
             self._policy.update_hottest if hottest_policy else None
         )
-        timing = step_timing_enabled()
-        if timing:
-            if sensors_sample_hottest is not None:
-                sensors_sample_hottest = _timed(
-                    "sense", sensors_sample_hottest
-                )
-                policy_update_hottest = _timed("policy", policy_update_hottest)
-            policy_update = _timed("policy", policy_update)
-            perf_advance = _timed("perf", perf_advance)
 
         # Event-driven stepping: between DTM decision points (sensor
         # samples) the dynamic power cannot change -- same phase run,
@@ -675,9 +636,7 @@ class SimulationEngine(SimEngine):
                 # technique (the paper's fixed SimPoint sample): the
                 # settle lead-in warms the *thermal* state only.
                 perf = CompiledIntervalModel(schedule, loop=True)
-                perf_advance = (
-                    _timed("perf", perf.advance) if timing else perf.advance
-                )
+                perf_advance = perf.advance
                 # The step's sample came from the settle-phase model;
                 # disarm the stride so the next jump is sized from the
                 # fresh measurement model's samples.

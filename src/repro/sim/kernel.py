@@ -78,7 +78,6 @@ draws the stops and the unhealthy rows at random.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,7 +87,6 @@ from repro.obs import events as obs_events
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
 from repro.obs import runctx as obs_runctx
-from repro.obs import trace as obs_trace
 from repro.sim.faults import targeted
 from repro.thermal.solver import DIVERGENCE_LIMIT_C, ExponentialSolver
 
@@ -114,35 +112,7 @@ __all__ = [
     "DenseSpanTask",
     "commit_phase_run",
     "next_phase_run",
-    "step_timing_enabled",
 ]
-
-
-def step_timing_enabled() -> bool:
-    """True when the per-section step-timing breakdown is switched on,
-    i.e. when the observability layer is enabled (``REPRO_OBS=1`` or
-    :func:`repro.obs.metrics.set_enabled`).  The sections record
-    through :mod:`repro.obs.trace` as ``step.<section>`` spans;
-    :func:`repro.sim.engine.step_timers` reads them back."""
-    return obs_metrics.enabled()
-
-
-def _timed(section: str, fn):
-    """Wrap a hot-loop callable so its cumulative time and call count
-    land in the ``step.<section>`` span totals.  Only installed when
-    timing is enabled, so the normal hot loop carries no
-    instrumentation branches at all."""
-    name = "step." + section
-    record = obs_trace.record
-
-    def wrapper(*args, **kwargs):
-        t0 = perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            record(name, perf_counter() - t0)
-
-    return wrapper
 
 
 class DenseSpanTask:
@@ -323,13 +293,6 @@ class ChipStep:
             sensors.sample_vector if self.vector_sensors else None
         )
         self._sample = sensors.sample
-        self._timing = step_timing_enabled()
-        if self._timing:
-            self._sample = _timed("sense", self._sample)
-            if self._sample_vector is not None:
-                self._sample_vector = _timed("sense", self._sample_vector)
-            self._power_vector = _timed("power", self._power_vector)
-            self._dynamic_w = _timed("power", self._dynamic_w)
         # Progress heartbeat: the publisher (if a supervisor registered
         # one) is captured once per run; publishing reads counters
         # only, so results stay bit-identical either way.
@@ -532,7 +495,6 @@ class ChipStep:
         ref_c, beta, leak_scale, leak_ref = self._leakage_coefficients(
             voltage, frequency
         )
-        timing = self._timing
         steps = 0  # steps this span has taken
         synced = 0  # of them, the steps already on the solver's clock
         left = count
@@ -543,8 +505,6 @@ class ChipStep:
             )
             n = limit(samples, dt, n)
             dynamic_w(scatter(samples), voltage, frequency, clock_gate, dyn_w)
-            if timing:
-                t0 = perf_counter()
             first = 0  # the run's first step still to take
             while first < n:
                 for prev, nxt, prev_b, power, power_b in zip(
@@ -583,8 +543,6 @@ class ChipStep:
                 self._power_blocks[...] = power_block_l[k]
                 solver.guard(state_l[k + 1], state_l[k], self.power_buffer, dt)
                 first = k + 1
-            if timing:
-                obs_trace.record("step.thermal", perf_counter() - t0)
             if sized:
                 commit_phase_run(models, n)
             stop = commit(

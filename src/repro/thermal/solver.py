@@ -522,8 +522,10 @@ class ExponentialSolver:
         self._out = np.empty(n)
         self._time_s = 0.0
         #: Set when a numerical-health trip forced a backward-Euler
-        #: recovery; the engine then disables fast-forward for the rest
-        #: of the run (the exponential operators are suspect).
+        #: recovery; the engine then disables the closed-form stride for
+        #: the rest of the run (its span operators are suspect).  Dense
+        #: and fused steps keep the exponential propagator, each under
+        #: the same guard.
         self.fallback_active = False
 
     @property
@@ -713,7 +715,8 @@ class ExponentialSolver:
             _LOGGER.warning(
                 "exponential stepper tripped a numerical-health guard at "
                 "t=%.6gs; recovered with backward Euler (dt=%.3g, "
-                "steps=%d) and disabled expm for the rest of the run",
+                "steps=%d); the closed-form stride is off for the rest "
+                "of the run, dense steps keep the exponential propagator",
                 self._time_s,
                 dt,
                 steps,

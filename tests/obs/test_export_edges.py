@@ -1,5 +1,5 @@
-"""Prometheus text exporter edge cases: NaN/Inf spellings, label
-escaping, cumulative bucket monotonicity, and empty-registry output.
+"""Prometheus text exporter edge cases: NaN/Inf spellings, cumulative
+bucket monotonicity, and empty-registry output.
 
 These run against private registries, never the process-wide one, so
 they are isolated by construction.
@@ -8,7 +8,7 @@ they are isolated by construction.
 import math
 
 from repro.obs import metrics
-from repro.obs.export import _escape_label, _fmt, prometheus_text
+from repro.obs.export import _fmt, prometheus_text
 
 
 class TestFmt:
@@ -27,31 +27,13 @@ class TestFmt:
         assert _fmt(1e18) == "1e+18"
 
 
-class TestLabelEscaping:
-    def test_backslash_quote_newline(self):
-        assert _escape_label("a\\b") == "a\\\\b"
-        assert _escape_label('say "hi"') == 'say \\"hi\\"'
-        assert _escape_label("two\nlines") == "two\\nlines"
-
-    def test_span_name_is_escaped_in_output(self):
-        text = prometheus_text(
-            registry=metrics.MetricsRegistry(),
-            counters={},
-            spans={'odd\\name "x"\n': (1.5, 3)},
-        )
-        assert '{name="odd\\\\name \\"x\\"\\n"}' in text
-        # No raw newline may survive inside a label value.
-        for line in text.splitlines():
-            assert line.count('"') % 2 == 0
-
-
 class TestGaugeEdgeValues:
     def test_nan_and_inf_gauges_render(self):
         registry = metrics.MetricsRegistry()
         registry.gauge("edge.nan").set(float("nan"))
         registry.gauge("edge.pos").set(float("inf"))
         registry.gauge("edge.neg").set(float("-inf"))
-        text = prometheus_text(registry=registry, spans={})
+        text = prometheus_text(registry=registry)
         assert "repro_edge_nan NaN" in text
         assert "repro_edge_pos +Inf" in text
         assert "repro_edge_neg -Inf" in text
@@ -63,7 +45,7 @@ class TestHistogram:
         hist = registry.histogram("lat", bounds=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             hist.observe(value)
-        text = prometheus_text(registry=registry, spans={})
+        text = prometheus_text(registry=registry)
         buckets = []
         for line in text.splitlines():
             if line.startswith("repro_lat_bucket"):
@@ -79,7 +61,7 @@ class TestHistogram:
     def test_inf_bound_spelling_in_le_label(self):
         registry = metrics.MetricsRegistry()
         registry.histogram("one", bounds=(1.0,)).observe(0.5)
-        text = prometheus_text(registry=registry, spans={})
+        text = prometheus_text(registry=registry)
         assert 'repro_one_bucket{le="1"} 1' in text
         assert 'repro_one_bucket{le="+Inf"} 1' in text
 
@@ -88,26 +70,17 @@ class TestHistogram:
         hist = registry.histogram("prec", bounds=(1.0,))
         hist.observe(0.1)
         hist.observe(0.2)
-        text = prometheus_text(registry=registry, spans={})
+        text = prometheus_text(registry=registry)
         assert f"repro_prec_sum {repr(0.1 + 0.2)}" in text
 
 
 class TestEmptyRegistry:
-    def test_empty_registry_no_spans_is_empty_string(self):
-        assert prometheus_text(registry=metrics.MetricsRegistry(), spans={}) == ""
-
-    def test_empty_registry_live_spans_still_exports_totals(self):
-        text = prometheus_text(
-            registry=metrics.MetricsRegistry(),
-            spans={"step": (0.5, 2)},
-        )
-        assert 'repro_span_seconds_total{name="step"} 0.5' in text
-        assert 'repro_span_calls_total{name="step"} 2' in text
-        assert text.endswith("\n")
+    def test_empty_registry_is_empty_string(self):
+        assert prometheus_text(registry=metrics.MetricsRegistry()) == ""
 
     def test_nan_sum_does_not_crash_export(self):
         registry = metrics.MetricsRegistry()
         registry.histogram("odd", bounds=(1.0,)).observe(float("nan"))
-        text = prometheus_text(registry=registry, spans={})
+        text = prometheus_text(registry=registry)
         assert "repro_odd_sum nan" in text
         assert math.isnan(registry._histograms["odd"].sum)

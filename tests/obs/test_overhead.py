@@ -2,7 +2,7 @@
 
 The engine's hot loop and the library's cold paths all call into the
 obs layer unconditionally; the contract that makes this acceptable is
-that a disabled ``inc`` / ``emit`` / ``span`` call allocates nothing
+that a disabled ``inc`` / ``emit`` call allocates nothing
 and returns immediately.  These tests pin that contract with
 ``sys.getallocatedblocks``.
 """
@@ -10,7 +10,7 @@ and returns immediately.  These tests pin that contract with
 import gc
 import sys
 
-from repro.obs import events, flightrec, heartbeat, metrics, trace
+from repro.obs import events, flightrec, heartbeat, metrics
 
 N = 10_000
 # Interpreter noise allowance: unrelated caches may allocate a handful
@@ -33,16 +33,6 @@ def test_disabled_inc_allocates_nothing(obs_dir):
             metrics.inc("hot.counter")
 
     assert _allocated_blocks(burst) < SLACK
-
-
-def test_disabled_span_allocates_nothing(obs_dir):
-    def burst():
-        for _ in range(N):
-            with trace.span("hot.section"):
-                pass
-
-    assert _allocated_blocks(burst) < SLACK
-    assert trace.totals() == {}
 
 
 def test_disabled_emit_allocates_nothing(obs_dir):

@@ -1,5 +1,7 @@
 """SweepReport folding, serialisation, and the exporters."""
 
+import json
+
 import pytest
 
 from repro.obs import prometheus_text
@@ -18,7 +20,6 @@ RECORDS = [
             "engine.trigger_crossings": 3.0,
             "dtm.duty_cycle": 0.25,
         },
-        "spans": {"run.total": [1.5, 1], "step.thermal": [0.6, 40]},
     },
     {
         "kind": "run",
@@ -28,7 +29,6 @@ RECORDS = [
         "pid": 101,
         "wall_seconds": 0.5,
         "metrics": {"engine.trigger_crossings": 1.0},
-        "spans": {"run.total": [0.5, 1]},
     },
 ]
 
@@ -64,10 +64,10 @@ class TestBuild:
         assert report.counters["sweep.retries"] == 2.0
         assert "sweep.timeouts" not in report.counters
 
-    def test_spans_sum_seconds_and_calls(self):
+    def test_runs_keep_their_wall_seconds(self):
         report = _report()
-        assert report.spans["run.total"] == (2.0, 2)
-        assert report.spans["step.thermal"] == (0.6, 40)
+        assert [run["wall_seconds"] for run in report.runs] == [1.5, 0.5]
+        assert "spans" not in report.to_json_dict()
 
     def test_meta_counts_runs_and_failures(self):
         report = _report()
@@ -83,15 +83,27 @@ class TestSerialisation:
         loaded = SweepReport.load(path)
         assert loaded.meta == report.meta
         assert loaded.counters == report.counters
-        assert loaded.spans == report.spans
         assert loaded.runs == report.runs
         assert loaded.failures == report.failures
+
+    def test_report_with_span_tables_still_loads(self, tmp_path):
+        # Reports written before span tables were dropped carry a
+        # ``spans`` key in the head line and in each run record.
+        path = _report().save(tmp_path / "report.jsonl")
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["spans"] = {"run.total": [2.0, 2]}
+        lines[0] = json.dumps(head)
+        path.write_text("\n".join(lines) + "\n")
+        loaded = SweepReport.load(path)
+        assert loaded.counters == _report().counters
+        assert "spans" not in loaded.to_json_dict()
 
     def test_json_dict_round_trip(self):
         report = _report()
         clone = SweepReport.from_json_dict(report.to_json_dict())
         assert clone.counters == report.counters
-        assert clone.spans == report.spans
+        assert clone.runs == report.runs
 
 
 class TestRender:
@@ -99,7 +111,7 @@ class TestRender:
         text = _report().render()
         assert "gzip.Hyb.s0.aaaa" in text
         assert "engine.trigger_crossings" in text
-        assert "step.thermal" in text
+        assert "1.5000" in text  # the gzip run's wall_s
         assert "SimulationError" in text
 
     def test_empty_report_renders_meta_only(self):
@@ -108,11 +120,11 @@ class TestRender:
 
 
 class TestPrometheus:
-    def test_report_export_contains_counters_and_spans(self):
+    def test_report_export_contains_counters(self):
         text = _report().prometheus_text()
         assert "repro_engine_trigger_crossings 4" in text
-        assert 'repro_span_seconds_total{name="run.total"} 2' in text
-        assert 'repro_span_calls_total{name="step.thermal"} 40' in text
+        assert "repro_sweep_retries 2" in text
+        assert "span" not in text
 
     def test_registry_export_histogram_is_cumulative(self):
         registry = MetricsRegistry()

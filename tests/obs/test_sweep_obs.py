@@ -20,6 +20,7 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import SimulationError
+from repro.multicore.batch import DualCoreRunSpec
 from repro.sim import RunFailure, RunSpec, run_many
 from repro.sim.batch import last_sweep_report, run_one
 
@@ -52,10 +53,11 @@ class TestSweepReport:
         assert report.counters["engine.runs"] == 2.0
         assert report.counters["engine.trigger_crossings"] >= 0.0
         assert "dtm.duty_cycle" in report.counters
-        assert report.spans["run.total"][1] == 2
         run_ids = {run["run_id"] for run in report.runs}
         assert len(run_ids) == 2
         for run in report.runs:
+            assert run["wall_seconds"] > 0.0
+            assert "spans" not in run
             assert "engine.trigger_crossings" in run["metrics"]
             assert "dtm.duty_cycle" in run["metrics"]
 
@@ -106,6 +108,32 @@ class TestBitIdentity:
         obs.set_enabled(True)
         observed = run_one(spec)
         assert observed == baseline
+
+    def test_dual_core_run_identical_with_obs_on_and_off(self, obs_dir):
+        spec = DualCoreRunSpec(
+            ("crafty", "mesa"),
+            policies=("Hyb", "Hyb"),
+            duration_s=1.0e-3,
+            settle_time_s=2.0e-4,
+        )
+        self._assert_sweep_identical([spec])
+
+    def test_lockstep_sweep_identical_with_obs_on_and_off(self, obs_dir):
+        specs = [_spec(policy="Hyb"), _spec(seed=1, benchmark="gcc")]
+        self._assert_sweep_identical(specs, lockstep=True)
+
+    @staticmethod
+    def _assert_sweep_identical(specs, **kwargs):
+        obs.set_enabled(False)
+        baseline = [r.to_json_dict() for r in run_many(specs, **kwargs)]
+        obs.set_enabled(True)
+        observed = [r.to_json_dict() for r in run_many(specs, **kwargs)]
+        assert observed == baseline
+        report = last_sweep_report()
+        assert report.runs
+        for run in report.runs:
+            assert run["wall_seconds"] > 0.0
+            assert "spans" not in run
 
     def test_trigger_crossings_populated_either_way(self, obs_dir):
         spec = _spec(benchmark="gzip", policy="none")

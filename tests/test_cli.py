@@ -8,7 +8,6 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.obs import metrics as obs_metrics
-from repro.sim.engine import reset_step_timers
 
 BENCH_DIR = Path(repro.__file__).resolve().parents[2] / "benchmarks"
 
@@ -91,7 +90,7 @@ class TestCommands:
 
 
 class TestBench:
-    """The ``bench`` subcommand (harness + step-timing + cProfile)."""
+    """The ``bench`` subcommand (harness + per-layer trace + cProfile)."""
 
     def test_parses_flags(self):
         args = build_parser().parse_args(
@@ -115,9 +114,8 @@ class TestBench:
             run_all, "DEFAULT_JSON_PATH", tmp_path / "results.json"
         )
         yield run_all
-        reset_step_timers()
 
-    def test_bench_prints_timing_breakdown(
+    def test_bench_prints_layer_breakdown(
         self, capsys, _sandboxed_harness
     ):
         obs_before = obs_metrics.enabled()
@@ -126,12 +124,27 @@ class TestBench:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        # The timers ride on the observability switch, which the
-        # command turns on for the harness only.
+        # The trace is outside-in: the command leaves the observability
+        # switch alone.
         assert obs_metrics.enabled() == obs_before
-        assert "per-phase step timing" in out
-        for section in ("thermal", "power", "perf", "sense", "policy"):
-            assert section in out
+        table = out.split("per-layer self time (outside-in trace)\n", 1)[1]
+        lines = table.splitlines()
+        assert lines[0].split() == ["layer", "self", "s", "calls", "%", "wall"]
+        rows = {}
+        for line in lines[2:]:
+            if line.startswith("[traced wall: "):
+                wall = float(line.split()[2])
+                break
+            cells = line.split()
+            rows[cells[0]] = float(cells[1])
+        for layer in ("engine", "kernel", "sensors", "dtm", "uarch", "power",
+                      "unattributed"):
+            assert layer in rows, layer
+        # Self times plus the unattributed remainder are the traced
+        # wall, to the printed four decimals.
+        assert sum(rows.values()) == pytest.approx(
+            wall, abs=0.5e-4 * (len(rows) + 1)
+        )
         assert "cProfile" in out
 
     def test_run_all_json_writes_the_summary_only(

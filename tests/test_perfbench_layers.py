@@ -1,15 +1,16 @@
 """Guard for the benchmark's per-layer trace (``perfbench/layers.py``).
 
 The trace wraps library entry points by name from outside ``src/``, so
-renaming one of them silently drops its layer from the benchmark.  This
-test imports the tracer as it is, runs a short lockstep sweep under it
-and checks that the stride layers were recorded, so such a rename fails
-here instead.
+renaming one of them silently drops its layer from the benchmark (and
+from ``python -m repro bench``, which prints the same trace).  These
+tests import the tracer as it is, run short sweeps under it and check
+that the layers were recorded, so such a rename fails here instead.
 """
 
 import importlib.util
 from pathlib import Path
 
+from repro.multicore.batch import DualCoreRunSpec
 from repro.sim.batch import RunSpec, run_many
 from repro.thermal.solver import ExponentialSolver, SpanProbe
 
@@ -52,3 +53,48 @@ def test_lockstep_sweep_records_stride_layers():
         vars(SpanProbe)["widened"],
         vars(ExponentialSolver)["fast_forward"],
     ) == originals
+
+
+def _traced(layers, specs, **kwargs):
+    tracer = layers.Tracer()
+    layers.install(tracer)
+    patches = list(tracer.patches)
+    try:
+        run_many(specs, **kwargs)
+    finally:
+        layers.uninstall(tracer)
+    return tracer.totals(), patches
+
+
+STEP_LAYERS = ("KERNEL", "SENSORS", "DTM", "UARCH", "POWER")
+
+
+def test_dual_core_run_records_step_layers():
+    layers = _load_layers()
+    spec = DualCoreRunSpec(
+        ("crafty", "mesa"),
+        policies=("Hyb", "Hyb"),
+        duration_s=1.0e-3,
+        settle_time_s=2.0e-4,
+    )
+    totals, _ = _traced(layers, [spec])
+    for name in STEP_LAYERS:
+        layer = getattr(layers, name)
+        assert layer in totals and totals[layer].calls > 0, layer
+
+
+def test_per_run_sweep_records_step_layers_and_restores_owners():
+    layers = _load_layers()
+    specs = [
+        RunSpec(workload="gcc", policy="Hyb", instructions=2_000_000, seed=seed)
+        for seed in (0, 1)
+    ]
+    totals, patches = _traced(layers, specs, lockstep=False)
+    for name in STEP_LAYERS + ("DENSE",):
+        layer = getattr(layers, name)
+        assert layer in totals and totals[layer].calls > 0, layer
+    assert patches
+    for owner, name, _ in patches:
+        assert not hasattr(vars(owner)[name], "__wrapped_layer__"), (
+            owner, name
+        )

@@ -1,5 +1,7 @@
 """Numerical-health guards and the expm -> backward-Euler fallback."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,26 @@ class TestExponentialFallback:
         assert _healthy(stepped)
         assert np.allclose(stepped, expected, atol=1e-9)
         assert solver.time_s == pytest.approx(DT)
+
+    def test_recovery_log_names_what_is_disabled(self, network, caplog):
+        # Only the stride is vetoed after a fallback; dense steps keep
+        # the exponential propagator, and the warning says so (once).
+        power = network.power_vector({"a": 5.0, "b": 2.0})
+        solver = ExponentialSolver(network, _initial(network))
+        _poison_propagator(solver, DT)
+        with caplog.at_level(logging.WARNING, logger="repro.thermal"):
+            solver.step(power, DT)
+            solver.step(power, DT)
+        (record,) = [
+            r for r in caplog.records if r.name.startswith("repro.thermal")
+        ]
+        message = record.getMessage()
+        assert "recovered with backward Euler (dt=1e-05, steps=1)" in message
+        assert message.endswith(
+            "the closed-form stride is off for the rest of the run, "
+            "dense steps keep the exponential propagator"
+        )
+        assert "disabled expm" not in message
 
     def test_fast_forward_recovers_whole_span(self, network):
         steps = 7
