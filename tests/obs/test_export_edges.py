@@ -1,5 +1,5 @@
 """Prometheus text exporter edge cases: NaN/Inf spellings, cumulative
-bucket monotonicity, and empty-registry output.
+bucket monotonicity, explicit counter tables, and empty-registry output.
 
 These run against private registries, never the process-wide one, so
 they are isolated by construction.
@@ -74,9 +74,36 @@ class TestHistogram:
         assert f"repro_prec_sum {repr(0.1 + 0.2)}" in text
 
 
+class TestCounterTable:
+    def test_table_replaces_registry_counters_gauges_and_histograms(self):
+        # A report's counters table is exported on its own: the live
+        # registry's counters, gauges and histograms and its help texts
+        # stay out.
+        registry = metrics.MetricsRegistry()
+        registry.counter("live.count", help="live").inc(7)
+        registry.gauge("live.gauge").set(1.0)
+        registry.histogram("live.hist", bounds=(1.0,)).observe(0.5)
+        text = prometheus_text(
+            registry=registry, counters={"sweep.retries": 2.0, "b.a": 0.5}
+        )
+        assert text == (
+            "# TYPE repro_b_a counter\n"
+            "repro_b_a 0.5\n"
+            "# TYPE repro_sweep_retries counter\n"
+            "repro_sweep_retries 2\n"
+        )
+
+
 class TestEmptyRegistry:
     def test_empty_registry_is_empty_string(self):
         assert prometheus_text(registry=metrics.MetricsRegistry()) == ""
+
+    def test_empty_counter_table_ignores_live_registry(self):
+        registry = metrics.MetricsRegistry()
+        registry.counter("live.count").inc()
+        registry.gauge("live.gauge").set(3.0)
+        registry.histogram("live.hist", bounds=(1.0,)).observe(2.0)
+        assert prometheus_text(registry=registry, counters={}) == ""
 
     def test_nan_sum_does_not_crash_export(self):
         registry = metrics.MetricsRegistry()
