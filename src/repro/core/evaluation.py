@@ -17,7 +17,8 @@ from repro.core.metrics import mean_slowdown, slowdown_factor
 from repro.core.policies import make_policy
 from repro.dtm.base import DtmPolicy
 from repro.errors import SimulationError
-from repro.sim.batch import RunSpec, run_many, steady_state_for
+from repro.sim import batch
+from repro.sim.batch import RunSpec
 from repro.sim.config import EngineConfig
 from repro.sim.results import RunResult
 from repro.workloads.spec import build_spec_suite
@@ -90,10 +91,10 @@ class _Baselines:
         self.processes = processes
         self.lockstep = lockstep
         self.initial: Dict[str, np.ndarray] = {
-            workload.name: steady_state_for(workload)
+            workload.name: batch.steady_state_for(workload)
             for workload in self.suite
         }
-        runs = run_many(
+        runs = batch.run_many(
             [
                 RunSpec(
                     workload=workload,
@@ -177,7 +178,7 @@ def evaluate_policy(
         processes = baselines.processes
     if lockstep is None:
         lockstep = baselines.lockstep
-    runs = run_many(
+    runs = batch.run_many(
         [
             RunSpec(
                 workload=workload,

@@ -179,15 +179,17 @@ def _build_policies(spec: DualCoreRunSpec):
 
 def dual_core_steady_state(workloads) -> np.ndarray:
     """No-DTM dual-core steady-state node temperatures, cached per
-    process (a copy is returned)."""
-    from repro.workloads.spec import build_benchmark
-
-    built = [
-        build_benchmark(w) if isinstance(w, str) else w for w in workloads
-    ]
-    key = "+".join(w.name for w in built)
+    process (a copy is returned).  Workloads given by name are built
+    only on a cache miss."""
+    key = "+".join(w if isinstance(w, str) else w.name for w in workloads)
     cached = _WARMUP_CACHE.get(key)
     if cached is None:
+        from repro.workloads.spec import build_benchmark
+
+        built = [
+            build_benchmark(w) if isinstance(w, str) else w
+            for w in workloads
+        ]
         cached = MultiCoreEngine(built).compute_initial_temperatures()
         _WARMUP_CACHE[key] = cached
     return cached.copy()

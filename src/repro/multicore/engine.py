@@ -20,10 +20,13 @@ step, stall sub-step, fused dense spans, accounting, fault plan and
 telemetry -- and adds only the dual-core stages: the per-core scatter
 of both workloads' activity into chip block order and the per-core
 commit of instructions and gating time, the hopper with its hop-stall
-gating time, and the duration exit.  Engines with the default package
-share one per-process substrate (floorplan, thermal model, power
-model).  The closed-form stride is not used here yet (see
-docs/ENGINES.md).
+gating time, and the duration exit.  Each sensor period -- from the
+sample, the step after it included, to the next sample -- runs as one
+fused request; runs that must surface every step (fault plans,
+``raise_on_violation``) and periods shorter than two steps take plain
+steps.  Engines with the default package share one per-process
+substrate (floorplan, thermal model, power model).  The closed-form
+stride is not used here yet (see docs/ENGINES.md).
 """
 
 from __future__ import annotations
@@ -541,7 +544,6 @@ class MultiCoreEngine(SimEngine):
                 actuation_cmds = [None, None]
                 actuation_f_rel = f_rel
             dt = step_cycles / chip.frequency
-            samples = []
             for core in CORE_INSTANCES:
                 command = commands[core]
                 if command is not actuation_cmds[core]:
@@ -553,20 +555,15 @@ class MultiCoreEngine(SimEngine):
                         ),
                     )
                     actuation_cmds[core] = command
-                sample = perf[assignment[core]].advance(
-                    step_cycles, actuations[core]
-                )
-                samples.append((sample.instructions, sample.acts))
-            power_sum = yield from chip.dense_step(scatter(samples), 1.0, dt)
-            commit(samples, dt, (power_sum,), chip.step_row)
 
             # --- fused dense span ------------------------------------------
             # No decision can fire before the next sensor sample, so the
-            # steps up to it run as one fused request instead of one
-            # generator round-trip each.
-            if chip.fuse and chip.measured_s < duration_s:
+            # steps from this sample up to it run as one fused request
+            # instead of one generator round-trip each.
+            if chip.fuse and (
                 yield from chip.fused_span(
                     dt,
+                    True,
                     [perf[w] for w in assignment],
                     actuations,
                     1.0,
@@ -574,6 +571,18 @@ class MultiCoreEngine(SimEngine):
                     limit,
                     commit,
                 )
+            ):
+                continue
+
+            # --- one thermal step of execution -----------------------------
+            samples = []
+            for core in CORE_INSTANCES:
+                sample = perf[assignment[core]].advance(
+                    step_cycles, actuations[core]
+                )
+                samples.append((sample.instructions, sample.acts))
+            power_sum = yield from chip.dense_step(scatter(samples), 1.0, dt)
+            commit(samples, dt, (power_sum,), chip.step_row)
 
         elapsed = chip.measured_s
         cores = [

@@ -608,9 +608,7 @@ class SimulationEngine(SimEngine):
                 )
                 actuation_cmd = command
                 actuation_f_rel = f_rel
-            sample = perf_advance(step_cycles, actuation)
             dt = step_cycles / frequency
-
             if command.domain_gating:
                 if command is not gate_cmd:
                     clock_gate = np.ones(len(block_names))
@@ -624,8 +622,32 @@ class SimulationEngine(SimEngine):
                     clock_gate = gate_vec
             else:
                 clock_gate = command.clock_enabled_fraction
-            # The compiled model already produced the activity vector in
-            # block order (cached and read-only).
+
+            # --- fused dense span from the sample ----------------------------
+            # When no stride attempt can follow this step (event-driven
+            # stepping off, or vetoed by a solver fallback) and no
+            # decision can fire before the next sensor sample -- inside
+            # the measured window (the settle flip rebuilds the
+            # measurement model) and with no voltage switch pending --
+            # this step and the rest of the period run as one fused
+            # request.
+            if (
+                chip.fuse
+                and chip.measuring
+                and pending_voltage is None
+                and (not ff_enabled or solver.fallback_active)
+                and (
+                    yield from chip.fused_span(
+                        dt, True, (perf,), (actuation,), clock_gate,
+                        scatter, limit, commit,
+                    )
+                )
+            ):
+                continue
+
+            # The compiled model produces the activity vector in block
+            # order (cached and read-only).
+            sample = perf_advance(step_cycles, actuation)
             samples = ((sample.instructions, sample.acts),)
             step_acts = scatter(samples)
             power_sum = yield from chip.dense_step(step_acts, clock_gate, dt)
@@ -753,8 +775,8 @@ class SimulationEngine(SimEngine):
                 and done < instructions
             ):
                 yield from chip.fused_span(
-                    dt, (perf,), (actuation,), clock_gate, scatter, limit,
-                    commit,
+                    dt, False, (perf,), (actuation,), clock_gate, scatter,
+                    limit, commit,
                 )
 
         elapsed_s = chip.measured_s

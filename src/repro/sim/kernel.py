@@ -19,7 +19,11 @@ and operating point are frozen until the next sample -- so the
 per-step generator round-trip, request tuple and driver dispatch are
 pure overhead.  The kernel lowers such a decision-free span into a
 single :class:`DenseSpanTask` request that :meth:`ChipStep.run_span`
-executes without leaving the engine.
+executes without leaving the engine.  A span can start at the sample
+itself and cover the step after it too (:meth:`ChipStep.
+steps_to_sample` with ``head``), so a sensor period takes one request:
+the dual-core engine starts every span there, the single-core engine
+whenever no stride attempt can follow that step.
 
 A span body iterates over *phase runs*, not single steps.  Power is a
 per-interval average and DTM acts only at sensor samples, so within a
@@ -345,8 +349,18 @@ class ChipStep:
             self.time_s,
         )
 
-    def steps_to_sample(self, dt: float) -> int:
-        """Steps of ``dt`` that end strictly before the next sample."""
+    def steps_to_sample(self, dt: float, head: bool = False) -> int:
+        """Steps of ``dt`` that end strictly before the next sample.
+
+        With ``head`` the count starts at the sample just taken: the
+        step the per-step path takes right after it, plus the steps
+        from the clock that step ends at (``time_s + dt``, the value
+        :meth:`account_steps` reaches), so a span of that length ends
+        where the next :meth:`sample_due` fires."""
+        if head:
+            return 1 + math.ceil(
+                (self._sensors.next_due_s - 1e-12 - (self.time_s + dt)) / dt
+            )
         return math.ceil(
             (self._sensors.next_due_s - 1e-12 - self.time_s) / dt
         )
@@ -399,14 +413,19 @@ class ChipStep:
         else:
             self.time_s += dt_sub
 
-    def fused_span(self, dt: float, *args):
+    def fused_span(self, dt: float, head: bool, *args):
         """Yield the steps up to the next sensor sample as one
-        :class:`DenseSpanTask` (a sub-generator; nothing when fewer
-        than two steps remain).  ``args`` are :meth:`run_span`'s."""
-        k = self.steps_to_sample(dt)
-        if k >= 2:
-            task = DenseSpanTask(self.run_span, k, dt, *args)
-            yield (self.solver, task, dt, k)
+        :class:`DenseSpanTask` (a sub-generator returning whether it
+        yielded: nothing when fewer than two steps remain).  With
+        ``head`` the span starts at the sample and covers the step
+        after it too (:meth:`steps_to_sample`), so the period takes one
+        request.  ``args`` are :meth:`run_span`'s."""
+        k = self.steps_to_sample(dt, head)
+        if k < 2:
+            return False
+        task = DenseSpanTask(self.run_span, k, dt, *args)
+        yield (self.solver, task, dt, k)
+        return True
 
     def _histories(self, rows: int, ambient: np.ndarray) -> tuple:
         """The node-state and node-power histories, at least ``rows``
@@ -439,6 +458,11 @@ class ChipStep:
             )
         return history
 
+    # Rows after a diverging one are stepped before the run's health
+    # test finds it, and their leakage exp overflows; the per-step path
+    # stops at that step first, so a span silences the warnings the
+    # per-step path never reaches.
+    @np.errstate(over="ignore", invalid="ignore")
     def run_span(
         self,
         count: int,

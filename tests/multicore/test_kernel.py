@@ -254,12 +254,13 @@ class TestKernelCounters:
         counters = _counters(lambda: _run(PAIRS[0]))
         assert counters["engine.kernel_spans"] == len(spans)
         assert counters["engine.kernel_steps"] <= sum(spans)
-        # Nearly every step runs fused: one step per sensor sample runs
-        # on the per-step path.
+        # Every execution step runs fused (hop stalls are stall
+        # sub-steps, not execution steps): one span per sensor sample,
+        # the step right after the sample included.
+        assert counters["engine.kernel_steps"] == counters["engine.exec_steps"]
         assert (
-            0.9 * counters["engine.exec_steps"]
-            < counters["engine.kernel_steps"]
-            < counters["engine.exec_steps"]
+            counters["engine.kernel_spans"]
+            == counters["engine.sensor_samples"]
         )
 
     def test_per_step_path_counts_none(self, monkeypatch):
@@ -268,18 +269,34 @@ class TestKernelCounters:
         assert counters["engine.kernel_steps"] == 0
 
     def test_single_core_counts_fused_steps(self):
+        from repro.power.technology import Technology
         from repro.sim import RunSpec, run_one
 
+        config = EngineConfig(fast_forward=False)
+        settle_s = 0.5e-4  # half a sensor period
         spec = RunSpec(
-            "gcc", "FG", instructions=2_000_000,
-            engine_config=EngineConfig(fast_forward=False),
+            "gcc", "FG", instructions=2_000_000, settle_time_s=settle_s,
+            engine_config=config,
         )
         counters = _counters(lambda: run_one(spec))
-        assert counters["engine.kernel_spans"] > 0
+        # The settle lead-in steps per step up to and including the
+        # step that flips to measuring (FG keeps the nominal clock);
+        # every step after it runs fused.
+        dt = config.thermal_step_cycles / Technology().frequency_nominal
+        settle_steps, time_s = 0, 0.0
+        while time_s < settle_s:
+            time_s += dt
+            settle_steps += 1
+        assert settle_steps > 1
         assert (
-            0 < counters["engine.kernel_steps"]
-            < counters["engine.exec_steps"]
+            counters["engine.kernel_steps"]
+            == counters["engine.exec_steps"] - settle_steps
         )
+        # One span per sensor sample inside the window, plus one for the
+        # rest of the period the flip falls in (the sample at t = 0 is
+        # the only one before the flip).
+        window_samples = counters["engine.sensor_samples"] - 1
+        assert counters["engine.kernel_spans"] == window_samples + 1
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +423,17 @@ class TestSharedSubstrate:
         _run(PAIRS[0], package=ThermalPackage(convection_resistance=0.6))
         warm = asdict(_run(PAIRS[0]))
         assert warm == cold
+
+    def test_steady_state_hit_builds_no_workload(self, monkeypatch):
+        import repro.workloads.spec as spec_module
+        from repro.multicore import batch as multicore_batch
+
+        monkeypatch.setattr(multicore_batch, "_WARMUP_CACHE", {})
+        first = dual_core_steady_state(PAIRS[0])
+        built = _count_calls(monkeypatch, spec_module, "build_benchmark")
+        again = dual_core_steady_state(PAIRS[0])
+        # A Workload pair with the same names shares the entry.
+        shared = dual_core_steady_state([build_benchmark(n) for n in PAIRS[0]])
+        assert len(built) == 0
+        assert again is not first and np.array_equal(again, first)
+        assert np.array_equal(shared, first)

@@ -21,6 +21,7 @@ must make the same recoveries, from the same states at the same clock,
 and end in the same result or the same error.
 """
 
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -271,19 +272,11 @@ def hot_substrate():
     return floorplan, hotspot, power, block, target / per_activity_w
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    short=st.booleans(),
-    hot_from=st.integers(1, 3),
-    heat=st.floats(0.02, 1.2),
-    cycles=st.sampled_from([10_000, 100_000, _HOT_CYCLES]),
-)
-def test_runaway_fails_identically(hot_substrate, short, hot_from, heat, cycles):
-    """From the ``hot_from``-th distinct activity vector on (a drawn
-    phase run), one block runs ``heat`` times the activity whose exact
-    900k-cycle step lands on the divergence limit; where the state
-    runs away inside that run depends on the heat and the step."""
-    floorplan, hotspot, power, block, activity = hot_substrate
+def _runaway(hot_substrate, short, cycles, hot_from, hot_activity):
+    """A no-DTM gzip run on the hot substrate, and the patch that, from
+    the ``hot_from``-th distinct activity vector on, runs its block at
+    ``hot_activity``."""
+    floorplan, hotspot, power, block, _ = hot_substrate
     workload = _workload("gzip", short)
     engine_args = dict(
         policy=NoDtmPolicy(),
@@ -314,7 +307,7 @@ def test_runaway_fails_identically(hot_substrate, short, hot_from, heat, cycles)
             if seen.index(key) < hot_from:
                 return acts
             acts = np.array(acts)
-            acts[block] = activity * heat
+            acts[block] = hot_activity
             return acts
 
         total = power.block_powers_vector
@@ -328,6 +321,46 @@ def test_runaway_fails_identically(hot_substrate, short, hot_from, heat, cycles)
             lambda acts, *a, **k: dynamic(heated(acts), *a, **k),
         )
 
+    return run, heated_power
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    short=st.booleans(),
+    hot_from=st.integers(1, 3),
+    heat=st.floats(0.02, 1.2),
+    cycles=st.sampled_from([10_000, 100_000, _HOT_CYCLES]),
+)
+def test_runaway_fails_identically(hot_substrate, short, hot_from, heat, cycles):
+    """From the ``hot_from``-th distinct activity vector on (a drawn
+    phase run), one block runs ``heat`` times the activity whose exact
+    900k-cycle step lands on the divergence limit; where the state
+    runs away inside that run depends on the heat and the step."""
+    run, heated_power = _runaway(
+        hot_substrate, short, cycles, hot_from, hot_substrate[4] * heat
+    )
     _assert_same(
         _outcome(run, True, heated_power), _outcome(run, False, heated_power)
     )
+
+
+@pytest.mark.parametrize("cycles", [10_000, 100_000])
+def test_runaway_raises_without_warnings(hot_substrate, cycles):
+    """With warnings turned into errors, a run whose block runs at
+    activity 2000 from the second activity vector on raises the same
+    :class:`NumericalError` on both paths.  A fused phase run steps
+    past the diverging row before its health test finds it, and those
+    rows' leakage ``exp`` overflows; the per-step path stops first, so
+    the span must not warn where the per-step path does not."""
+    run, heated_power = _runaway(hot_substrate, False, cycles, 1, 2000.0)
+    errors = []
+    for fused in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "_FUSE_DENSE_SPANS", fused)
+            heated_power(patch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError) as excinfo:
+                    run()
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]
