@@ -9,7 +9,7 @@ submits a slow sweep, and asserts mid-flight:
 * ``/jobs`` lists the running job and ``/jobs/<digest>`` reports a
   monotonically increasing percent-complete fed by the engine's
   heartbeats;
-* SIGUSR2 dumps the flight-recorder ring to ``REPRO_FLIGHT_DIR`` as
+* SIGUSR2 dumps the flight-recorder ring to ``REPRO_OBS_DIR`` as
   valid JSONL carrying the recent service events;
 * after a ``drain`` request with the job still in flight, ``/readyz``
   flips to 503 with ``draining: true``;
@@ -37,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOCK = "http-chaos.sock"
 CACHE = "http-chaos-cache"
-FLIGHT_DIR = Path(os.environ.get("REPRO_FLIGHT_DIR", "flight-ci"))
+FLIGHT_DIR = Path(os.environ.get("REPRO_OBS_DIR", "flight-ci"))
 # Wide enough to probe/drain mid-run on a CI box (a few seconds).
 SLOW = {"benchmark": "art", "policy": "FG", "instructions": 4_000_000_000}
 
@@ -60,7 +60,7 @@ def main() -> int:
     from repro.sim.supervisor import spec_digest
 
     env = dict(os.environ)
-    env["REPRO_FLIGHT_DIR"] = str(FLIGHT_DIR)
+    env["REPRO_OBS_DIR"] = str(FLIGHT_DIR)
     env.setdefault("PYTHONPATH", str(ROOT / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",

@@ -34,12 +34,9 @@ from repro.dtm.thresholds import ThermalThresholds
 from repro.errors import SimulationError
 from repro.multicore.engine import HOP_STALL_S, MultiCoreEngine, MultiCoreResult
 from repro.multicore.hopping import CoreHopper, HoppingConfig
-from repro.obs import metrics as obs_metrics
-from repro.obs import runctx as obs_runctx
-from repro.obs import spill as obs_spill
 from repro.sim.config import EngineConfig
 from repro.sim.faults import fire_prerun_faults
-from repro.sim.supervisor import policy_token, spec_digest
+from repro.sim.supervisor import policy_token
 from repro.workloads.workload import Workload
 
 DEFAULT_DURATION_S = 2.0e-3
@@ -214,41 +211,17 @@ def build_engine(spec: DualCoreRunSpec) -> MultiCoreEngine:
 def run_dual_core(spec: DualCoreRunSpec) -> MultiCoreResult:
     """Execute one dual-core spec in this process.
 
-    Mirrors :func:`~repro.sim.batch.run_one`: pre-run harness faults
-    fire first, the warmup fills in when not pinned, and with
-    observability enabled the run executes inside its own run context
-    so its record lands in the sweep report.
+    Mirrors :func:`~repro.sim.batch.run_one`'s single-core path (which
+    dispatches here and holds the run's record): pre-run harness faults
+    fire first, and the warmup fills in when not pinned.
     """
     fire_prerun_faults(spec.config.fault_plan, spec.seed)
     engine = build_engine(spec)
     initial = spec.initial
     if initial is None:
         initial = dual_core_steady_state(spec.workloads)
-    initial_vec = np.array(initial, dtype=float, copy=True)
-    if not obs_metrics.enabled():
-        return engine.run(
-            spec.duration_s,
-            initial=initial_vec,
-            settle_time_s=spec.settle_time_s,
-        )
-    digest = spec_digest(replace(spec, initial=None))
-    run_id = f"{spec.workload_name}.{spec.policy}.s{spec.seed}.{digest[:8]}"
-    obs_runctx.begin(
-        run_id,
-        benchmark=spec.workload_name,
-        policy=spec.policy,
-        seed=spec.seed,
-        digest=digest,
+    return engine.run(
+        spec.duration_s,
+        initial=np.array(initial, dtype=float, copy=True),
+        settle_time_s=spec.settle_time_s,
     )
-    error: Optional[str] = None
-    try:
-        return engine.run(
-            spec.duration_s,
-            initial=initial_vec,
-            settle_time_s=spec.settle_time_s,
-        )
-    except BaseException as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        obs_spill.record(obs_runctx.end(error=error))

@@ -10,21 +10,26 @@ telemetry layer the rest of :mod:`repro` publishes into:
   gauges and fixed-bucket histograms (:data:`~repro.obs.metrics.REGISTRY`);
 * :mod:`repro.obs.events` -- structured JSONL event logging with
   run/sweep context (run id, worker pid) and a validating schema;
-* :mod:`repro.obs.runctx` / :mod:`repro.obs.spill` -- per-run telemetry
-  records that survive process-pool workers via per-worker spill files,
-  merged by :func:`repro.sim.batch.run_many` (each record carries its
-  run's ``wall_seconds``);
+* :mod:`repro.obs.heartbeat` -- the one record of each run: identity,
+  live progress, the engine's metrics and ``wall_seconds``;
+* :mod:`repro.obs.spill` -- per-worker spill files that carry finished
+  run records out of process-pool workers, merged by
+  :func:`repro.sim.batch.run_many`;
+* :mod:`repro.obs.flightrec` -- the always-on crash ring of recent
+  events, dumped to ``REPRO_OBS_DIR`` or the working directory;
 * :mod:`repro.obs.report` -- the merged :class:`~repro.obs.report.
   SweepReport` (JSONL + Prometheus export, rendered by
   ``python -m repro report``);
 * :mod:`repro.obs.export` -- registry snapshots as JSON and Prometheus
   text format.
 
-Everything is gated on one module-level flag (``REPRO_OBS=1`` or
-:func:`set_enabled`).  When disabled, the hot paths pay one boolean
-check per run (not per step) and ``emit()``/``inc()`` return
-immediately without allocating -- the disabled-overhead tests assert
-it.  The flag never changes which code the step loop runs, so results
+Everything but the crash ring is gated on one module-level flag
+(``REPRO_OBS=1`` or :func:`set_enabled`), and its files land in one
+directory (``REPRO_OBS_DIR``, or a temporary one).  Live progress
+follows the flag, and the sweep service turns it on for its own
+lifetime.  When disabled, the hot paths pay one boolean check per run
+(not per step) and ``emit()``/``inc()`` return immediately without
+allocating -- the disabled-overhead tests assert it.  The flag never changes which code the step loop runs, so results
 are bit-identical with observability on or off.  Host time per layer
 is not measured here: ``python -m repro bench`` reads it from the
 benchmark's outside-in tracer (``perfbench/layers.py``).
@@ -43,15 +48,6 @@ from repro.obs.events import (
     validate_record,
 )
 from repro.obs.export import prometheus_text, registry_snapshot
-from repro.obs.flightrec import (
-    FLIGHT_DIR_ENV,
-    FLIGHT_ENV,
-    FLIGHT_LEN_ENV,
-)
-from repro.obs.heartbeat import (
-    HEARTBEAT_ENV,
-    HEARTBEAT_INTERVAL_ENV,
-)
 from repro.obs.metrics import (
     OBS_DIR_ENV,
     OBS_ENV,
@@ -68,11 +64,6 @@ from repro.obs.metrics import (
 from repro.obs.report import SweepReport
 
 __all__ = [
-    "FLIGHT_DIR_ENV",
-    "FLIGHT_ENV",
-    "FLIGHT_LEN_ENV",
-    "HEARTBEAT_ENV",
-    "HEARTBEAT_INTERVAL_ENV",
     "OBS_DIR_ENV",
     "OBS_ENV",
     "REGISTRY",
@@ -135,14 +126,13 @@ def logging_setup(
 def reset_for_testing() -> None:
     """Reset every piece of module-level observability state.
 
-    For test isolation only: zeroes the registry, any active run
-    context, the event-log handle and the in-process spill
+    For test isolation only: zeroes the registry, any open run
+    record, the event-log handle and the in-process spill
     records.  Does *not* touch the enabled flag.
     """
-    from repro.obs import events, flightrec, heartbeat, runctx, spill
+    from repro.obs import events, flightrec, heartbeat, spill
 
     REGISTRY.reset()
-    runctx.reset()
     events.reset()
     spill.reset()
     flightrec.reset()

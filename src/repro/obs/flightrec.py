@@ -4,27 +4,22 @@ Post-mortem debugging of a wedged or crashed sweep needs the *last few
 hundred* events, not the full log -- and it needs them even when the
 observability layer is off (``REPRO_OBS=0``), because crashes do not
 wait for instrumentation to be enabled.  This module keeps a
-``collections.deque`` ring of recent event records, always on by
-default, at the cost of one append per (cold-path) event:
+``collections.deque`` ring of the last :data:`RING_LEN` event records,
+always on, at the cost of one append per (cold-path) event:
 
 * when obs is enabled, :func:`~repro.obs.events.emit` mirrors every
   record it writes into the ring (:func:`note_record` -- no copy, no
   re-serialisation);
 * always-on call sites (engine lifecycle via
   :meth:`~repro.sim.contract.SimEngine._emit`, service state
-  transitions) call :func:`note` directly, which builds the record only
-  when the recorder is enabled.
+  transitions) call :func:`note` directly.
 
 The ring is dumped to JSONL by :func:`dump` -- wired to ``SIGUSR2`` and
 to unhandled crashes by :func:`install`, and served live over HTTP by
-:mod:`repro.obs.httpd` (``/flight``).  Dumps go to
-``REPRO_FLIGHT_DIR`` (default: the working directory) rather than the
-obs temp dir, which is removed at interpreter exit -- a crash dump that
+:mod:`repro.obs.httpd` (``/flight``).  Dumps go to ``REPRO_OBS_DIR``
+when it is set, otherwise to the working directory -- never to the obs
+temp dir, which is removed at interpreter exit: a crash dump that
 evaporates with the process is no dump at all.
-
-Disabling (``REPRO_FLIGHT=0``) makes :func:`note` a flag-check-and-
-return that allocates nothing, matching the obs layer's no-op
-discipline (see ``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -40,63 +35,24 @@ from typing import Deque, Dict, List, Optional
 
 from repro.obs import metrics
 
-FLIGHT_ENV = "REPRO_FLIGHT"
-"""Set to ``0`` to disable the flight recorder.  On by default --
-unlike the rest of the obs layer, the ring must already be populated
-when the crash happens."""
+RING_LEN = 512
+"""Ring capacity in records."""
 
-FLIGHT_LEN_ENV = "REPRO_FLIGHT_LEN"
-"""Ring capacity in records (default 512)."""
-
-FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
-"""Directory receiving flight dumps (default: the working directory).
-Deliberately *not* the obs directory: that one may be a temp dir
-removed at interpreter exit."""
-
-DEFAULT_LEN = 512
-
-_ENABLED = os.environ.get(FLIGHT_ENV, "1").strip().lower() not in metrics._FALSEY
-
-
-def _ring_len() -> int:
-    raw = os.environ.get(FLIGHT_LEN_ENV, "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_LEN
-    except ValueError:
-        return DEFAULT_LEN
-    return max(1, value)
-
-
-_RING: Deque[Dict[str, object]] = deque(maxlen=_ring_len())
+_RING: Deque[Dict[str, object]] = deque(maxlen=RING_LEN)
 
 _PREV_EXCEPTHOOK = None
 _PREV_SIGUSR2 = None
 _INSTALLED = False
 
 
-def enabled() -> bool:
-    """True when the flight recorder is capturing events."""
-    return _ENABLED
-
-
-def set_enabled(on: bool) -> bool:
-    """Set the recorder flag; returns the previous value (test seam)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(on)
-    return previous
-
-
 def note(event: str, **fields) -> None:
     """Record one event into the ring.
 
     The always-on counterpart of :func:`repro.obs.events.emit`: builds
-    a small record only when the recorder is enabled, appends it to the
-    ring, touches nothing else.  Call sites that already emit through
-    the events module must not also call this -- ``emit`` mirrors its
-    record into the ring itself (:func:`note_record`)."""
-    if not _ENABLED:
-        return
+    a small record, appends it to the ring, touches nothing else.  Call
+    sites that already emit through the events module must not also
+    call this -- ``emit`` mirrors its record into the ring itself
+    (:func:`note_record`)."""
     record: Dict[str, object] = {
         "event": event,
         "ts": time.time(),
@@ -109,8 +65,7 @@ def note(event: str, **fields) -> None:
 
 def note_record(record: Dict[str, object]) -> None:
     """Mirror an already-built event record (from ``events.emit``)."""
-    if _ENABLED:
-        _RING.append(record)
+    _RING.append(record)
 
 
 def snapshot() -> List[Dict[str, object]]:
@@ -119,8 +74,8 @@ def snapshot() -> List[Dict[str, object]]:
 
 
 def dump_dir() -> Path:
-    """Directory receiving flight dumps (``REPRO_FLIGHT_DIR`` or cwd)."""
-    raw = os.environ.get(FLIGHT_DIR_ENV, "").strip()
+    """Directory receiving flight dumps (``REPRO_OBS_DIR`` or cwd)."""
+    raw = os.environ.get(metrics.OBS_DIR_ENV, "").strip()
     return Path(raw) if raw else Path(".")
 
 

@@ -1,20 +1,27 @@
-"""Per-run progress heartbeats: a lock-free slot relaying live status.
+"""The run record: identity, live progress and metrics of one run.
 
-The engine step loops (single-core, multi-core, and the lockstep
-batcher's inner generators) run for seconds to minutes per spec; until
-now their only output was the final :class:`~repro.sim.results.
-RunResult`.  This module lets each in-flight run publish a small
-progress record -- done/total, simulated time, executed steps, peak
-temperature, DTM state -- that the sweep parent and the service can
-read *while the run executes*, including across the process-pool
-boundary.
+Each engine execution inside a sweep (one spec) gets one record, opened
+by :func:`begin` and closed by :func:`finish`.  The record carries:
+
+* identity -- the spec digest (``key``), ``run_id``, benchmark, policy,
+  seed and the run's progress total;
+* live progress -- done/total, simulated time, executed steps, peak
+  temperature and DTM state, which the sweep parent and the service can
+  read *while the run executes*, including across the process-pool
+  boundary;
+* the engine's metrics, added once at the end of the run;
+* ``wall_seconds``, measured from :func:`begin` to :func:`finish`.
+
+With observability on, :func:`finish` writes the finished record
+through :mod:`repro.obs.spill`, so it reaches the sweep report even
+from a pool worker.
 
 Design constraints, in order:
 
-1. **The heartbeat-off hot path must cost one pointer compare.**  The
-   engine captures :func:`active` once per run; when no publisher is
-   registered it holds ``None`` and the per-sensor-sample hook is a
-   single ``is not None`` branch.  ``begin`` with the module disabled
+1. **The off path must cost one pointer compare.**  The engine captures
+   :func:`active` once per run; when no record is open it holds
+   ``None`` and the per-sensor-sample hook is a single ``is not None``
+   branch.  :func:`begin` with observability and live progress both off
    returns ``None`` without allocating (asserted by
    ``tests/obs/test_overhead.py``).
 2. **Readers must never block writers.**  Cross-process relay uses a
@@ -23,19 +30,19 @@ Design constraints, in order:
    flips it even.  A reader that observes an odd or changing sequence
    (or a torn JSON payload) simply retries or skips -- no locks, no
    fsync, one small ``pwrite`` per publish.
-3. **Publishes are wall-clock throttled** (default 0.25 s,
-   ``REPRO_HEARTBEAT_S``), so even a pathological sensor cadence costs
-   a bounded number of writes per second.
+3. **Publishes are wall-clock throttled** (every 0.25 s at most), so
+   even a pathological sensor cadence costs a bounded number of writes
+   per second.
 
-The slot file rides the existing spill channel's directory
+The slot file rides the spill channel's directory
 (:func:`~repro.obs.metrics.obs_dir`): pool workers inherit the path
 over fork exactly like spill files, and the parent's :func:`snapshot`
 merges its own in-memory records with every ``hb-*.slot`` present,
 freshest timestamp winning.
 
-Heartbeats default **off** (``REPRO_HEARTBEAT``) so batch runs pay
-nothing; the sweep service switches them on at startup, which is where
-live progress actually has a consumer.
+Live progress follows ``REPRO_OBS``; the sweep service also switches it
+on for its own lifetime (:func:`set_enabled`), which is where live
+progress has a consumer when observability is off.
 """
 
 from __future__ import annotations
@@ -46,35 +53,20 @@ import struct
 import time
 from typing import Dict, List, Optional
 
-from repro.obs import metrics
+from repro.obs import events, metrics, spill
 
-HEARTBEAT_ENV = "REPRO_HEARTBEAT"
-"""Set to ``1`` to publish per-run progress heartbeats.  Off by
-default; ``python -m repro serve`` enables it unless explicitly set."""
+PUBLISH_INTERVAL_S = 0.25
+"""Minimum wall-clock seconds between slot publishes of one run."""
 
-HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_S"
-"""Minimum wall-clock seconds between slot publishes (default 0.25)."""
+# Live progress with observability off: the service's (and tests')
+# switch.  With observability on, progress is always live.
+_LIVE = False
+_INTERVAL_S = PUBLISH_INTERVAL_S
 
-DEFAULT_INTERVAL_S = 0.25
-
-_ENABLED = os.environ.get(HEARTBEAT_ENV, "").strip().lower() not in metrics._FALSEY
-
-
-def _env_interval() -> float:
-    raw = os.environ.get(HEARTBEAT_INTERVAL_ENV, "").strip()
-    try:
-        value = float(raw) if raw else DEFAULT_INTERVAL_S
-    except ValueError:
-        return DEFAULT_INTERVAL_S
-    return max(0.0, value)
-
-
-_INTERVAL_S = _env_interval()
-
-# Publisher stack (nested begin/release pairs -- the lockstep driver
-# interleaves many runs, each bracketing its generator advances), the
-# in-flight records of this process, and a bounded table of recently
-# finished runs so late status queries still resolve.
+# Open-record stack (nested begin/release pairs -- the lockstep driver
+# interleaves many runs, each registered around its generator's first
+# advance), the in-flight progress of this process, and a bounded table
+# of recently finished runs so late status queries still resolve.
 _STACK: List["_Publisher"] = []
 _INFLIGHT: Dict[str, Dict[str, object]] = {}
 _DONE: Dict[str, Dict[str, object]] = {}
@@ -93,15 +85,15 @@ _SLOT_SEQ = 0
 
 
 def enabled() -> bool:
-    """True when runs publish progress heartbeats."""
-    return _ENABLED
+    """True when runs open records: observability or live progress on."""
+    return _LIVE or metrics.enabled()
 
 
 def set_enabled(on: bool) -> bool:
-    """Set the heartbeat flag; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(on)
+    """Set the live-progress switch; returns its previous value."""
+    global _LIVE
+    previous = _LIVE
+    _LIVE = bool(on)
     return previous
 
 
@@ -114,24 +106,58 @@ def set_publish_interval(seconds: float) -> float:
     return previous
 
 
+def _progress(publisher: "_Publisher", **fields) -> Dict[str, object]:
+    record: Dict[str, object] = {
+        "key": publisher.key,
+        "benchmark": publisher.benchmark,
+        "policy": publisher.policy,
+        "state": "running",
+        "done": 0.0,
+        "total": publisher.total,
+        "time_s": 0.0,
+        "steps": 0,
+        "peak_temp_c": 0.0,
+        "dtm_state": "nominal",
+    }
+    record.update(fields)
+    record["ts"] = time.time()
+    record["pid"] = os.getpid()
+    return record
+
+
 class _Publisher:
-    """Progress outlet for one in-flight run.
+    """The record of one run.
 
-    Bound to the run's digest key at :func:`begin`; the engine calls
+    Bound to the run's digest key at :func:`begin`.  The engine calls
     :meth:`publish` from its sensor-sample branch with plain loop
-    locals -- the publisher owns throttling, record shaping and the
-    slot write, so the engine stays free of any heartbeat logic beyond
-    one call."""
+    locals -- the record owns throttling, progress shaping and the slot
+    write -- and :meth:`add_metrics` once at the end of the run."""
 
-    __slots__ = ("key", "benchmark", "policy", "total", "interval_s", "_next")
+    __slots__ = (
+        "key", "run_id", "benchmark", "policy", "seed", "total",
+        "metrics", "interval_s", "_next", "_t0", "_saved_context",
+    )
 
-    def __init__(self, key: str, benchmark: str, policy: str, total: float):
+    def __init__(
+        self,
+        key: str,
+        run_id: str,
+        benchmark: str,
+        policy: str,
+        seed: Optional[int],
+        total: float,
+    ):
         self.key = key
+        self.run_id = run_id
         self.benchmark = benchmark
         self.policy = policy
+        self.seed = seed
         self.total = float(total)
+        self.metrics: Dict[str, float] = {}
         self.interval_s = _INTERVAL_S
         self._next = 0.0
+        self._t0 = time.perf_counter()
+        self._saved_context = events.push_context(run_id=run_id)
 
     def publish(
         self,
@@ -146,55 +172,51 @@ class _Publisher:
         if now < self._next:
             return
         self._next = now + self.interval_s
-        _INFLIGHT[self.key] = {
-            "key": self.key,
-            "benchmark": self.benchmark,
-            "policy": self.policy,
-            "state": "running",
-            "done": float(done),
-            "total": self.total,
-            "time_s": float(time_s),
-            "steps": int(steps),
-            "peak_temp_c": float(peak_temp_c),
-            "dtm_state": "engaged" if engaged else "nominal",
-            "ts": time.time(),
-            "pid": os.getpid(),
-        }
+        _INFLIGHT[self.key] = _progress(
+            self,
+            done=float(done),
+            time_s=float(time_s),
+            steps=int(steps),
+            peak_temp_c=float(peak_temp_c),
+            dtm_state="engaged" if engaged else "nominal",
+        )
         _write_slot()
+
+    def add_metrics(self, values: Dict[str, float]) -> None:
+        """Add numeric metrics to the record (repeated names sum)."""
+        table = self.metrics
+        for name, value in values.items():
+            table[name] = table.get(name, 0.0) + value
 
 
 def begin(
-    key: str, benchmark: str, policy: str, total: float
+    key: str,
+    benchmark: str,
+    policy: str,
+    total: float,
+    run_id: Optional[str] = None,
+    seed: Optional[int] = None,
 ) -> Optional[_Publisher]:
-    """Register a run and return its publisher (``None`` when off).
+    """Open a run's record (``None`` when obs and live progress are off).
 
-    Pushes the publisher onto the ambient stack so the engine's
-    ``iter_run`` -- which knows nothing about specs or digests -- can
-    pick it up via :func:`active` when its generator body first runs."""
-    if not _ENABLED:
+    Pushes the record onto the open stack -- so the engine's
+    ``iter_run``, which knows nothing about specs or digests, picks it
+    up via :func:`active` when its generator body first runs -- and its
+    ``run_id`` (default: ``key``) into the event context until
+    :func:`release`."""
+    if not enabled():
         return None
-    publisher = _Publisher(key, benchmark, policy, total)
+    publisher = _Publisher(
+        key, key if run_id is None else run_id, benchmark, policy, seed, total
+    )
     _STACK.append(publisher)
-    _INFLIGHT[key] = {
-        "key": key,
-        "benchmark": benchmark,
-        "policy": policy,
-        "state": "running",
-        "done": 0.0,
-        "total": publisher.total,
-        "time_s": 0.0,
-        "steps": 0,
-        "peak_temp_c": 0.0,
-        "dtm_state": "nominal",
-        "ts": time.time(),
-        "pid": os.getpid(),
-    }
+    _INFLIGHT[key] = _progress(publisher)
     _write_slot()
     return publisher
 
 
 def active() -> Optional[_Publisher]:
-    """The innermost registered publisher, or ``None``.
+    """The innermost open record, or ``None``.
 
     Allocation-free either way -- this is the engine's once-per-run
     capture point."""
@@ -204,40 +226,63 @@ def active() -> Optional[_Publisher]:
 
 
 def release(publisher: Optional[_Publisher]) -> None:
-    """Pop the publisher off the ambient stack without finishing it.
+    """Pop the record off the open stack without finishing it.
 
     The lockstep driver releases after a generator's first advance so
-    the *next* run's generator captures its own publisher; the run
-    itself stays in flight until :func:`finish`."""
+    the *next* run's generator captures its own record; the run itself
+    stays in flight until :func:`finish`."""
     if publisher is not None and publisher in _STACK:
         _STACK.remove(publisher)
+        events.pop_context(publisher._saved_context)
 
 
-def finish(publisher: Optional[_Publisher], error: Optional[str] = None) -> None:
-    """Mark a run finished: final record, slot rewrite, stack cleanup."""
+def finish(
+    publisher: Optional[_Publisher], error: Optional[str] = None
+) -> Dict[str, object]:
+    """Close a run's record and return it (``{}`` without one, or with
+    observability off).
+
+    The live done-table and the slot get the final state.  With
+    observability on, the record -- identity, ``wall_seconds`` (also
+    observed into the ``run.wall_seconds`` histogram), the engine's
+    ``metrics`` and ``error`` when the run failed -- is returned, and a
+    run that finished goes through :func:`repro.obs.spill.record`.  A
+    failed run reaches the sweep report as the supervisor's failure
+    record instead, so ``n_runs`` counts finished runs only."""
     if publisher is None:
-        return
+        return {}
     release(publisher)
-    record = _INFLIGHT.pop(publisher.key, None)
-    if record is None:
-        record = {
-            "key": publisher.key,
-            "benchmark": publisher.benchmark,
-            "policy": publisher.policy,
-            "total": publisher.total,
-        }
-    record = dict(record)
-    record["state"] = "failed" if error else "done"
+    wall = time.perf_counter() - publisher._t0
+    progress = _INFLIGHT.pop(publisher.key, None) or _progress(publisher)
+    progress["state"] = "failed" if error else "done"
     if error:
-        record["error"] = error
+        progress["error"] = error
     elif publisher.total > 0.0:
-        record["done"] = publisher.total
-    record["ts"] = time.time()
-    record["pid"] = os.getpid()
-    _DONE[publisher.key] = record
+        progress["done"] = publisher.total
+    progress["ts"] = time.time()
+    _DONE[publisher.key] = progress
     while len(_DONE) > _DONE_LIMIT:
         _DONE.pop(next(iter(_DONE)))
     _write_slot()
+    if not metrics.enabled():
+        return {}
+    metrics.REGISTRY.histogram("run.wall_seconds").observe(wall)
+    record: Dict[str, object] = {
+        "kind": "run",
+        "run_id": publisher.run_id,
+        "pid": os.getpid(),
+        "wall_seconds": wall,
+        "benchmark": publisher.benchmark,
+        "policy": publisher.policy,
+        "seed": publisher.seed,
+        "digest": publisher.key,
+        "metrics": dict(publisher.metrics),
+    }
+    if error is None:
+        spill.record(record)
+    else:
+        record["error"] = error
+    return record
 
 
 def percent(record: Dict[str, object]) -> float:
@@ -291,6 +336,7 @@ def _slot_fd() -> int:
     path = metrics.obs_dir() / f"hb-{os.getpid()}.slot"
     key = (os.getpid(), str(path))
     if _SLOT_FD is None or _SLOT_KEY != key:
+        path.parent.mkdir(parents=True, exist_ok=True)
         if _SLOT_FD is not None and _SLOT_KEY is not None and (
             _SLOT_KEY[0] == os.getpid()
         ):
@@ -353,10 +399,11 @@ def _read_slot(path) -> List[Dict[str, object]]:
 def reset() -> None:
     """Clear all heartbeat state (test isolation).
 
-    Leaves the enabled flag alone, mirroring the rest of the obs
-    layer's reset discipline."""
+    Leaves the live-progress switch alone, mirroring the rest of the
+    obs layer's reset discipline."""
     global _SLOT_FD, _SLOT_KEY, _SLOT_SEQ, _INTERVAL_S
-    _STACK.clear()
+    while _STACK:
+        release(_STACK[-1])
     _INFLIGHT.clear()
     _DONE.clear()
     if _SLOT_FD is not None:
@@ -367,4 +414,4 @@ def reset() -> None:
     _SLOT_FD = None
     _SLOT_KEY = None
     _SLOT_SEQ = 0
-    _INTERVAL_S = _env_interval()
+    _INTERVAL_S = PUBLISH_INTERVAL_S

@@ -270,14 +270,10 @@ class SweepService:
         self._loop = asyncio.get_running_loop()
         Path(self.config.cache_dir).mkdir(parents=True, exist_ok=True)
         recovered = self.cache.absorb_journal(self.journal_path)
-        # Live progress is the whole point of running behind a service:
-        # enable per-run heartbeats unless the operator explicitly said
-        # no.  Restored on exit so an embedding process (tests, a
-        # notebook) is left as it was found.
-        if os.environ.get(obs_heartbeat.HEARTBEAT_ENV) is None:
-            heartbeat_prev = obs_heartbeat.set_enabled(True)
-        else:
-            heartbeat_prev = obs_heartbeat.enabled()
+        # Live progress is the whole point of running behind a service,
+        # so it is on for the service's lifetime and restored on exit,
+        # leaving an embedding process (tests, a notebook) as it was.
+        live_prev = obs_heartbeat.set_enabled(True)
         if self.config.socket_path:
             self._server = await self._listen_unix(self.config.socket_path)
             self.address = f"unix:{self.config.socket_path}"
@@ -314,7 +310,7 @@ class SweepService:
         try:
             await self._executor_loop()
         finally:
-            obs_heartbeat.set_enabled(heartbeat_prev)
+            obs_heartbeat.set_enabled(live_prev)
             if self._monitor_task is not None:
                 self._monitor_task.cancel()
                 try:

@@ -34,7 +34,6 @@ from repro.errors import SimulationError
 from repro.obs import events as obs_events
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
-from repro.obs import runctx as obs_runctx
 from repro.obs import spill as obs_spill
 from repro.obs.report import SweepReport
 from repro.sim.config import EngineConfig
@@ -181,15 +180,12 @@ def _obs_pool_key() -> Tuple[bool, bool, str]:
     # Workers fork with the parent's observability state frozen at fork
     # time; a pool created with obs off (or spilling into a different
     # directory) would silently drop every worker's run records, and a
-    # pool created with heartbeats off would never publish progress
+    # pool created with live progress off would never publish progress
     # slots.  The directory matters whenever either channel writes into
-    # it (spill files with obs on, hb-*.slot files with heartbeats on).
-    heartbeats = obs_heartbeat.enabled()
-    if not obs_metrics.enabled():
-        if not heartbeats:
-            return (False, False, "")
-        return (False, True, str(obs_metrics.obs_dir()))
-    return (True, heartbeats, str(obs_metrics.obs_dir()))
+    # it (spill files with obs on, hb-*.slot files with progress on).
+    if not obs_heartbeat.enabled():
+        return (False, False, "")
+    return (obs_metrics.enabled(), True, str(obs_metrics.obs_dir()))
 
 
 def _get_pool(processes: int) -> ProcessPoolExecutor:
@@ -316,27 +312,31 @@ def steady_state_for(workload: Union[str, Workload]) -> np.ndarray:
     return cached.copy()
 
 
-def _begin_heartbeat(spec):
-    """Register a progress publisher for ``spec`` (``None`` when off).
+def _begin_record(spec):
+    """Open the run record of ``spec`` (``None`` when obs and live
+    progress are off).
 
-    Keyed by the supervisor's spec digest so service jobs and heartbeat
-    records agree on identity; the total is the spec's own progress
+    Keyed by the supervisor's spec digest (warmup vectors are filled in
+    before dispatch, so ours is stripped to match the identity the
+    supervisor journals under), so service jobs, journal entries and
+    run records agree on identity; the total is the spec's own progress
     denominator (instruction budget for single-core runs, simulated
     duration for dual-core ones)."""
     if not obs_heartbeat.enabled():
         return None
-    try:
-        digest = spec_digest(replace(spec, initial=None))
-    except TypeError:  # spec without an ``initial`` field
-        digest = spec_digest(spec)
-    policy = getattr(spec, "policy", "?")
-    if not isinstance(policy, str):
-        policy = policy_token(policy)
+    digest = spec_digest(replace(spec, initial=None))
+    benchmark = str(spec.workload_name)
+    policy = policy_token(spec.policy)
     total = getattr(spec, "instructions", None)
     if total is None:
-        total = getattr(spec, "duration_s", 0.0)
+        total = spec.duration_s
     return obs_heartbeat.begin(
-        digest, str(spec.workload_name), str(policy), float(total)
+        digest,
+        benchmark,
+        policy,
+        float(total),
+        run_id=f"{benchmark}.{policy}.s{spec.seed}.{digest[:8]}",
+        seed=spec.seed,
     )
 
 
@@ -347,19 +347,21 @@ def run_one(spec) -> RunResult:
     :class:`~repro.multicore.batch.DualCoreRunSpec`) provide their own
     ``run_in_process`` and are dispatched to it, so every sweep path --
     serial, pooled, lockstep-delegated, retried -- funnels through this
-    one entry point.  The heartbeat bracket wraps the whole dispatch:
-    the engine (any of the three implementations) picks the publisher
-    up from the ambient stack when its step loop starts.
+    one entry point.  The run record brackets the whole dispatch: the
+    engine (any of the three implementations) picks it up from the open
+    stack when its step loop starts, and :func:`~repro.obs.heartbeat.
+    finish` spills it with observability on -- to this process's spill
+    file in a pool worker, to the parent's in-memory list otherwise.
     """
-    heartbeat = _begin_heartbeat(spec)
-    if heartbeat is None:
+    record = _begin_record(spec)
+    if record is None:
         return _run_one_impl(spec)
     try:
         result = _run_one_impl(spec)
     except BaseException as exc:
-        obs_heartbeat.finish(heartbeat, error=f"{type(exc).__name__}: {exc}")
+        obs_heartbeat.finish(record, error=f"{type(exc).__name__}: {exc}")
         raise
-    obs_heartbeat.finish(heartbeat)
+    obs_heartbeat.finish(record)
     return result
 
 
@@ -368,8 +370,8 @@ def sweep_progress() -> Dict[str, Dict[str, object]]:
 
     A merged :func:`repro.obs.heartbeat.snapshot`: records published by
     this process plus every pool worker's slot file, keyed by spec
-    digest, each carrying a computed ``percent``.  Empty unless
-    heartbeats are enabled (``REPRO_HEARTBEAT=1`` or the service)."""
+    digest, each carrying a computed ``percent``.  Empty unless live
+    progress is on (``REPRO_OBS=1``, or a running sweep service)."""
     return obs_heartbeat.snapshot()
 
 
@@ -385,50 +387,20 @@ def _run_one_impl(spec) -> RunResult:
     if initial is None:
         initial = steady_state_for(workload)
     floorplan, hotspot, power_model = _default_substrate()
-    policy = _build_policy(spec)
     engine = SimulationEngine(
         workload,
-        policy=policy,
+        policy=_build_policy(spec),
         floorplan=floorplan,
         hotspot=hotspot,
         power_model=power_model,
         config=spec.config,
         seed=spec.seed,
     )
-    initial_vec = np.array(initial, dtype=float, copy=True)
-    if not obs_metrics.enabled():
-        return engine.run(
-            spec.instructions,
-            initial=initial_vec,
-            settle_time_s=spec.settle_time_s,
-        )
-    # Digest of the spec as the sweep parent saw it (warmup vectors are
-    # filled in before dispatch, so strip ours to match the identity the
-    # supervisor journals under).
-    digest = spec_digest(replace(spec, initial=None))
-    run_id = f"{workload.name}.{policy.name}.s{spec.seed}.{digest[:8]}"
-    obs_runctx.begin(
-        run_id,
-        benchmark=workload.name,
-        policy=policy.name,
-        seed=spec.seed,
-        digest=digest,
+    return engine.run(
+        spec.instructions,
+        initial=np.array(initial, dtype=float, copy=True),
+        settle_time_s=spec.settle_time_s,
     )
-    error: Optional[str] = None
-    try:
-        return engine.run(
-            spec.instructions,
-            initial=initial_vec,
-            settle_time_s=spec.settle_time_s,
-        )
-    except BaseException as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        # The record reaches the sweep parent even from a pool worker:
-        # spill.record appends to this process's spill file there, or to
-        # the parent's in-memory list on the serial path.
-        obs_spill.record(obs_runctx.end(error=error))
 
 
 def _precompute_warmups(specs: Sequence[RunSpec]) -> List[RunSpec]:

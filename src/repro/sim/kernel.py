@@ -90,7 +90,6 @@ from repro.errors import ThermalViolationError
 from repro.obs import events as obs_events
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
-from repro.obs import runctx as obs_runctx
 from repro.sim.faults import targeted
 from repro.thermal.solver import DIVERGENCE_LIMIT_C, ExponentialSolver
 
@@ -297,11 +296,14 @@ class ChipStep:
             sensors.sample_vector if self.vector_sensors else None
         )
         self._sample = sensors.sample
-        # Progress heartbeat: the publisher (if a supervisor registered
-        # one) is captured once per run; publishing reads counters
-        # only, so results stay bit-identical either way.
-        publisher = obs_heartbeat.active()
-        self.heartbeat = publisher.publish if publisher is not None else None
+        # The run's record (if a sweep opened one) is captured once per
+        # run: live progress goes through ``heartbeat`` and the metrics
+        # through :meth:`publish`.  Both read counters only, so results
+        # stay bit-identical either way.
+        self.record = obs_heartbeat.active()
+        self.heartbeat = (
+            self.record.publish if self.record is not None else None
+        )
 
         self.time_s = 0.0
         self.measuring = settle_time_s == 0.0
@@ -736,9 +738,9 @@ class ChipStep:
         **event,
     ) -> None:
         """One batch publish per run when observability is on: registry
-        counters for the process view, run-context metrics for the
-        spill record the sweep report aggregates, and one
-        ``engine.run_complete`` event.  ``counters``, ``metrics`` and
+        counters for the process view, metrics on the run's record for
+        the sweep report, and one ``engine.run_complete`` event carrying
+        the record's ``run_id``.  ``counters``, ``metrics`` and
         ``event`` carry the engine's own additions."""
         if not obs_metrics.enabled():
             return
@@ -758,10 +760,13 @@ class ChipStep:
         registry = obs_metrics.REGISTRY
         for name, value in counters.items():
             registry.counter(name).inc(value)
-        obs_runctx.add_metrics(counters)
-        obs_runctx.add_metrics(
-            {"engine.above_trigger_s": self.above_trigger_s, **metrics}
-        )
+        record = self.record
+        if record is not None:
+            record.add_metrics(counters)
+            record.add_metrics(
+                {"engine.above_trigger_s": self.above_trigger_s, **metrics}
+            )
+            event["run_id"] = record.run_id
         obs_events.emit(
             "engine.run_complete",
             benchmark=benchmark,

@@ -37,21 +37,15 @@ its own run, not the whole batch.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
-from repro.obs import runctx as obs_runctx
-from repro.obs import spill as obs_spill
 from repro.sim.contract import SimEngine, drive
 from repro.sim.results import RunResult
 from repro.sim.stride import StrideTask
-
-# Sequence number for chunk record ids within one process.
-_CHUNK_SEQ = 0
 
 
 class LockstepEngine(SimEngine):
@@ -68,10 +62,17 @@ class LockstepEngine(SimEngine):
     the moment each run ends, in finishing order, so a supervisor can
     record (and journal) it before the batch is over.
 
-    The engine holds no state between runs beyond the spec list itself
-    (per-run engines, solvers and sensor arrays are built fresh inside
-    every :meth:`iter_run`), so :meth:`reset` only discards a partially
-    driven :meth:`build`/:meth:`step` session.
+    Each run gets its own record (:mod:`repro.obs.heartbeat`), as under
+    :func:`~repro.sim.batch.run_one`.  The round counters describe the
+    batch, not a run: with observability on, :attr:`counters` holds
+    ``engine.lockstep.rounds``, ``.rows`` and ``.stride_rounds`` of the
+    last :meth:`iter_run` (empty with it off), and they also go to the
+    registry.
+
+    The engine holds no state between runs beyond the spec list and
+    those counters (per-run engines, solvers and sensor arrays are
+    built fresh inside every :meth:`iter_run`), so :meth:`reset` only
+    discards a partially driven :meth:`build`/:meth:`step` session.
     """
 
     def __init__(
@@ -81,6 +82,7 @@ class LockstepEngine(SimEngine):
     ):
         self._specs = list(specs)
         self._on_finish = on_finish
+        self.counters: Dict[str, float] = {}
 
     @property
     def specs(self) -> list:
@@ -106,7 +108,7 @@ class LockstepEngine(SimEngine):
         contract verbatim.
         """
         from repro.sim.batch import (
-            _begin_heartbeat,
+            _begin_record,
             _build_policy,
             _default_substrate,
             _resolve_workload,
@@ -122,37 +124,21 @@ class LockstepEngine(SimEngine):
         results: List[Optional[RunResult]] = [None] * len(specs)
         generators: Dict[int, object] = {}
         pending: Dict[int, tuple] = {}
-        # Progress publishers for the interleaved runs.  Each one is
-        # registered just before its generator's creation-advance (the
-        # engine captures the ambient publisher when its body first
-        # runs) and released right after, so concurrent runs each hold
-        # their own; finish happens when the run completes or in the
-        # finally below on an aborted batch.
-        heartbeats: Dict[int, object] = {}
-
-        # One telemetry record per chunk: the interleaved generators
-        # share one process, so per-run attribution is impossible here --
-        # instead the engines' end-of-run publishes land in this
-        # chunk-level run context (runs delegated to run_one below open
-        # their own nested context, so their metrics stay per-run and
-        # are not double counted).
+        # Records of the interleaved runs.  Each one is opened just
+        # before its generator's creation-advance (the engine captures
+        # the open record when its body first runs) and released right
+        # after, so concurrent runs each hold their own; finish happens
+        # when the run completes or in the finally below on an aborted
+        # batch.
+        records: Dict[int, object] = {}
         obs_on = obs_metrics.enabled()
-        if obs_on:
-            global _CHUNK_SEQ
-            _CHUNK_SEQ += 1
-            obs_runctx.begin(
-                f"lockstep.p{os.getpid()}.c{_CHUNK_SEQ}",
-                benchmark=f"lockstep[{len(specs)}]",
-                policy="chunk",
-                chunk=True,
-                runs=len(specs),
-            )
+        self.counters = {}
         error: Optional[str] = None
         self._emit("run.start", 0.0, runs=len(specs))
 
         # Runs whose pending request is a stride attempt.
         strides: Dict[int, tuple] = {}
-        # Execution-path counts, published with the chunk's record.
+        # Execution-path counts of the batch.
         rounds = stride_rounds = rows = 0
 
         def advance(index, reply):
@@ -163,7 +149,7 @@ class LockstepEngine(SimEngine):
                 results[index] = stop.value
                 pending.pop(index, None)
                 del generators[index]
-                obs_heartbeat.finish(heartbeats.pop(index, None))
+                obs_heartbeat.finish(records.pop(index, None))
                 if on_finish is not None:
                     on_finish(index, stop.value)
                 return
@@ -203,11 +189,11 @@ class LockstepEngine(SimEngine):
                     settle_time_s=spec.settle_time_s,
                 )
                 generators[index] = generator
-                publisher = _begin_heartbeat(spec)
-                if publisher is not None:
-                    heartbeats[index] = publisher
+                record = _begin_record(spec)
+                if record is not None:
+                    records[index] = record
                 advance(index, None)
-                obs_heartbeat.release(publisher)
+                obs_heartbeat.release(record)
 
             while pending:
                 # Stride attempts are proven first, in sub-rounds of
@@ -246,31 +232,45 @@ class LockstepEngine(SimEngine):
                     pass
             generators.clear()
             pending.clear()
-            for publisher in heartbeats.values():
-                obs_heartbeat.finish(publisher, error=error or "aborted")
-            heartbeats.clear()
+            for record in records.values():
+                obs_heartbeat.finish(record, error=error or "aborted")
+            records.clear()
             if obs_on:
-                counters = {
+                self.counters = {
                     "engine.lockstep.rounds": float(rounds),
                     "engine.lockstep.stride_rounds": float(stride_rounds),
                     "engine.lockstep.rows": float(rows),
                 }
-                for name, value in counters.items():
+                for name, value in self.counters.items():
                     obs_metrics.REGISTRY.counter(name).inc(value)
-                obs_runctx.add_metrics(counters)
-                obs_spill.record(obs_runctx.end(error=error))
         self._emit("run.complete", 0.0, runs=len(specs))
         return results
 
 
 def run_lockstep(
-    specs, on_finish: Optional[Callable[[int, RunResult], None]] = None
+    specs,
+    on_finish: Optional[Callable[[int, RunResult], None]] = None,
+    counters: Optional[Dict[str, float]] = None,
 ) -> List[RunResult]:
     """Execute ``specs`` in lockstep and return results in spec order.
 
     Bit-identical to ``[run_one(s) for s in specs]`` (see module
     docstring); the wins are shared per-step overhead and batched
     stride proofs and dense steps across the batch.  ``on_finish`` is
-    :class:`LockstepEngine`'s per-run completion callback.
+    :class:`LockstepEngine`'s per-run completion callback; ``counters``,
+    when given, receives the batch's :attr:`LockstepEngine.counters`,
+    also when the batch fails.
     """
-    return LockstepEngine(specs, on_finish).run()
+    engine = LockstepEngine(specs, on_finish)
+    try:
+        return engine.run()
+    finally:
+        if counters is not None:
+            counters.update(engine.counters)
+
+
+def run_chunk(specs) -> Tuple[List[RunResult], Dict[str, float]]:
+    """One pool worker's lockstep chunk: its results in spec order and
+    its round counters (see :func:`run_lockstep`)."""
+    counters: Dict[str, float] = {}
+    return run_lockstep(specs, counters=counters), counters

@@ -431,8 +431,15 @@ class SweepSupervisor:
         self.degradation_reason: str = ""
 
     def _count(self, name: str, amount: float = 1.0) -> None:
-        self.telemetry[name] = self.telemetry.get(name, 0.0) + amount
+        self._tally({name: amount})
         obs_metrics.inc(name, amount)
+
+    def _tally(self, counters: Dict[str, float]) -> None:
+        """Add counters to the sweep telemetry only (a lockstep batch's
+        round counters, which its engine already put in the registry
+        of the process that ran it)."""
+        for name, value in counters.items():
+            self.telemetry[name] = self.telemetry.get(name, 0.0) + value
 
     @property
     def inert(self) -> bool:
@@ -739,15 +746,19 @@ class SweepSupervisor:
         run the moment it finishes; on failure, fall back to supervised
         per-spec serial execution of the runs that have no outcome yet
         (a mid-batch failure must cost the sweep one batch, not the
-        whole figure)."""
+        whole figure).  The batch's round counters join the sweep
+        telemetry either way."""
         from repro.sim.lockstep import run_lockstep
 
         def finished(position: int, result) -> None:
             index, state = items[position]
             self._record(outcomes, index, state, result)
 
+        rounds: Dict[str, float] = {}
         try:
-            run_lockstep([state.spec for _, state in items], finished)
+            run_lockstep(
+                [state.spec for _, state in items], finished, rounds
+            )
         except Exception as exc:
             if self.inert:
                 raise
@@ -771,14 +782,17 @@ class SweepSupervisor:
                 len(unfinished),
             )
             self.run_serial(unfinished, outcomes)
+        finally:
+            self._tally(rounds)
 
     def run_lockstep_pool(self, items, outcomes, processes: int) -> None:
         """Fan lockstep chunks over the pool; chunks that fail for any
         reason (spec error, worker death, overdue deadline) fall back to
         supervised per-spec pool execution.  A chunk's runs are recorded
-        (and journalled) together when the chunk returns."""
+        (and journalled) together when the chunk returns, and its round
+        counters join the sweep telemetry."""
         import repro.sim.batch as batch
-        from repro.sim.lockstep import run_lockstep
+        from repro.sim.lockstep import run_chunk
 
         chunks = batch._chunk_evenly(items, processes)
         fallback: List[Tuple[int, _SpecState]] = []
@@ -787,7 +801,7 @@ class SweepSupervisor:
             pool = batch._get_pool(processes)
             futures = {
                 pool.submit(
-                    run_lockstep, [state.spec for _, state in chunk]
+                    run_chunk, [state.spec for _, state in chunk]
                 ): chunk
                 for chunk in chunks
             }
@@ -839,7 +853,7 @@ class SweepSupervisor:
             for future in done:
                 chunk = futures[future]
                 try:
-                    results = future.result()
+                    results, rounds = future.result()
                 except Exception as exc:
                     if isinstance(exc, BrokenProcessPool):
                         pool_broken = True
@@ -847,6 +861,7 @@ class SweepSupervisor:
                         raise
                     fallback.extend(chunk)
                 else:
+                    self._tally(rounds)
                     for (index, state), result in zip(chunk, results):
                         self._record(outcomes, index, state, result)
 

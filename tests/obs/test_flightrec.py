@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,8 @@ from repro.obs import events, flightrec, metrics
 
 @pytest.fixture
 def flight_on(obs_dir):
-    previous = flightrec.set_enabled(True)
     flightrec.reset()
     yield
-    flightrec.set_enabled(previous)
     flightrec.reset()
 
 
@@ -30,22 +29,13 @@ class TestRing:
         assert records[0]["ts"] > 0
 
     def test_ring_is_bounded(self, flight_on):
-        for i in range(flightrec.DEFAULT_LEN + 100):
+        for i in range(flightrec.RING_LEN + 100):
             flightrec.note("test.fill", i=i)
         records = flightrec.snapshot()
-        assert len(records) == flightrec.DEFAULT_LEN
+        assert len(records) == flightrec.RING_LEN
         # Oldest evicted, newest kept.
-        assert records[-1]["i"] == flightrec.DEFAULT_LEN + 99
+        assert records[-1]["i"] == flightrec.RING_LEN + 99
         assert records[0]["i"] == 100
-
-    def test_disabled_note_records_nothing(self, obs_dir):
-        previous = flightrec.set_enabled(False)
-        try:
-            flightrec.reset()
-            flightrec.note("test.gone")
-            assert flightrec.snapshot() == []
-        finally:
-            flightrec.set_enabled(previous)
 
     def test_emit_mirrors_into_ring_exactly_once(self, flight_on):
         metrics.set_enabled(True)
@@ -75,14 +65,19 @@ class TestDump:
     def test_dump_default_dir_honours_env(
         self, flight_on, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(flightrec.FLIGHT_DIR_ENV, str(tmp_path / "dumps"))
+        monkeypatch.setenv(metrics.OBS_DIR_ENV, str(tmp_path / "dumps"))
         flightrec.note("test.dir")
         path = flightrec.dump(reason="env")
         assert path.parent == tmp_path / "dumps"
         assert path.name.startswith(f"flight-{os.getpid()}-")
 
+    def test_dump_dir_defaults_to_working_directory(self, monkeypatch):
+        # Never the obs temp dir, which is removed at interpreter exit.
+        monkeypatch.delenv(metrics.OBS_DIR_ENV, raising=False)
+        assert flightrec.dump_dir() == Path(".")
+
     def test_sigusr2_dumps(self, flight_on, tmp_path, monkeypatch):
-        monkeypatch.setenv(flightrec.FLIGHT_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(metrics.OBS_DIR_ENV, str(tmp_path))
         flightrec.note("test.signal")
         flightrec.install()
         try:
@@ -100,7 +95,7 @@ class TestDump:
     def test_crash_hook_dumps_and_chains(
         self, flight_on, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(flightrec.FLIGHT_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(metrics.OBS_DIR_ENV, str(tmp_path))
         chained = []
         previous_hook = sys.excepthook
         sys.excepthook = lambda *exc: chained.append(exc)

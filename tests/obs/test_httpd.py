@@ -142,7 +142,6 @@ class TestLifecycle:
             urllib.request.urlopen(f"http://{address}/healthz", timeout=1.0)
 
     def test_default_flight_provider_reads_ring(self, obs_dir):
-        previous = flightrec.set_enabled(True)
         flightrec.reset()
         httpd = ObsHttpd("127.0.0.1", 0)
         address = httpd.start()
@@ -153,5 +152,4 @@ class TestLifecycle:
             assert "test.live" in events
         finally:
             httpd.stop()
-            flightrec.set_enabled(previous)
             flightrec.reset()

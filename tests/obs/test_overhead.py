@@ -10,7 +10,7 @@ and returns immediately.  These tests pin that contract with
 import gc
 import sys
 
-from repro.obs import events, flightrec, heartbeat, metrics
+from repro.obs import events, heartbeat, metrics
 
 N = 10_000
 # Interpreter noise allowance: unrelated caches may allocate a handful
@@ -67,19 +67,3 @@ def test_disabled_heartbeat_active_allocates_nothing(obs_dir):
 
     assert heartbeat.active() is None
     assert _allocated_blocks(burst) < SLACK
-
-
-def test_disabled_flightrec_note_allocates_nothing(obs_dir):
-    previous = flightrec.set_enabled(False)
-    try:
-        flightrec.reset()
-
-        def burst():
-            for _ in range(N):
-                flightrec.note("hot.flight")
-
-        assert _allocated_blocks(burst) < SLACK
-        assert flightrec.snapshot() == []
-    finally:
-        flightrec.set_enabled(previous)
-        flightrec.reset()

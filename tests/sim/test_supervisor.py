@@ -448,9 +448,9 @@ class TestLockstepSupervision:
         journal_at_failure = []
         real_run_lockstep = lockstep.run_lockstep
 
-        def watched_run_lockstep(specs, on_finish=None):
+        def watched_run_lockstep(specs, on_finish=None, counters=None):
             try:
-                return real_run_lockstep(specs, on_finish)
+                return real_run_lockstep(specs, on_finish, counters)
             except Exception:
                 journal_at_failure.append(set(load_journal(path)))
                 raise
