@@ -10,7 +10,8 @@ submits a slow sweep, and asserts mid-flight:
   monotonically increasing percent-complete fed by the engine's
   heartbeats;
 * SIGUSR2 dumps the flight-recorder ring to ``REPRO_OBS_DIR`` as
-  valid JSONL carrying the recent service events;
+  JSONL that passes the event schema, carrying the recent service
+  events and the engine's ``run.start`` stamped with its ``run_id``;
 * after a ``drain`` request with the job still in flight, ``/readyz``
   flips to 503 with ``draining: true``;
 * the drain then completes normally: the submission resolves, the
@@ -55,6 +56,7 @@ def get(address: str, path: str, timeout: float = 5.0):
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    from repro.obs import validate_events_file
     from repro.service import protocol
     from repro.service.client import ServiceClient
     from repro.sim.supervisor import spec_digest
@@ -143,6 +145,12 @@ def main() -> int:
         assert records[0]["reason"] == "sigusr2"
         events_seen = {r["event"] for r in records}
         assert "service.run_start" in events_seen, sorted(events_seen)
+        _, errors = validate_events_file(dumps[0])
+        assert not errors, errors[:5]
+        assert any(
+            r["event"] == "engine.run.start" and r.get("run_id")
+            for r in records
+        ), "flight dump has no engine.run.start carrying a run_id"
         print(f"  flight dump: {dumps[0]} ({len(records)} records)")
 
         # Drain with the job still in flight: readiness must flip 503.

@@ -51,7 +51,6 @@ from repro.multicore.floorplan import (
 )
 from repro.multicore.hopping import CoreHopper
 from repro.floorplan.alpha21364 import CORE_BLOCKS
-from repro.obs import events as obs_events
 from repro.power.model import PowerModel
 from repro.sensors.array import SensorArray
 from repro.sim import engine as sim_engine
@@ -324,7 +323,7 @@ class MultiCoreEngine(SimEngine):
         Converges the leakage/temperature fixed point to tolerance
         (shared with the single-core warmup path); a non-converged
         state -- likely thermal runaway -- is used anyway but loudly:
-        a warning, a structured event and an engine event all fire.
+        a warning and the ``warmup.nonconverged`` engine event fire.
         """
         # The run's scatter on each workload's average activity.
         names = self._block_names
@@ -354,12 +353,12 @@ class MultiCoreEngine(SimEngine):
             )
             _LOGGER.warning(message)
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-            obs_events.emit(
-                "multicore.warmup_nonconverged",
+            self._emit(
+                "warmup.nonconverged",
+                0.0,
                 iterations=iterations,
                 workloads="+".join(w.name for w in self._workloads),
             )
-            self._emit("warmup.nonconverged", 0.0, iterations=iterations)
         return vector
 
     def _scatter(self, chip_acts: np.ndarray, samples) -> np.ndarray:
@@ -521,7 +520,7 @@ class MultiCoreEngine(SimEngine):
                         self._emit(
                             "multicore.swap",
                             time_s,
-                            assignment=tuple(assignment),
+                            assignment=",".join(map(str, assignment)),
                         )
                         if hop_stall > 0.0:
                             # Both cores stall; each keeps its gating
@@ -594,21 +593,18 @@ class MultiCoreEngine(SimEngine):
             )
             for core in CORE_INSTANCES
         ]
-        chip.publish(
-            "+".join(w.name for w in self._workloads),
-            "+".join(p.name for p in self._policies),
-            sum(instructions),
-            elapsed,
-            {"multicore.swaps": float(swaps)},
-            {"multicore.stall_s": chip.stall_s},
-            swaps=swaps,
-        )
         self._emit(
             "run.complete",
             chip.time_s,
-            violations=chip.violations,
-            swaps=swaps,
-            fallback_active=bool(chip.solver.fallback_active),
+            **chip.publish(
+                "+".join(w.name for w in self._workloads),
+                "+".join(p.name for p in self._policies),
+                sum(instructions),
+                elapsed,
+                {"multicore.swaps": float(swaps)},
+                {"multicore.stall_s": chip.stall_s},
+                swaps=swaps,
+            ),
         )
         return MultiCoreResult(
             duration_s=elapsed,

@@ -8,8 +8,9 @@ telemetry layer the rest of :mod:`repro` publishes into:
 
 * :mod:`repro.obs.metrics` -- a low-overhead registry of counters,
   gauges and fixed-bucket histograms (:data:`~repro.obs.metrics.REGISTRY`);
-* :mod:`repro.obs.events` -- structured JSONL event logging with
-  run/sweep context (run id, worker pid) and a validating schema;
+* :mod:`repro.obs.events` -- the one event path: every event record
+  is made by ``emit``, stamped with the open run's id, kept in the
+  crash ring and, with obs on, logged as JSONL; plus its schema;
 * :mod:`repro.obs.heartbeat` -- the one record of each run: identity,
   live progress, the engine's metrics and ``wall_seconds``;
 * :mod:`repro.obs.spill` -- per-worker spill files that carry finished
@@ -28,9 +29,11 @@ Everything but the crash ring is gated on one module-level flag
 directory (``REPRO_OBS_DIR``, or a temporary one).  Live progress
 follows the flag, and the sweep service turns it on for its own
 lifetime.  When disabled, the hot paths pay one boolean check per run
-(not per step) and ``emit()``/``inc()`` return immediately without
-allocating -- the disabled-overhead tests assert it.  The flag never changes which code the step loop runs, so results
-are bit-identical with observability on or off.  Host time per layer
+(not per step), ``inc()`` returns immediately without allocating, and
+``emit()`` only appends its record to the bounded crash ring -- the
+disabled-overhead tests assert both.  The flag never changes which
+code the step loop runs, so results are bit-identical with
+observability on or off.  Host time per layer
 is not measured here: ``python -m repro bench`` reads it from the
 benchmark's outside-in tracer (``perfbench/layers.py``).
 """
@@ -43,7 +46,6 @@ from typing import Optional, TextIO
 
 from repro.obs.events import (
     emit,
-    event_context,
     validate_events_file,
     validate_record,
 )
@@ -74,7 +76,6 @@ __all__ = [
     "SweepReport",
     "emit",
     "enabled",
-    "event_context",
     "inc",
     "logging_setup",
     "obs_dir",

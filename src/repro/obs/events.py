@@ -1,20 +1,27 @@
-"""Structured JSONL event logging with run/sweep context.
+"""The one event path: :func:`emit` makes every event record.
 
-Every event is one JSON object on one line of a per-process file
-(``<obs_dir>/events-<pid>.jsonl``), so pool workers never interleave
-partial lines and a crashed process loses at most the line it was
-writing.  Each record carries:
+Each call builds one flat record and then
+
+1. appends it to the crash flight recorder's ring
+   (:data:`repro.obs.flightrec.RING`), always -- crash dumps need recent
+   events even with observability off;
+2. with observability on, writes it as one JSON line to this process's
+   log (``<obs_dir>/events-<pid>.jsonl``), so pool workers never
+   interleave partial lines and a crashed process loses at most the
+   line it was writing;
+3. returns it.
+
+Each record carries:
 
 * ``event`` -- dotted lowercase event name (``"sweep.pool_rebuild"``);
 * ``ts`` -- wall-clock UNIX timestamp;
 * ``pid`` -- the emitting process;
-* any ambient context pushed with :func:`event_context` (e.g. the
-  ``run_id`` of the run currently executing);
-* the caller's keyword fields.
+* ``run_id`` of the calling thread's innermost open run record
+  (:func:`repro.obs.heartbeat.active`), when one is open;
+* the caller's keyword fields (an explicit ``run_id`` wins).
 
-The emitting side is fork-aware: a worker inheriting the parent's open
-handle re-opens its own file on first emit (handles are keyed by pid
-and target path).  :func:`validate_record` /
+The log shares the spill channel's fork-aware appender
+(:class:`repro.obs.spill.Appender`).  :func:`validate_record` /
 :func:`validate_events_file` implement the event schema the CI smoke
 job checks emitted logs against.
 """
@@ -25,21 +32,17 @@ import json
 import numbers
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.obs import flightrec, metrics
+from repro.obs import flightrec, heartbeat, metrics, spill
 
 REQUIRED_FIELDS = ("event", "ts", "pid")
 """Fields present on every event record."""
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
 
-_CONTEXT: Dict[str, object] = {}
-
-_HANDLE = None
-_HANDLE_KEY: Optional[Tuple[int, str]] = None
+_LOG = spill.Appender()
 
 
 def events_path() -> Path:
@@ -47,95 +50,28 @@ def events_path() -> Path:
     return metrics.obs_dir() / f"events-{os.getpid()}.jsonl"
 
 
-def _sink():
-    """The (lazily opened, fork-aware) event-log handle."""
-    global _HANDLE, _HANDLE_KEY
-    path = events_path()
-    key = (os.getpid(), str(path))
-    if _HANDLE is None or _HANDLE_KEY != key:
-        if _HANDLE is not None and _HANDLE_KEY is not None and (
-            _HANDLE_KEY[0] == os.getpid()
-        ):
-            try:
-                _HANDLE.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _HANDLE = open(path, "a", encoding="utf-8")
-        _HANDLE_KEY = key
-    return _HANDLE
-
-
-def emit(event: str, **fields) -> Optional[Dict[str, object]]:
-    """Write one structured event; returns the record, or ``None`` when
-    observability is disabled (in which case nothing is allocated)."""
-    if not metrics.enabled():
-        return None
+def emit(event: str, **fields) -> Dict[str, object]:
+    """Make one event: ring always, JSONL log with observability on;
+    returns the record."""
     record: Dict[str, object] = {
         "event": event,
         "ts": time.time(),
         "pid": os.getpid(),
     }
-    if _CONTEXT:
-        record.update(_CONTEXT)
+    run = heartbeat.active()
+    if run is not None:
+        record["run_id"] = run.run_id
     if fields:
         record.update(fields)
-    handle = _sink()
-    handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-    handle.flush()
-    # Mirror into the crash flight recorder's ring: one append, no
-    # copy, no re-serialisation.  Call sites that emit must therefore
-    # never also call flightrec.note for the same event.
-    flightrec.note_record(record)
+    flightrec.RING.append(record)
+    if metrics.enabled():
+        _LOG.write(events_path(), record)
     return record
 
 
-@contextmanager
-def event_context(**fields):
-    """Attach ``fields`` to every event emitted inside the block."""
-    saved = {key: _CONTEXT.get(key, _MISSING) for key in fields}
-    _CONTEXT.update(fields)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is _MISSING:
-                _CONTEXT.pop(key, None)
-            else:
-                _CONTEXT[key] = value
-
-
-_MISSING = object()
-
-
-def push_context(**fields) -> Dict[str, object]:
-    """Set ambient context fields; returns the saved previous values
-    for :func:`pop_context`."""
-    saved = {key: _CONTEXT.get(key, _MISSING) for key in fields}
-    _CONTEXT.update(fields)
-    return saved
-
-
-def pop_context(saved: Dict[str, object]) -> None:
-    """Restore context saved by :func:`push_context`."""
-    for key, value in saved.items():
-        if value is _MISSING:
-            _CONTEXT.pop(key, None)
-        else:
-            _CONTEXT[key] = value
-
-
 def reset() -> None:
-    """Close the handle and clear ambient context (test isolation)."""
-    global _HANDLE, _HANDLE_KEY
-    if _HANDLE is not None:
-        try:
-            _HANDLE.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
-    _HANDLE = None
-    _HANDLE_KEY = None
-    _CONTEXT.clear()
+    """Close the event-log handle (test isolation)."""
+    _LOG.close()
 
 
 # --- schema -----------------------------------------------------------------

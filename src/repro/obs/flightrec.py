@@ -5,14 +5,10 @@ hundred* events, not the full log -- and it needs them even when the
 observability layer is off (``REPRO_OBS=0``), because crashes do not
 wait for instrumentation to be enabled.  This module keeps a
 ``collections.deque`` ring of the last :data:`RING_LEN` event records,
-always on, at the cost of one append per (cold-path) event:
-
-* when obs is enabled, :func:`~repro.obs.events.emit` mirrors every
-  record it writes into the ring (:func:`note_record` -- no copy, no
-  re-serialisation);
-* always-on call sites (engine lifecycle via
-  :meth:`~repro.sim.contract.SimEngine._emit`, service state
-  transitions) call :func:`note` directly.
+always on, at the cost of one append per (cold-path) event.  The ring
+has one writer, :func:`repro.obs.events.emit`, which appends every
+record it makes -- no copy, no re-serialisation -- whether or not it
+also writes the JSONL log.
 
 The ring is dumped to JSONL by :func:`dump` -- wired to ``SIGUSR2`` and
 to unhandled crashes by :func:`install`, and served live over HTTP by
@@ -38,39 +34,17 @@ from repro.obs import metrics
 RING_LEN = 512
 """Ring capacity in records."""
 
-_RING: Deque[Dict[str, object]] = deque(maxlen=RING_LEN)
+RING: Deque[Dict[str, object]] = deque(maxlen=RING_LEN)
+"""The ring itself; appended to by :func:`repro.obs.events.emit` only."""
 
 _PREV_EXCEPTHOOK = None
 _PREV_SIGUSR2 = None
 _INSTALLED = False
 
 
-def note(event: str, **fields) -> None:
-    """Record one event into the ring.
-
-    The always-on counterpart of :func:`repro.obs.events.emit`: builds
-    a small record, appends it to the ring, touches nothing else.  Call
-    sites that already emit through the events module must not also
-    call this -- ``emit`` mirrors its record into the ring itself
-    (:func:`note_record`)."""
-    record: Dict[str, object] = {
-        "event": event,
-        "ts": time.time(),
-        "pid": os.getpid(),
-    }
-    if fields:
-        record.update(fields)
-    _RING.append(record)
-
-
-def note_record(record: Dict[str, object]) -> None:
-    """Mirror an already-built event record (from ``events.emit``)."""
-    _RING.append(record)
-
-
 def snapshot() -> List[Dict[str, object]]:
     """The ring's current contents, oldest first."""
-    return list(_RING)
+    return list(RING)
 
 
 def dump_dir() -> Path:
@@ -114,7 +88,9 @@ def _on_sigusr2(signum, frame) -> None:  # pragma: no cover - signal path
 
 
 def _crash_hook(exc_type, exc_value, exc_tb) -> None:
-    note("flight.crash", error=f"{exc_type.__name__}: {exc_value}")
+    from repro.obs import events  # events imports this module
+
+    events.emit("flight.crash", error=f"{exc_type.__name__}: {exc_value}")
     try:
         dump(reason="crash")
     except OSError:  # pragma: no cover - dump dir gone at teardown
@@ -161,4 +137,4 @@ def uninstall() -> None:
 
 def reset() -> None:
     """Clear the ring (test isolation); hooks stay installed."""
-    _RING.clear()
+    RING.clear()

@@ -50,10 +50,11 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.obs import events, metrics, spill
+from repro.obs import metrics, spill
 
 PUBLISH_INTERVAL_S = 0.25
 """Minimum wall-clock seconds between slot publishes of one run."""
@@ -63,11 +64,21 @@ PUBLISH_INTERVAL_S = 0.25
 _LIVE = False
 _INTERVAL_S = PUBLISH_INTERVAL_S
 
-# Open-record stack (nested begin/release pairs -- the lockstep driver
-# interleaves many runs, each registered around its generator's first
-# advance), the in-flight progress of this process, and a bounded table
-# of recently finished runs so late status queries still resolve.
-_STACK: List["_Publisher"] = []
+
+class _OpenRecords(threading.local):
+    """Each thread's open-record stack (nested begin/release pairs --
+    the lockstep driver interleaves many runs, each registered around
+    its generator's first advance).  Per thread, so the sweep service's
+    event loop never takes its executor thread's run for its own."""
+
+    def __init__(self) -> None:
+        self.stack: List["_Publisher"] = []
+
+
+# The open records, the in-flight progress of this process, and a
+# bounded table of recently finished runs so late status queries still
+# resolve.
+_OPEN = _OpenRecords()
 _INFLIGHT: Dict[str, Dict[str, object]] = {}
 _DONE: Dict[str, Dict[str, object]] = {}
 _DONE_LIMIT = 256
@@ -135,7 +146,7 @@ class _Publisher:
 
     __slots__ = (
         "key", "run_id", "benchmark", "policy", "seed", "total",
-        "metrics", "interval_s", "_next", "_t0", "_saved_context",
+        "metrics", "interval_s", "_next", "_t0",
     )
 
     def __init__(
@@ -157,7 +168,6 @@ class _Publisher:
         self.interval_s = _INTERVAL_S
         self._next = 0.0
         self._t0 = time.perf_counter()
-        self._saved_context = events.push_context(run_id=run_id)
 
     def publish(
         self,
@@ -199,29 +209,30 @@ def begin(
 ) -> Optional[_Publisher]:
     """Open a run's record (``None`` when obs and live progress are off).
 
-    Pushes the record onto the open stack -- so the engine's
-    ``iter_run``, which knows nothing about specs or digests, picks it
-    up via :func:`active` when its generator body first runs -- and its
-    ``run_id`` (default: ``key``) into the event context until
-    :func:`release`."""
+    Pushes the record onto this thread's open stack until
+    :func:`release`, so the engine's ``iter_run``, which knows nothing
+    about specs or digests, picks it up via :func:`active` when its
+    generator body first runs, and :func:`repro.obs.events.emit` stamps
+    its ``run_id`` (default: ``key``) on every event made meanwhile."""
     if not enabled():
         return None
     publisher = _Publisher(
         key, key if run_id is None else run_id, benchmark, policy, seed, total
     )
-    _STACK.append(publisher)
+    _OPEN.stack.append(publisher)
     _INFLIGHT[key] = _progress(publisher)
     _write_slot()
     return publisher
 
 
 def active() -> Optional[_Publisher]:
-    """The innermost open record, or ``None``.
+    """The calling thread's innermost open record, or ``None``.
 
     Allocation-free either way -- this is the engine's once-per-run
     capture point."""
-    if _STACK:
-        return _STACK[-1]
+    stack = _OPEN.stack
+    if stack:
+        return stack[-1]
     return None
 
 
@@ -231,9 +242,9 @@ def release(publisher: Optional[_Publisher]) -> None:
     The lockstep driver releases after a generator's first advance so
     the *next* run's generator captures its own record; the run itself
     stays in flight until :func:`finish`."""
-    if publisher is not None and publisher in _STACK:
-        _STACK.remove(publisher)
-        events.pop_context(publisher._saved_context)
+    stack = _OPEN.stack
+    if publisher is not None and publisher in stack:
+        stack.remove(publisher)
 
 
 def finish(
@@ -402,8 +413,7 @@ def reset() -> None:
     Leaves the live-progress switch alone, mirroring the rest of the
     obs layer's reset discipline."""
     global _SLOT_FD, _SLOT_KEY, _SLOT_SEQ, _INTERVAL_S
-    while _STACK:
-        release(_STACK[-1])
+    _OPEN.stack.clear()
     _INFLIGHT.clear()
     _DONE.clear()
     if _SLOT_FD is not None:

@@ -30,10 +30,44 @@ def spill_path() -> Path:
     return metrics.obs_dir() / f"spill-{os.getpid()}.jsonl"
 
 
+class Appender:
+    """A lazily opened, fork-aware JSONL append handle.
+
+    Keyed by pid and target path: a forked worker that inherited its
+    parent's open handle reopens its own file on first write.  Each
+    record is one line, flushed as written, so a killed writer loses at
+    most the line in flight.  Shared by spill files and event logs."""
+
+    __slots__ = ("_handle", "_key")
+
+    def __init__(self) -> None:
+        self._handle = None
+        self._key: Optional[Tuple[int, str]] = None
+
+    def write(self, path: Path, rec: Dict[str, object]) -> None:
+        key = (os.getpid(), str(path))
+        if self._key != key:
+            self.close()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(path, "a", encoding="utf-8")
+            self._key = key
+        line = json.dumps(rec, sort_keys=True, default=str)
+        self._handle.write(line + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
+        self._handle = None
+        self._key = None
+
+
 _LOCAL: List[Dict[str, object]] = []
 
-_HANDLE = None
-_HANDLE_KEY: Optional[Tuple[int, str]] = None
+_APPENDER = Appender()
 
 _IN_PARENT_PID: Optional[int] = None
 
@@ -53,22 +87,7 @@ def record(rec: Dict[str, object]) -> None:
     if _IN_PARENT_PID == os.getpid():
         _LOCAL.append(rec)
         return
-    global _HANDLE, _HANDLE_KEY
-    path = spill_path()
-    key = (os.getpid(), str(path))
-    if _HANDLE is None or _HANDLE_KEY != key:
-        if _HANDLE is not None and _HANDLE_KEY is not None and (
-            _HANDLE_KEY[0] == os.getpid()
-        ):
-            try:
-                _HANDLE.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _HANDLE = open(path, "a", encoding="utf-8")
-        _HANDLE_KEY = key
-    _HANDLE.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
-    _HANDLE.flush()
+    _APPENDER.write(spill_path(), rec)
 
 
 def begin_collection() -> Dict[str, int]:
@@ -163,13 +182,7 @@ def discard_merged() -> None:
 
 def reset() -> None:
     """Close the handle and clear in-memory records (test isolation)."""
-    global _HANDLE, _HANDLE_KEY, _IN_PARENT_PID
-    if _HANDLE is not None:
-        try:
-            _HANDLE.close()
-        except Exception:  # pragma: no cover - defensive
-            pass
-    _HANDLE = None
-    _HANDLE_KEY = None
+    global _IN_PARENT_PID
+    _APPENDER.close()
     _IN_PARENT_PID = None
     _LOCAL.clear()

@@ -50,7 +50,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.obs import events as obs_events
 from repro.obs import export as obs_export
-from repro.obs import flightrec as obs_flightrec
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
 from repro.obs.httpd import ObsHttpd
@@ -221,15 +220,6 @@ class SweepService:
     def _count(self, name: str) -> None:
         obs_metrics.inc(f"service.{name}")
 
-    def _event(self, name: str, **fields) -> None:
-        """Emit a structured event, or -- with obs off -- note it into
-        the flight recorder directly.  ``emit`` mirrors its record into
-        the ring itself when enabled, so exactly one ring entry lands
-        either way; service state transitions are precisely what a
-        post-mortem of a wedged server needs."""
-        if obs_events.emit(name, **fields) is None:
-            obs_flightrec.note(name, **fields)
-
     def refresh_gauges(self) -> None:
         """Publish the service gauges from current state.
 
@@ -284,7 +274,7 @@ class SweepService:
             )
             bound = self._server.sockets[0].getsockname()
             self.address = f"{bound[0]}:{bound[1]}"
-        self._event(
+        obs_events.emit(
             "service.start",
             address=self.address,
             cache_entries=len(self.cache),
@@ -303,7 +293,7 @@ class SweepService:
                 job_provider=self.job_status,
             )
             self.http_address = self._httpd.start()
-            self._event("service.http_start", http=self.http_address)
+            obs_events.emit("service.http_start", http=self.http_address)
         self.refresh_gauges()
         self._monitor_task = asyncio.ensure_future(self._monitor_loop())
         self.ready.set()
@@ -339,7 +329,7 @@ class SweepService:
                         "service.drain_seconds",
                         help="duration of the last graceful drain",
                     ).set(self.drain_seconds)
-                self._event(
+                obs_events.emit(
                     "service.drain_complete",
                     drain_seconds=self.drain_seconds,
                     jobs_done=self.jobs_done,
@@ -386,7 +376,7 @@ class SweepService:
             return
         self._draining = True
         self._drain_began = time.monotonic()
-        self._event(
+        obs_events.emit(
             "service.drain_begin",
             queued=self._queued_total,
             running=self._running[0].digest if self._running else None,
@@ -415,7 +405,7 @@ class SweepService:
         self._connections[conn.id] = conn
         task = asyncio.current_task()
         self._handler_tasks.add(task)
-        self._event("service.client_connect", client=conn.id)
+        obs_events.emit("service.client_connect", client=conn.id)
         try:
             while True:
                 try:
@@ -428,7 +418,7 @@ class SweepService:
                     # executor and every other client are untouched.
                     self.protocol_errors += 1
                     self._count("protocol_errors")
-                    self._event(
+                    obs_events.emit(
                         "service.protocol_error",
                         client=conn.id,
                         error_type=type(exc).__name__,
@@ -443,7 +433,7 @@ class SweepService:
             self._connections.pop(conn.id, None)
             self._handler_tasks.discard(task)
             await self._cancel_queued_for(conn)
-            self._event("service.client_disconnect", client=conn.id)
+            obs_events.emit("service.client_disconnect", client=conn.id)
             try:
                 writer.close()
             except Exception:  # pragma: no cover - defensive
@@ -541,7 +531,7 @@ class SweepService:
         if self._queued_total + len(new_digests) > self.config.max_queue:
             self.shed += 1
             self._count("shed")
-            self._event(
+            obs_events.emit(
                 "service.busy_shed",
                 client=conn.id,
                 queued=self._queued_total,
@@ -561,7 +551,7 @@ class SweepService:
             {"ok": True, "op": "submit", "accepted": len(specs),
              "digests": digests, "new_jobs": len(new_digests)}
         )
-        self._event(
+        obs_events.emit(
             "service.submit",
             client=conn.id,
             n_specs=len(specs),
@@ -577,7 +567,7 @@ class SweepService:
             cached = self.cache.get(digest)
             if cached is not None:
                 self._count("cache_hits")
-                self._event("service.cache_hit", digest=digest)
+                obs_events.emit("service.cache_hit", digest=digest)
                 await conn.send(self._result_frame(index, digest, cached,
                                                    cached_hit=True))
                 continue
@@ -660,7 +650,7 @@ class SweepService:
             del self._jobs[digest]
             self.cancelled += 1
             self._count("cancelled")
-            self._event(
+            obs_events.emit(
                 "service.job_cancelled", digest=digest, client=conn.id
             )
 
@@ -712,7 +702,7 @@ class SweepService:
             for job in batch:
                 job.state = "running"
                 job.started_at = started
-                self._event(
+                obs_events.emit(
                     "service.run_start",
                     digest=job.digest,
                     benchmark=job.spec.workload_name,
@@ -794,7 +784,7 @@ class SweepService:
             # failure.
             self.jobs_failed += 1
             self._count("jobs_failed")
-            self._event(
+            obs_events.emit(
                 "service.job_failed", digest=job.digest, error=error
             )
             for conn, index in job.waiters:
@@ -806,7 +796,7 @@ class SweepService:
         self.cache.put(job.digest, outcome)
         self.jobs_done += 1
         self._count("jobs_done")
-        self._event("service.job_done", digest=job.digest)
+        obs_events.emit("service.job_done", digest=job.digest)
         for conn, index in job.waiters:
             await conn.send(
                 self._result_frame(index, job.digest, outcome,

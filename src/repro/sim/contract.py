@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs import flightrec as obs_flightrec
+from repro.obs import events as obs_events
 from repro.sim.kernel import DenseSpanTask
 from repro.sim.stride import StrideTask, serve_stride, serve_strides
 
@@ -253,13 +253,14 @@ class SimEngine(ABC):
         return unsubscribe
 
     def _emit(self, name: str, time_s: float, **payload) -> None:
-        """Publish an event to subscribers (no-op with none attached).
+        """Make the event ``engine.<name>`` through
+        :func:`repro.obs.events.emit` (flight ring always, JSONL log with
+        observability on) and publish it to this engine's subscribers.
 
-        Also noted into the crash flight recorder: engine lifecycle
-        events (``run.start`` / ``run.complete`` and friends) are
-        per-run cold-path calls, exactly what a post-mortem ring should
-        hold even with observability off."""
-        obs_flightrec.note("engine." + name, time_s=time_s, **payload)
+        Engine lifecycle events are per-run cold-path calls, exactly
+        what a post-mortem ring should hold.  The :class:`EngineEvent`
+        is built only when a subscriber is attached."""
+        obs_events.emit("engine." + name, time_s=time_s, **payload)
         if not self._subscribers:
             return
         event = EngineEvent(name=name, time_s=time_s, payload=payload)

@@ -786,33 +786,30 @@ class SimulationEngine(SimEngine):
             if planner is not None
             else dict.fromkeys(REJECT_REASONS, 0)
         )
-        chip.publish(
-            self._workload.name,
-            self._policy.name,
-            done,
-            elapsed_s,
-            {
-                "engine.ff_spans_taken": float(
-                    planner.taken if planner is not None else 0
-                ),
-                "engine.ff_spans_rejected": float(sum(rejected.values())),
-                "dtm.engagements": float(dtm_engagements),
-                "dtm.dvs_switches": float(switches),
-                "dtm.migrations": float(migrations),
-                **{
-                    "engine.ff_rejected." + reason: float(count)
-                    for reason, count in rejected.items()
-                },
-            },
-            {"dtm.duty_cycle": duty_cycle, "dtm.engaged_s": engaged_s},
-            dtm_duty_cycle=duty_cycle,
-        )
         self._emit(
             "run.complete",
             chip.time_s,
-            instructions=float(done),
-            violations=chip.violations,
-            fallback_active=bool(solver.fallback_active),
+            **chip.publish(
+                self._workload.name,
+                self._policy.name,
+                done,
+                elapsed_s,
+                {
+                    "engine.ff_spans_taken": float(
+                        planner.taken if planner is not None else 0
+                    ),
+                    "engine.ff_spans_rejected": float(sum(rejected.values())),
+                    "dtm.engagements": float(dtm_engagements),
+                    "dtm.dvs_switches": float(switches),
+                    "dtm.migrations": float(migrations),
+                    **{
+                        "engine.ff_rejected." + reason: float(count)
+                        for reason, count in rejected.items()
+                    },
+                },
+                {"dtm.duty_cycle": duty_cycle, "dtm.engaged_s": engaged_s},
+                dtm_duty_cycle=duty_cycle,
+            ),
         )
         return RunResult(
             benchmark=self._workload.name,

@@ -87,7 +87,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ThermalViolationError
-from repro.obs import events as obs_events
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
 from repro.sim.faults import targeted
@@ -736,39 +735,39 @@ class ChipStep:
         counters: Dict[str, float],
         metrics: Dict[str, float],
         **event,
-    ) -> None:
-        """One batch publish per run when observability is on: registry
-        counters for the process view, metrics on the run's record for
-        the sweep report, and one ``engine.run_complete`` event carrying
-        the record's ``run_id``.  ``counters``, ``metrics`` and
-        ``event`` carry the engine's own additions."""
-        if not obs_metrics.enabled():
-            return
+    ) -> Dict[str, object]:
+        """One batch publish per run: with observability on, registry
+        counters for the process view and metrics on the run's record
+        for the sweep report.  Returns the payload of the engine's
+        ``run.complete`` event, carrying the record's ``run_id`` when
+        one is open.  ``counters``, ``metrics`` and ``event`` carry the
+        engine's own additions."""
         fallback = bool(self.solver.fallback_active)
-        counters = {
-            "engine.runs": 1.0,
-            "engine.exec_steps": float(self.exec_steps),
-            "engine.trigger_crossings": float(self.trigger_crossings),
-            "engine.sensor_samples": float(self.sensor_samples),
-            "engine.violations": float(self.violations),
-            "engine.kernel_spans": float(self.kernel_spans),
-            "engine.kernel_steps": float(self.kernel_steps),
-            **counters,
-        }
-        if fallback:
-            counters["thermal.fallback_runs"] = 1.0
-        registry = obs_metrics.REGISTRY
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
         record = self.record
         if record is not None:
-            record.add_metrics(counters)
-            record.add_metrics(
-                {"engine.above_trigger_s": self.above_trigger_s, **metrics}
-            )
             event["run_id"] = record.run_id
-        obs_events.emit(
-            "engine.run_complete",
+        if obs_metrics.enabled():
+            counters = {
+                "engine.runs": 1.0,
+                "engine.exec_steps": float(self.exec_steps),
+                "engine.trigger_crossings": float(self.trigger_crossings),
+                "engine.sensor_samples": float(self.sensor_samples),
+                "engine.violations": float(self.violations),
+                "engine.kernel_spans": float(self.kernel_spans),
+                "engine.kernel_steps": float(self.kernel_steps),
+                **counters,
+            }
+            if fallback:
+                counters["thermal.fallback_runs"] = 1.0
+            registry = obs_metrics.REGISTRY
+            for name, value in counters.items():
+                registry.counter(name).inc(value)
+            if record is not None:
+                record.add_metrics(counters)
+                record.add_metrics(
+                    {"engine.above_trigger_s": self.above_trigger_s, **metrics}
+                )
+        return dict(
             benchmark=benchmark,
             policy=policy,
             instructions=float(instructions),

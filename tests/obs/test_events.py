@@ -3,13 +3,11 @@
 import json
 import os
 
-from repro.obs import events
-from repro.obs.events import (
-    emit,
-    event_context,
-    validate_events_file,
-    validate_record,
-)
+from repro.multicore import HoppingConfig
+from repro.multicore.batch import DualCoreRunSpec
+from repro.obs import events, heartbeat
+from repro.obs.events import emit, validate_events_file, validate_record
+from repro.sim.batch import run_one
 
 
 def _read_events(path):
@@ -18,8 +16,8 @@ def _read_events(path):
 
 
 class TestEmit:
-    def test_disabled_emit_writes_nothing(self, obs_dir):
-        assert emit("quiet.event", detail=1) is None
+    def test_disabled_emit_writes_no_log(self, obs_dir):
+        assert emit("quiet.event", detail=1)["detail"] == 1
         assert not list(obs_dir.glob("events-*.jsonl"))
 
     def test_emit_carries_required_fields(self, obs_on):
@@ -30,12 +28,14 @@ class TestEmit:
         (on_disk,) = _read_events(events.events_path())
         assert on_disk == json.loads(json.dumps(record))
 
-    def test_event_context_scopes_fields(self, obs_on):
-        with event_context(run_id="r1"):
-            emit("inner.event")
-            with event_context(run_id="r2"):
-                emit("nested.event")
-            emit("restored.event")
+    def test_open_run_record_stamps_run_id(self, obs_on):
+        outer = heartbeat.begin("k1", "gzip", "Hyb", 1.0, run_id="r1")
+        emit("inner.event")
+        inner = heartbeat.begin("k2", "gzip", "Hyb", 1.0, run_id="r2")
+        emit("nested.event")
+        heartbeat.release(inner)
+        emit("restored.event")
+        heartbeat.release(outer)
         emit("outside.event")
         records = {r["event"]: r for r in _read_events(events.events_path())}
         assert records["inner.event"]["run_id"] == "r1"
@@ -82,3 +82,18 @@ class TestSchema:
         count, errors = validate_events_file(torn)
         assert count == 1
         assert len(errors) == 1 and "unparsable" in errors[0]
+
+    def test_a9_hop_run_log_validates(self, obs_on):
+        spec = DualCoreRunSpec(
+            ("crafty", "mesa"),
+            duration_s=2.0e-3,
+            settle_time_s=1.0e-3,
+            hopping=HoppingConfig(),
+        )
+        assert run_one(spec).swaps > 0
+        path = events.events_path()
+        names = [r["event"] for r in _read_events(path)]
+        assert "engine.multicore.swap" in names
+        count, errors = validate_events_file(path)
+        assert count == len(names)
+        assert errors == []

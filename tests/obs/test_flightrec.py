@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import events, flightrec, metrics
+from repro.sim import EngineConfig, FaultPlan, RunSpec, run_many
+from repro.sim.batch import run_one
 
 
 @pytest.fixture
@@ -19,9 +21,10 @@ def flight_on(obs_dir):
 
 
 class TestRing:
-    def test_note_appends_records(self, flight_on):
-        flightrec.note("test.alpha", value=1)
-        flightrec.note("test.beta")
+    def test_emit_appends_records_with_obs_off(self, flight_on):
+        assert not metrics.enabled()
+        events.emit("test.alpha", value=1)
+        events.emit("test.beta")
         records = flightrec.snapshot()
         assert [r["event"] for r in records] == ["test.alpha", "test.beta"]
         assert records[0]["value"] == 1
@@ -30,7 +33,7 @@ class TestRing:
 
     def test_ring_is_bounded(self, flight_on):
         for i in range(flightrec.RING_LEN + 100):
-            flightrec.note("test.fill", i=i)
+            events.emit("test.fill", i=i)
         records = flightrec.snapshot()
         assert len(records) == flightrec.RING_LEN
         # Oldest evicted, newest kept.
@@ -52,8 +55,8 @@ class TestRing:
 
 class TestDump:
     def test_dump_writes_valid_jsonl(self, flight_on, tmp_path):
-        flightrec.note("test.one", x=1)
-        flightrec.note("test.two", weird=float("nan"))
+        events.emit("test.one", x=1)
+        events.emit("test.two", weird=float("nan"))
         path = flightrec.dump(tmp_path / "flight.jsonl", reason="unit")
         lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
@@ -66,7 +69,7 @@ class TestDump:
         self, flight_on, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(metrics.OBS_DIR_ENV, str(tmp_path / "dumps"))
-        flightrec.note("test.dir")
+        events.emit("test.dir")
         path = flightrec.dump(reason="env")
         assert path.parent == tmp_path / "dumps"
         assert path.name.startswith(f"flight-{os.getpid()}-")
@@ -78,7 +81,7 @@ class TestDump:
 
     def test_sigusr2_dumps(self, flight_on, tmp_path, monkeypatch):
         monkeypatch.setenv(metrics.OBS_DIR_ENV, str(tmp_path))
-        flightrec.note("test.signal")
+        events.emit("test.signal")
         flightrec.install()
         try:
             os.kill(os.getpid(), signal.SIGUSR2)
@@ -130,10 +133,49 @@ class TestDump:
 
 class TestEngineEvents:
     def test_engine_lifecycle_lands_in_ring_with_obs_off(self, flight_on):
-        from repro.sim.batch import RunSpec, run_one
-
         assert not metrics.enabled()
         run_one(RunSpec("gzip", "none", instructions=1_000))
         names = [r["event"] for r in flightrec.snapshot()]
         assert "engine.run.start" in names
         assert "engine.run.complete" in names
+
+
+class TestOneStream:
+    """Every event is made by ``events.emit``: one record, in the ring
+    always and in the JSONL log with observability on."""
+
+    def test_supervisor_events_land_in_ring_with_obs_off(self, obs_dir):
+        assert not metrics.enabled()
+        crash = EngineConfig(fault_plan=FaultPlan(crash_worker=True))
+        spec = RunSpec("gzip", "none", instructions=1_000, engine_config=crash)
+        run_many([spec], retries=1, backoff_s=0.0)
+        names = [r["event"] for r in flightrec.snapshot()]
+        assert "faults.prerun_armed" in names
+        assert "sweep.retry" in names
+        assert not list(obs_dir.glob("events-*.jsonl"))
+
+    def test_one_run_complete_in_ring_and_log(self, obs_on):
+        run_one(RunSpec("gzip", "none", instructions=1_000))
+        logged = _read(events.events_path())
+        for records in (flightrec.snapshot(), logged):
+            names = [r["event"] for r in records]
+            assert "engine.run_complete" not in names
+            (complete,) = [
+                r for r in records if r["event"] == "engine.run.complete"
+            ]
+            assert complete["run_id"].startswith("gzip.none.")
+            assert complete["benchmark"] == "gzip"
+            assert "dtm_duty_cycle" in complete
+
+    def test_log_carries_run_start_with_run_id(self, obs_on):
+        run_one(RunSpec("gzip", "none", instructions=1_000))
+        (start,) = [
+            r
+            for r in _read(events.events_path())
+            if r["event"] == "engine.run.start"
+        ]
+        assert start["run_id"].startswith("gzip.none.")
+
+
+def _read(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]

@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.obs import flightrec
+from repro.obs.events import emit
 from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE, ObsHttpd
 
 
@@ -146,7 +147,7 @@ class TestLifecycle:
         httpd = ObsHttpd("127.0.0.1", 0)
         address = httpd.start()
         try:
-            flightrec.note("test.live")
+            emit("test.live")
             _, _, body = _get(address, "/flight")
             events = [json.loads(l)["event"] for l in body.splitlines()]
             assert "test.live" in events

@@ -2,15 +2,16 @@
 
 The engine's hot loop and the library's cold paths all call into the
 obs layer unconditionally; the contract that makes this acceptable is
-that a disabled ``inc`` / ``emit`` call allocates nothing
-and returns immediately.  These tests pin that contract with
+that a disabled ``inc`` call allocates nothing and returns
+immediately, and a disabled ``emit`` only appends to the bounded
+crash ring.  These tests pin that contract with
 ``sys.getallocatedblocks``.
 """
 
 import gc
 import sys
 
-from repro.obs import events, heartbeat, metrics
+from repro.obs import events, flightrec, heartbeat, metrics
 
 N = 10_000
 # Interpreter noise allowance: unrelated caches may allocate a handful
@@ -35,12 +36,15 @@ def test_disabled_inc_allocates_nothing(obs_dir):
     assert _allocated_blocks(burst) < SLACK
 
 
-def test_disabled_emit_allocates_nothing(obs_dir):
+def test_disabled_emit_holds_memory_at_the_ring(obs_dir):
+    # ``emit`` always feeds the crash ring; with obs off it writes no
+    # log, and once the ring is full each record evicts the oldest.
     def burst():
         for _ in range(N):
             events.emit("hot.event")
 
     assert _allocated_blocks(burst) < SLACK
+    assert len(flightrec.snapshot()) == flightrec.RING_LEN
     assert not list(obs_dir.glob("events-*.jsonl"))
 
 

@@ -4,6 +4,7 @@ sweep path."""
 import json
 import os
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -39,15 +40,41 @@ class TestRunRecord:
         finished = heartbeat.finish(record, error="SimulationError: boom")
         assert finished["error"] == "SimulationError: boom"
 
-    def test_run_id_lands_in_event_context(self, obs_on):
+    def test_open_record_stamps_run_id(self, obs_on):
         from repro.obs import events
 
         record = heartbeat.begin("k", "gzip", "Hyb", 1.0, run_id="ctx-run")
+        inner = heartbeat.begin("k2", "gzip", "Hyb", 1.0, run_id="inner")
+        nested = events.emit("probe.nested")
+        heartbeat.release(inner)
         emitted = events.emit("probe.event")
         heartbeat.finish(record)
+        assert nested["run_id"] == "inner"
         assert emitted["run_id"] == "ctx-run"
         assert heartbeat.active() is None
         assert "run_id" not in events.emit("probe.after")
+
+    def test_record_open_on_another_thread_does_not_stamp(self, obs_on):
+        from repro.obs import events
+
+        opened, done = threading.Event(), threading.Event()
+
+        def executor():
+            record = heartbeat.begin("k", "gzip", "Hyb", 1.0, run_id="other")
+            opened.set()
+            done.wait(timeout=30.0)
+            heartbeat.finish(record)
+
+        worker = threading.Thread(target=executor)
+        worker.start()
+        try:
+            assert opened.wait(timeout=30.0)
+            assert heartbeat.active() is None
+            assert "run_id" not in events.emit("probe.loop")
+        finally:
+            done.set()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
 
     def test_finish_without_begin_is_empty(self, obs_on):
         assert heartbeat.finish(None) == {}

@@ -44,9 +44,7 @@ def _exploding_policy():
 class TestSweepReport:
     def test_serial_sweep_produces_report(self, obs_on):
         specs = [_spec(seed=s) for s in range(2)]
-        # Per-run path: lockstep sweeps spill one chunk record per
-        # batch rather than one record per run.
-        run_many(specs, lockstep=False)
+        run_many(specs)
         report = last_sweep_report()
         assert report is not None
         assert report.meta["n_runs"] == 2
