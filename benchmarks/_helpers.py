@@ -37,28 +37,6 @@ def bench_processes() -> Optional[int]:
     return value if value > 1 else None
 
 
-def throughput_report() -> str:
-    """One-line thermal-step throughput summary of the runs executed via
-    :mod:`repro.sim.batch` since the last :func:`reset_throughput`."""
-    from repro.sim.batch import stats
-
-    snapshot = stats()
-    processes = bench_processes() or 1
-    return (
-        f"[throughput: {snapshot.runs} runs, "
-        f"{snapshot.thermal_steps:,.0f} thermal steps in "
-        f"{snapshot.wall_s:.1f} s = {snapshot.steps_per_second:,.0f} "
-        f"steps/s, processes={processes}]"
-    )
-
-
-def reset_throughput() -> None:
-    """Zero the batch throughput counters before a timed section."""
-    from repro.sim.batch import reset_stats
-
-    reset_stats()
-
-
 def save_table(name: str, text: str) -> None:
     """Print a rendered table and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)

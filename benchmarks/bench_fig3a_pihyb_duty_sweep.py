@@ -8,9 +8,7 @@ the mild end of the sweep is nearly flat.
 from _helpers import (
     bench_instructions,
     bench_processes,
-    reset_throughput,
     save_table,
-    throughput_report,
 )
 
 from repro.analysis import render_table
@@ -19,7 +17,6 @@ from repro.core import find_crossover
 
 
 def _run(dvs_mode: str) -> str:
-    reset_throughput()
     result = fig3a_pihyb_duty_sweep(
         dvs_mode=dvs_mode,
         instructions=bench_instructions(),
@@ -40,7 +37,7 @@ def _run(dvs_mode: str) -> str:
             f"(paper: 3 for stall, 20 for ideal)"
         ),
     )
-    return table + "\n\n" + throughput_report()
+    return table
 
 
 def test_fig3a_duty_sweep_stall(benchmark):

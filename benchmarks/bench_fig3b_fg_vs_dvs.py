@@ -9,9 +9,7 @@ violations (which is why stand-alone FG needs feedback control).
 from _helpers import (
     bench_instructions,
     bench_processes,
-    reset_throughput,
     save_table,
-    throughput_report,
 )
 
 from repro.analysis import render_table
@@ -19,7 +17,6 @@ from repro.analysis.experiments import fig3b_fg_vs_dvs
 
 
 def _run() -> str:
-    reset_throughput()
     result = fig3b_fg_vs_dvs(
         instructions=bench_instructions(),
         processes=bench_processes(),
@@ -42,7 +39,7 @@ def _run() -> str:
             "DVS-stall superimposed"
         ),
     )
-    return table + "\n\n" + throughput_report()
+    return table
 
 
 def test_fig3b_fg_vs_dvs(benchmark):

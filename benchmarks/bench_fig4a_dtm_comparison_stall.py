@@ -8,9 +8,7 @@ the differences significant at the 99 % confidence level.
 from _helpers import (
     bench_instructions,
     bench_processes,
-    reset_throughput,
     save_table,
-    throughput_report,
 )
 
 from repro.analysis import paired_comparison, render_table
@@ -19,7 +17,6 @@ from repro.core import overhead_reduction
 
 
 def _run() -> str:
-    reset_throughput()
     results = fig4_technique_comparison(
         dvs_mode="stall",
         instructions=bench_instructions(),
@@ -62,7 +59,6 @@ def _run() -> str:
             f"(paper: ~25%), p={stats.p_value:.4g}, "
             f"significant at 99%: {stats.significant(0.99)}"
         )
-    lines.append(throughput_report())
     return "\n\n".join(lines)
 
 

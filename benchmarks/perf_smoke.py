@@ -34,19 +34,6 @@ from run_all import BENCHES, _run_bench
 SMOKE_BENCHES = dict(BENCHES, a9=("bench_a9_multicore", (), "a9_multicore"))
 
 
-def _table_body(record: dict) -> str:
-    """The bench's result table minus its wall-clock throughput line.
-
-    Every bench appends a ``[throughput: ...]`` report to its table;
-    that line is timing, not simulation output, so the bit-identity
-    check must ignore it.
-    """
-    return "\n".join(
-        line for line in record["table"].splitlines()
-        if not line.startswith("[throughput:")
-    )
-
-
 def _run_per_step(bench: str) -> dict:
     """Run one bench with fused dense spans switched off."""
     from repro.sim import engine
@@ -78,7 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{record['wall_s']:.2f} s]")
         return 0
     plain = _run_per_step(options.bench)
-    if _table_body(record) != _table_body(plain):
+    if record["table"] != plain["table"]:
         print(
             f"perf-smoke: FAIL -- {options.bench} result table "
             f"with fused dense spans differs from the per-step run",

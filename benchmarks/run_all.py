@@ -1,9 +1,8 @@
-"""Run the benchmark harness end to end and summarise throughput.
+"""Run the benchmark harness end to end and time each bench.
 
 Each bench module regenerates one of the paper's figures or in-text
 tables (see the individual ``bench_*.py`` files); this driver runs a
-selection of them back to back, times each one, and snapshots the batch
-runner's thermal-step throughput around it.
+selection of them back to back and times each one.
 
 Usage::
 
@@ -14,9 +13,9 @@ Usage::
 The instruction budget and process count come from the usual harness
 knobs (``REPRO_BENCH_INSTRUCTIONS``, ``REPRO_BENCH_PROCESSES``; see
 ``_helpers.py``).  ``--json`` writes ``BENCH_results.json`` at the
-repository root: per-bench wall time, simulated thermal steps,
-steps/second and the rendered result table, plus the harness
-configuration -- the CI artifact consumed by performance tracking.
+repository root: per-bench wall time and the rendered result table,
+plus the harness configuration -- the CI artifact consumed by
+performance tracking.
 """
 
 from __future__ import annotations
@@ -61,25 +60,14 @@ def _run_bench(
 ) -> dict:
     """Execute one bench's ``_run`` (looked up in ``benches``) and
     measure it."""
-    from repro.sim.batch import reset_stats, stats
-
     module_name, args, table_name = benches[name]
     module = importlib.import_module(module_name)
     runner: Callable[..., str] = module._run
-    reset_stats()
     started = time.perf_counter()
     table = runner(*args)
     wall_s = time.perf_counter() - started
-    snapshot = stats()
     save_table(table_name, table)
-    return {
-        "bench": name,
-        "wall_s": round(wall_s, 3),
-        "runs": snapshot.runs,
-        "thermal_steps": round(snapshot.thermal_steps),
-        "steps_per_second": round(snapshot.steps_per_second),
-        "table": table,
-    }
+    return {"bench": name, "wall_s": round(wall_s, 3), "table": table}
 
 
 def main(argv: List[str] = None) -> int:
@@ -121,20 +109,12 @@ def main(argv: List[str] = None) -> int:
         records.append(_run_bench(name))
     total_wall = time.perf_counter() - started
 
-    total_steps = sum(r["thermal_steps"] for r in records)
     summary = {
         "config": config,
         "total_wall_s": round(total_wall, 3),
-        "total_thermal_steps": total_steps,
-        "overall_steps_per_second": round(total_steps / total_wall)
-        if total_wall > 0
-        else 0,
         "benches": records,
     }
-    print(
-        f"\n[run_all: {total_steps:,} thermal steps in {total_wall:.1f} s "
-        f"= {summary['overall_steps_per_second']:,} steps/s overall]"
-    )
+    print(f"\n[run_all: {len(records)} benches in {total_wall:.1f} s]")
     if options.json:
         path = Path(options.json)
         path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -39,13 +39,10 @@ def fig3a_pihyb_duty_sweep(
     duty_cycles: Sequence[float] = PAPER_DUTY_CYCLES,
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> CrossoverResult:
     """PI-Hyb slowdown as a function of the maximum fetch-gating duty
     cycle (Figure 3a)."""
-    baselines = run_baselines(
-        instructions=instructions, processes=processes, lockstep=lockstep
-    )
+    baselines = run_baselines(instructions=instructions, processes=processes)
     return sweep_duty_cycles(
         duty_cycles=duty_cycles,
         dvs_mode=dvs_mode,
@@ -71,20 +68,14 @@ def fig3b_fg_vs_dvs(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> Fig3bResult:
     """Fixed-duty stand-alone FG sweep with the DVS overhead superimposed
     (Figure 3b).
 
     Most duty cycles do not eliminate violations -- the violation counts
     are part of the result, as in the paper's discussion.
-
-    ``lockstep`` selects the batched lockstep runner for the baselines
-    and (via inheritance from the baselines object) every evaluation.
     """
-    baselines = run_baselines(
-        instructions=instructions, processes=processes, lockstep=lockstep
-    )
+    baselines = run_baselines(instructions=instructions, processes=processes)
     fg_means: Dict[float, float] = {}
     fg_violations: Dict[float, int] = {}
     for duty in duty_cycles:
@@ -111,7 +102,6 @@ def fig4_technique_comparison(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> Dict[str, SuiteEvaluation]:
     """FG / DVS / PI-Hyb / Hyb across the suite (Figure 4a or 4b by
     ``dvs_mode``)."""
@@ -119,7 +109,6 @@ def fig4_technique_comparison(
         dvs_mode=dvs_mode,
         instructions=instructions,
         processes=processes,
-        lockstep=lockstep,
     )
 
 
@@ -130,16 +119,13 @@ def t1_dvs_step_sensitivity(
     dvs_modes: Sequence[str] = ("stall", "ideal"),
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Mean slowdown of DVS per level count and mode.
 
     The paper finds the level count barely matters: below 0.4 % spread for
     DVS-stall and below 0.01 % for DVS-ideal.
     """
-    baselines = run_baselines(
-        instructions=instructions, processes=processes, lockstep=lockstep
-    )
+    baselines = run_baselines(instructions=instructions, processes=processes)
     results: Dict[str, Dict[int, float]] = {}
     for mode in dvs_modes:
         per_mode: Dict[int, float] = {}
@@ -176,15 +162,12 @@ def t2_voltage_floor(
     dvs_mode: str = "stall",
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> VoltageFloorResult:
     """Binary-DVS low-voltage sweep: the paper reports 85 % of nominal as
     the largest setting that eliminates thermal violations."""
     if not ratios:
         raise ReproError("need at least one voltage ratio")
-    baselines = run_baselines(
-        instructions=instructions, processes=processes, lockstep=lockstep
-    )
+    baselines = run_baselines(instructions=instructions, processes=processes)
     violations: Dict[float, int] = {}
     slowdowns: Dict[float, float] = {}
     for ratio in ratios:
@@ -216,14 +199,11 @@ class BenchmarkCharacter:
 def t4_benchmark_characterisation(
     instructions: int = DEFAULT_INSTRUCTIONS,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> List[BenchmarkCharacter]:
     """No-DTM thermal characterisation of the nine benchmarks (paper,
     Section 3: all operate above the trigger most of the time, integer
     register file hottest)."""
-    baselines = run_baselines(
-        instructions=instructions, processes=processes, lockstep=lockstep
-    )
+    baselines = run_baselines(instructions=instructions, processes=processes)
     rows: List[BenchmarkCharacter] = []
     for workload in baselines.suite:
         run = baselines.baseline[workload.name]

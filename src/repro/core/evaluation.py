@@ -82,14 +82,12 @@ class _Baselines:
         settle_time_s: float,
         seed: int,
         processes: Optional[int] = None,
-        lockstep: Optional[bool] = None,
     ):
         self.suite = list(suite)
         self.instructions = instructions
         self.settle_time_s = settle_time_s
         self.seed = seed
         self.processes = processes
-        self.lockstep = lockstep
         self.initial: Dict[str, np.ndarray] = {
             workload.name: batch.steady_state_for(workload)
             for workload in self.suite
@@ -107,7 +105,6 @@ class _Baselines:
                 for workload in self.suite
             ],
             processes=processes,
-            lockstep=lockstep,
         )
         self.baseline: Dict[str, RunResult] = {
             workload.name: run for workload, run in zip(self.suite, runs)
@@ -120,23 +117,17 @@ def run_baselines(
     settle_time_s: float = DEFAULT_SETTLE_TIME_S,
     seed: int = 0,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> _Baselines:
     """Compute (and cache in the returned object) the no-DTM baselines.
 
     Reuse one baselines object across many :func:`evaluate_policy` calls:
     the baseline runs and steady-state solves dominate harness cost.
     ``processes`` fans the baseline runs out over a process pool and is
-    remembered as the default for evaluations built on this object;
-    ``lockstep`` likewise selects the batched lockstep runner (see
-    :func:`repro.sim.batch.run_many`; ``None`` lets it choose) and is
-    remembered as the default.
+    remembered as the default for evaluations built on this object.
     """
     if suite is None:
         suite = build_spec_suite()
-    return _Baselines(
-        suite, instructions, settle_time_s, seed, processes, lockstep
-    )
+    return _Baselines(suite, instructions, settle_time_s, seed, processes)
 
 
 def evaluate_policy(
@@ -145,7 +136,6 @@ def evaluate_policy(
     dvs_mode: str = "stall",
     engine_config: Optional[EngineConfig] = None,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> SuiteEvaluation:
     """Run one technique across the suite.
 
@@ -165,9 +155,6 @@ def evaluate_policy(
     processes:
         Worker-process count for :func:`repro.sim.batch.run_many`;
         defaults to the count the baselines were built with.
-    lockstep:
-        Run the suite through the lockstep batched runner; defaults to
-        the setting the baselines were built with.
     """
     config = (
         engine_config
@@ -176,8 +163,6 @@ def evaluate_policy(
     )
     if processes is None:
         processes = baselines.processes
-    if lockstep is None:
-        lockstep = baselines.lockstep
     runs = batch.run_many(
         [
             RunSpec(
@@ -192,7 +177,6 @@ def evaluate_policy(
             for workload in baselines.suite
         ],
         processes=processes,
-        lockstep=lockstep,
     )
     names = {run.policy for run in runs}
     if len(names) > 1:
@@ -219,7 +203,6 @@ def evaluate_techniques(
     instructions: int = DEFAULT_INSTRUCTIONS,
     settle_time_s: float = DEFAULT_SETTLE_TIME_S,
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
 ) -> Dict[str, SuiteEvaluation]:
     """The Figure 4 experiment: all techniques over the full suite."""
     if baselines is None:
@@ -227,7 +210,6 @@ def evaluate_techniques(
             instructions=instructions,
             settle_time_s=settle_time_s,
             processes=processes,
-            lockstep=lockstep,
         )
     return {
         name: evaluate_policy(
@@ -235,7 +217,6 @@ def evaluate_techniques(
             baselines,
             dvs_mode=dvs_mode,
             processes=processes,
-            lockstep=lockstep,
         )
         for name in names
     }

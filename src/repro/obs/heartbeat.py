@@ -67,8 +67,8 @@ _INTERVAL_S = PUBLISH_INTERVAL_S
 
 class _OpenRecords(threading.local):
     """Each thread's open-record stack (nested begin/release pairs --
-    the lockstep driver interleaves many runs, each registered around
-    its generator's first advance).  Per thread, so the sweep service's
+    the lockstep driver interleaves many runs, each pushed around its
+    generator's advances).  Per thread, so the sweep service's
     event loop never takes its executor thread's run for its own."""
 
     def __init__(self) -> None:
@@ -236,12 +236,19 @@ def active() -> Optional[_Publisher]:
     return None
 
 
-def release(publisher: Optional[_Publisher]) -> None:
-    """Pop the record off the open stack without finishing it.
+def resume(publisher: _Publisher) -> None:
+    """Push a released record back onto the open stack.
 
-    The lockstep driver releases after a generator's first advance so
-    the *next* run's generator captures its own record; the run itself
-    stays in flight until :func:`finish`."""
+    The lockstep driver brackets every advance of a run with
+    :func:`resume` and :func:`release`, so the run's engine captures
+    its own record and every event the run makes carries its
+    ``run_id``."""
+    _OPEN.stack.append(publisher)
+
+
+def release(publisher: Optional[_Publisher]) -> None:
+    """Pop the record off the open stack without finishing it; the run
+    itself stays in flight until :func:`finish`."""
     stack = _OPEN.stack
     if publisher is not None and publisher in stack:
         stack.remove(publisher)

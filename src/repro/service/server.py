@@ -736,9 +736,9 @@ class SweepService:
 
         Returns one outcome per spec; ``answer(position, outcome)`` is
         called as each run's outcome is recorded, so a short job need
-        not wait for a long one in the same batch.  A batch of one runs
-        per-run, exactly as a lone job always has; two or more run in
-        lockstep, where each result still equals ``run_one``'s."""
+        not wait for a long one in the same batch.  ``run_many`` runs a
+        lone job per-run and two or more eligible ones in lockstep,
+        where each result still equals ``run_one``'s."""
         if self.config.runner is not None:
             outcomes = []
             for position, spec in enumerate(specs):
@@ -755,7 +755,6 @@ class SweepService:
             return run_many(
                 specs,
                 processes=self.config.processes,
-                lockstep=len(specs) > 1,
                 timeout_s=self.config.timeout_s,
                 retries=self.config.retries,
                 backoff_s=self.config.backoff_s,

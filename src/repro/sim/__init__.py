@@ -15,11 +15,10 @@ from repro.sim.results import RunResult
 from repro.sim.warmup import average_block_powers, initial_temperatures
 from repro.sim.engine import SimulationEngine
 from repro.sim.lockstep import LockstepEngine, run_lockstep
-from repro.sim.batch import BatchStats, RunSpec, run_many, run_one
+from repro.sim.batch import RunSpec, run_many, run_one
 from repro.sim.supervisor import RunFailure, load_journal, spec_digest
 
 __all__ = [
-    "BatchStats",
     "EngineConfig",
     "EngineEvent",
     "FaultPlan",

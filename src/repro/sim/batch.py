@@ -11,9 +11,6 @@ with its own seed.  This module gives them a common runner:
   from its spec alone, so scheduling cannot perturb it);
 * a per-process steady-state warmup cache, so the expensive no-DTM
   fixed-point solve happens once per workload rather than once per run.
-
-Throughput accounting (:func:`stats` / :func:`reset_stats`) lets
-benchmarks report thermal steps per second for whole sweeps.
 """
 
 from __future__ import annotations
@@ -122,23 +119,6 @@ class RunSpec:
             return self.workload
         return self.workload.name
 
-
-@dataclass
-class BatchStats:
-    """Aggregate throughput over :func:`run_many` calls since the last
-    :func:`reset_stats`."""
-
-    runs: int = 0
-    thermal_steps: float = 0.0
-    wall_s: float = 0.0
-
-    @property
-    def steps_per_second(self) -> float:
-        """Measured thermal steps per wall-clock second."""
-        return self.thermal_steps / self.wall_s if self.wall_s > 0.0 else 0.0
-
-
-_TOTALS = BatchStats()
 
 # Per-process steady-state cache: workload name -> node temperature
 # vector.  Valid for the default substrate only (RunSpec carries no
@@ -261,17 +241,6 @@ def _register_shutdown_hooks() -> None:
 _register_shutdown_hooks()
 
 
-def reset_stats() -> None:
-    """Zero the batch throughput counters."""
-    global _TOTALS
-    _TOTALS = BatchStats()
-
-
-def stats() -> BatchStats:
-    """A snapshot of the batch throughput counters."""
-    return replace(_TOTALS)
-
-
 def _resolve_workload(spec: RunSpec) -> Workload:
     if isinstance(spec.workload, str):
         from repro.workloads.spec import build_benchmark
@@ -379,6 +348,18 @@ def _run_one_impl(spec) -> RunResult:
     runner = getattr(spec, "run_in_process", None)
     if runner is not None:
         return runner()
+    engine, initial = _build_engine(spec)
+    return engine.run(
+        spec.instructions, initial=initial, settle_time_s=spec.settle_time_s
+    )
+
+
+def _build_engine(spec: RunSpec):
+    """The engine of one :class:`RunSpec` run and its initial node
+    temperatures (a fresh copy), after firing the spec's pre-run faults.
+
+    Shared by :func:`run_one` and the lockstep engine, so a run builds
+    identically on either path."""
     from repro.sim.engine import SimulationEngine
 
     fire_prerun_faults(spec.config.fault_plan, spec.seed)
@@ -396,28 +377,25 @@ def _run_one_impl(spec) -> RunResult:
         config=spec.config,
         seed=spec.seed,
     )
-    return engine.run(
-        spec.instructions,
-        initial=np.array(initial, dtype=float, copy=True),
-        settle_time_s=spec.settle_time_s,
+    return engine, np.array(initial, dtype=float, copy=True)
+
+
+def lockstep_eligible(spec) -> bool:
+    """True when ``spec`` may share a lockstep batch.
+
+    Only plain :class:`RunSpec` runs without a fault plan,
+    ``raise_on_violation`` or trace recording qualify: dual-core specs
+    own private thermal networks and cannot share a step group, and the
+    other three want their run's own supervision (an injected fault or
+    an emergency must abort one run, not its batch)."""
+    if not isinstance(spec, RunSpec):
+        return False
+    config = spec.config
+    return not (
+        config.raise_on_violation
+        or config.record_trace
+        or config.fault_plan is not None
     )
-
-
-def _precompute_warmups(specs: Sequence[RunSpec]) -> List[RunSpec]:
-    """Fill in ``initial`` for every spec that lacks one.
-
-    The steady-state solve is the per-run fixed cost; computing each
-    distinct workload's warmup once in the parent keeps worker processes
-    from repeating it and keeps results independent of how specs are
-    distributed over the pool.
-    """
-    filled: List[RunSpec] = []
-    for spec in specs:
-        if spec.initial is None:
-            filled.append(replace(spec, initial=steady_state_for(spec.workload)))
-        else:
-            filled.append(spec)
-    return filled
 
 
 def _chunk_evenly(specs: Sequence[RunSpec], parts: int) -> List[List[RunSpec]]:
@@ -435,36 +413,25 @@ def _chunk_evenly(specs: Sequence[RunSpec], parts: int) -> List[List[RunSpec]]:
     return chunks
 
 
-def _resolve_lockstep(specs: Sequence, lockstep: Optional[bool]) -> bool:
-    """Decide whether a sweep runs in lockstep.
+def _plan_batches(items: Sequence, parts: int) -> List[List]:
+    """Group a sweep's ``(index, state)`` items into batches.
 
-    Explicit argument wins; otherwise lockstep is on automatically for
-    multi-run sweeps of plain :class:`RunSpec` instances with none of
-    the features that want per-run supervision (fault plans,
-    ``raise_on_violation``, trace recording).  Heterogeneous batches
-    (dual-core specs, mixed spec types) stay on the per-run path.
-    """
-    if lockstep is not None:
-        return bool(lockstep)
-    if len(specs) < 2:
-        return False
-    for spec in specs:
-        if not isinstance(spec, RunSpec):
-            return False
-        config = spec.config
-        if (
-            config.raise_on_violation
-            or config.record_trace
-            or config.fault_plan is not None
-        ):
-            return False
-    return True
+    When two or more specs are :func:`lockstep_eligible`, they form
+    ``parts`` even chunks (one per worker process; one when serial).
+    Every other spec is a batch of one.  Batches come in the order of
+    their first item."""
+    eligible = [item for item in items if lockstep_eligible(item[1].spec)]
+    if len(eligible) < 2:
+        return [[item] for item in items]
+    batched = {index for index, _ in eligible}
+    batches = _chunk_evenly(eligible, parts)
+    batches += [[item] for item in items if item[0] not in batched]
+    return sorted(batches, key=lambda batch: batch[0][0])
 
 
 def run_many(
     specs: Sequence[RunSpec],
     processes: Optional[int] = None,
-    lockstep: Optional[bool] = None,
     *,
     timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -476,33 +443,32 @@ def run_many(
 ) -> List[Outcome]:
     """Execute ``specs`` and return their results in spec order.
 
+    The sweep runs as batches.  Its :func:`lockstep_eligible` specs,
+    when there are two or more, advance together in lockstep -- one
+    batch per worker process, or one batch when serial -- servicing
+    their thermal steps with one batched call per step group and
+    proving their stride attempts together (see
+    :mod:`repro.sim.lockstep`).  Every other spec, and a lone eligible
+    one, is a batch of one and runs through :func:`run_one`.  Results
+    are bit-identical to ``[run_one(s) for s in specs]`` whichever
+    batches form.
+
     Parameters
     ----------
     specs:
         The runs to execute.
     processes:
         ``None`` or ``1`` -- run serially in this process.  ``N > 1`` --
-        fan out over a process pool of ``N`` workers.  Results are
-        identical either way: warmups are precomputed in the parent and
-        every run is seeded from its spec, so the schedule cannot leak
-        into the physics.  Specs that fail to pickle (e.g. a lambda
-        policy factory) trigger a warning and a serial fallback.
-    lockstep:
-        Advance the batch's runs together, servicing their thermal
-        steps with one batched call per step group and proving their
-        stride attempts together (see :mod:`repro.sim.lockstep`).
-        Composes with ``processes``: each worker receives one contiguous
-        chunk of specs and runs it in lockstep.  Results are
-        bit-identical to ``run_one``.  ``None`` (default) turns lockstep
-        on automatically for sweeps of two or more plain
-        :class:`RunSpec` runs without fault plans, ``raise_on_violation``
-        or trace recording; heterogeneous batches fall back to per-run
-        execution.  Pass ``False`` to force the per-run path.
+        fan the batches out over a process pool of ``N`` workers.
+        Results are identical either way: warmups are precomputed in the
+        parent and every run is seeded from its spec, so the schedule
+        cannot leak into the physics.  Specs that fail to pickle (e.g. a
+        lambda policy factory) trigger a warning and a serial fallback.
     timeout_s:
-        Per-run wall-clock budget, enforced on the pool path (an
-        overdue run's worker may be wedged, so the pool is rebuilt and
-        unfinished specs are resubmitted).  Serial runs cannot be
-        preempted and ignore it.
+        Per-run wall-clock budget, enforced on the pool path (a batch
+        gets the budget times its size; an overdue batch's worker may
+        be wedged, so the pool is rebuilt and unfinished specs are
+        resubmitted).  Serial runs cannot be preempted and ignore it.
     retries:
         Attempts allowed *beyond* the first for each failing run, with
         exponential backoff (``backoff_s`` doubling up to
@@ -510,7 +476,9 @@ def run_many(
         spec digest).  Because every run is seeded from its spec, a
         retried run that succeeds is bit-identical to an undisturbed
         one.  Injected transient faults (:mod:`repro.sim.faults`) are
-        stripped before a retry.
+        stripped before a retry.  A lockstep batch that fails re-runs
+        its unfinished runs as batches of one without charging them an
+        attempt.
     partial_results:
         Instead of raising on the first failed spec, keep going and
         return a structured :class:`~repro.sim.supervisor.RunFailure`
@@ -518,8 +486,8 @@ def run_many(
     journal:
         Path of a JSONL sweep journal; every completed run is appended
         (spec digest -> result) as it finishes, so an interrupted sweep
-        can be resumed.  A pooled lockstep sweep journals a worker's
-        runs when its whole chunk returns.
+        can be resumed.  A pooled lockstep batch is journalled when the
+        whole batch returns.
     resume:
         Path of a journal from an interrupted sweep: specs whose digest
         already has a recorded result are *not* re-executed, and new
@@ -536,7 +504,6 @@ def run_many(
     specs = list(specs)
     if not specs:
         return []
-    lockstep = _resolve_lockstep(specs, lockstep)
     started = time.perf_counter()
     obs_on = obs_metrics.enabled()
     # The last report always describes the *latest* sweep: a sweep run
@@ -550,7 +517,6 @@ def run_many(
             "sweep.start",
             n_specs=len(specs),
             processes=processes if processes else 1,
-            lockstep=bool(lockstep),
         )
 
     journal_path = journal if journal is not None else resume
@@ -575,6 +541,7 @@ def run_many(
         partial_results=partial_results,
         journal=SweepJournal(journal_path) if journal_path else None,
     )
+    batches: List[List] = []
     try:
         if items:
             parallel = processes is not None and processes > 1
@@ -605,14 +572,11 @@ def run_many(
                         stacklevel=2,
                     )
                     parallel = False
-            if parallel and lockstep:
-                supervisor.run_lockstep_pool(items, outcomes, processes)
-            elif parallel:
-                supervisor.run_pool(items, outcomes, processes)
-            elif lockstep:
-                supervisor.run_lockstep_serial(items, outcomes)
+            batches = _plan_batches(items, processes if parallel else 1)
+            if parallel:
+                supervisor.run_pool(batches, outcomes, processes)
             else:
-                supervisor.run_serial(items, outcomes)
+                supervisor.run_serial(batches, outcomes)
     finally:
         if supervisor.journal is not None:
             supervisor.journal.close()
@@ -624,16 +588,8 @@ def run_many(
             f"end as a result, a failure record, or a raised error"
         )
 
-    wall = time.perf_counter() - started
-    _TOTALS.runs += len(outcomes)
-    _TOTALS.wall_s += wall
-    for spec, outcome in zip(specs, outcomes):
-        if isinstance(outcome, RunResult):
-            _TOTALS.thermal_steps += (
-                outcome.cycles / spec.config.thermal_step_cycles
-            )
-
     if obs_on:
+        wall = time.perf_counter() - started
         # Merge the per-run records every executing process spilled
         # (workers via their spill files, this process in memory) with
         # the supervisor's sweep-level telemetry.  Report counters come
@@ -646,7 +602,7 @@ def run_many(
         ]
         meta: Dict[str, object] = {
             "processes": processes if processes else 1,
-            "lockstep": bool(lockstep),
+            "lockstep": any(len(batch) > 1 for batch in batches),
             "n_specs": len(specs),
             "wall_seconds": wall,
         }

@@ -13,10 +13,9 @@ The contract is generator-based.  :meth:`SimEngine.iter_run` yields
 vector back; everything else -- sensing, policy, power, accounting --
 runs inside the generator.  A request is either
 
-* a tuple ``(solver, power, dt, count)``: advance ``solver`` by
-  ``count`` steps of ``dt`` seconds under the node ``power`` vector
-  (``count == 1`` is a plain step, ``count > 1`` a constant-power
-  fast-forward), replying with the solver's state array;
+* a tuple ``(solver, power, dt, 1)``: advance ``solver`` by one step
+  of ``dt`` seconds under the node ``power`` vector, replying with the
+  solver's state array;
 * a tuple ``(solver, task, dt, count)`` where ``task`` is a
   :class:`~repro.sim.kernel.DenseSpanTask`: execute ``count`` fused
   dense steps via the task's pre-bound closure (the engine keeps
@@ -70,14 +69,12 @@ class EngineEvent:
 
 def service_request(request: Tuple) -> Any:
     """Advance one solver per a ``(solver, power, dt, count)`` request."""
-    solver, power, dt, count = request
+    solver, power, dt, _count = request
     if isinstance(power, StrideTask):
         return serve_stride(request)
     if isinstance(power, DenseSpanTask):
         return power.run(solver)
-    if count == 1:
-        return solver.step(power, dt, copy=False)
-    return solver.fast_forward(power, dt, count, copy=False)
+    return solver.step(power, dt, copy=False)
 
 
 def service_round(requests: Mapping) -> Dict:
@@ -89,21 +86,21 @@ def service_round(requests: Mapping) -> Dict:
     bit-identical to servicing it alone.  Stride
     requests are proven together by
     :func:`~repro.sim.stride.serve_strides`, each with the verdict it
-    would get alone.  Fast-forwards, fused dense spans and groups of one
-    go through the solver's own methods.
+    would get alone.  Fused dense spans and groups of one go through
+    :func:`service_request`.
     """
     from repro.thermal.solver import step_lockstep
 
     groups: Dict[Tuple, List] = {}
     singles: List = []
     strides: List = []
-    for key, (solver, _power, dt, count) in requests.items():
-        if isinstance(_power, StrideTask):
+    for key, (solver, power, dt, _count) in requests.items():
+        if isinstance(power, StrideTask):
             strides.append(key)
-        elif count == 1 and not isinstance(_power, DenseSpanTask):
-            groups.setdefault((id(solver.network), dt), []).append(key)
-        else:
+        elif isinstance(power, DenseSpanTask):
             singles.append(key)
+        else:
+            groups.setdefault((id(solver.network), dt), []).append(key)
     replies: Dict = {}
     if strides:
         served = serve_strides([requests[key] for key in strides])

@@ -28,18 +28,17 @@ drift apart in simulated time but still batch whenever their current
 step lengths coincide (the common case -- most policies hold the
 nominal frequency for long stretches).
 
-Specs with ``raise_on_violation``, and specs that are not single-core
-:class:`~repro.sim.batch.RunSpec` instances (e.g. dual-core specs,
-whose engines own private thermal networks and cannot share a step
-group), fall back to the serial runner: an emergency must abort only
-its own run, not the whole batch.
+Specs that are not :func:`~repro.sim.batch.lockstep_eligible` (dual-core
+specs, whose engines own private thermal networks and cannot share a
+step group; fault plans, ``raise_on_violation`` and trace recording,
+which want one run's own supervision) run through
+:func:`~repro.sim.batch.run_one` instead.  :func:`~repro.sim.batch.
+run_many` never puts them in a batch.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.obs import heartbeat as obs_heartbeat
 from repro.obs import metrics as obs_metrics
@@ -63,7 +62,10 @@ class LockstepEngine(SimEngine):
     record (and journal) it before the batch is over.
 
     Each run gets its own record (:mod:`repro.obs.heartbeat`), as under
-    :func:`~repro.sim.batch.run_one`.  The round counters describe the
+    :func:`~repro.sim.batch.run_one`, and makes its own lifecycle events:
+    handlers passed to :meth:`subscribe` are subscribed to every run's
+    :class:`~repro.sim.engine.SimulationEngine`, so they see each run's
+    ``run.start`` and ``run.complete``.  The round counters describe the
     batch, not a run: with observability on, :attr:`counters` holds
     ``engine.lockstep.rounds``, ``.rows`` and ``.stride_rounds`` of the
     last :meth:`iter_run` (empty with it off), and they also go to the
@@ -109,32 +111,25 @@ class LockstepEngine(SimEngine):
         """
         from repro.sim.batch import (
             _begin_record,
-            _build_policy,
-            _default_substrate,
-            _resolve_workload,
+            _build_engine,
+            lockstep_eligible,
             run_one,
-            steady_state_for,
         )
-        from repro.sim.batch import RunSpec
-        from repro.sim.engine import SimulationEngine
-        from repro.sim.faults import fire_prerun_faults
 
         specs = self._specs
         on_finish = self._on_finish
         results: List[Optional[RunResult]] = [None] * len(specs)
         generators: Dict[int, object] = {}
         pending: Dict[int, tuple] = {}
-        # Records of the interleaved runs.  Each one is opened just
-        # before its generator's creation-advance (the engine captures
-        # the open record when its body first runs) and released right
-        # after, so concurrent runs each hold their own; finish happens
-        # when the run completes or in the finally below on an aborted
-        # batch.
+        # Records of the interleaved runs.  Each one is on the open
+        # stack only while its own generator advances, so every run
+        # (its engine's capture at the first advance, the events it
+        # makes) sees its own; finish happens when the run completes or
+        # in the finally below on an aborted batch.
         records: Dict[int, object] = {}
         obs_on = obs_metrics.enabled()
         self.counters = {}
         error: Optional[str] = None
-        self._emit("run.start", 0.0, runs=len(specs))
 
         # Runs whose pending request is a stride attempt.
         strides: Dict[int, tuple] = {}
@@ -143,6 +138,9 @@ class LockstepEngine(SimEngine):
 
         def advance(index, reply):
             """Resume one run; note a stride request, finish a run."""
+            record = records.get(index)
+            if record is not None:
+                obs_heartbeat.resume(record)
             try:
                 request = generators[index].send(reply)
             except StopIteration as stop:
@@ -153,47 +151,33 @@ class LockstepEngine(SimEngine):
                 if on_finish is not None:
                     on_finish(index, stop.value)
                 return
+            finally:
+                if record is not None:
+                    obs_heartbeat.release(record)
             pending[index] = request
             if isinstance(request[1], StrideTask):
                 strides[index] = request
 
-        floorplan, hotspot, power_model = _default_substrate()
         try:
             for index, spec in enumerate(specs):
-                if not isinstance(spec, RunSpec) or spec.config.raise_on_violation:
-                    # Engines with private thermal networks gain nothing
-                    # from step grouping, and raise_on_violation must
-                    # abort one run, not the round -- both take the
-                    # one-spec path.
+                if not lockstep_eligible(spec):
                     results[index] = run_one(spec)
                     if on_finish is not None:
                         on_finish(index, results[index])
                     continue
-                fire_prerun_faults(spec.config.fault_plan, spec.seed)
-                workload = _resolve_workload(spec)
-                initial_vec = spec.initial
-                if initial_vec is None:
-                    initial_vec = steady_state_for(workload)
-                engine = SimulationEngine(
-                    workload,
-                    policy=_build_policy(spec),
-                    floorplan=floorplan,
-                    hotspot=hotspot,
-                    power_model=power_model,
-                    config=spec.config,
-                    seed=spec.seed,
-                )
-                generator = engine.iter_run(
+                engine, initial_vec = _build_engine(spec)
+                for handler in self._subscribers or ():
+                    engine.subscribe(handler)
+                generators[index] = engine.iter_run(
                     spec.instructions,
-                    initial=np.array(initial_vec, dtype=float, copy=True),
+                    initial=initial_vec,
                     settle_time_s=spec.settle_time_s,
                 )
-                generators[index] = generator
                 record = _begin_record(spec)
                 if record is not None:
+                    obs_heartbeat.release(record)
                     records[index] = record
                 advance(index, None)
-                obs_heartbeat.release(record)
 
             while pending:
                 # Stride attempts are proven first, in sub-rounds of
@@ -243,7 +227,6 @@ class LockstepEngine(SimEngine):
                 }
                 for name, value in self.counters.items():
                     obs_metrics.REGISTRY.counter(name).inc(value)
-        self._emit("run.complete", 0.0, runs=len(specs))
         return results
 
 
@@ -270,7 +253,13 @@ def run_lockstep(
 
 
 def run_chunk(specs) -> Tuple[List[RunResult], Dict[str, float]]:
-    """One pool worker's lockstep chunk: its results in spec order and
-    its round counters (see :func:`run_lockstep`)."""
+    """One pool task, a batch of a sweep: its results in spec order and
+    its round counters.  A batch of one runs
+    :func:`~repro.sim.batch.run_one` and has no rounds; a larger one
+    runs in lockstep (see :func:`run_lockstep`)."""
+    from repro.sim import batch
+
+    if len(specs) == 1:
+        return [batch.run_one(specs[0])], {}
     counters: Dict[str, float] = {}
     return run_lockstep(specs, counters=counters), counters

@@ -1,17 +1,23 @@
 """Fault-tolerant sweep supervision.
 
-:func:`repro.sim.batch.run_many` delegates its execution to the
-machinery here whenever a sweep must survive imperfect conditions:
-crashed workers, wedged runs, corrupted solves.  The contract mirrors
-the paper's own: the *plant* (a run) may misbehave, but the *supervisor*
-must keep the sweep inside its envelope --
+:func:`repro.sim.batch.run_many` hands every sweep to the machinery
+here as a list of *batches* -- a lockstep batch of runs advanced
+together, or a batch of one -- through one in-process loop
+(:meth:`SweepSupervisor.run_serial`) and one pool loop
+(:meth:`SweepSupervisor.run_pool`), so a sweep survives imperfect
+conditions: crashed workers, wedged runs, corrupted solves.  The
+contract mirrors the paper's own: the *plant* (a run) may misbehave,
+but the *supervisor* must keep the sweep inside its envelope --
 
 * **bounded retries** with exponential backoff and deterministic jitter
   (seeded from the spec digest, so a re-run of the same sweep backs off
   identically);
-* **per-run wall-clock timeouts** on the pool path; an overdue run's
-  worker may be wedged, so the pool is rebuilt (terminating the stuck
-  worker) and every unfinished spec is resubmitted;
+* **per-run wall-clock timeouts** on the pool path (a batch gets the
+  budget times its size); an overdue batch's worker may be wedged, so
+  the pool is rebuilt (terminating the stuck worker) and every
+  unfinished spec is resubmitted;
+* **lockstep fallback**: a lockstep batch that fails or runs overdue
+  re-runs its unfinished specs as batches of one, uncharged;
 * **BrokenProcessPool recovery**: a dead worker poisons every in-flight
   future, so unfinished specs are resubmitted to a fresh pool without
   being charged an attempt -- only the spec whose own execution raised
@@ -48,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from hashlib import sha256
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -196,6 +202,11 @@ class _SpecState:
     spec: object
     digest: str
     attempts: int = 0
+
+
+# One batch of a sweep: (index, state) items run together in lockstep,
+# or alone when it holds one.
+_Batch = List[Tuple[int, _SpecState]]
 
 
 # --- journal ----------------------------------------------------------------
@@ -362,8 +373,8 @@ def listen_outcomes(callback: Callable[[int, object], None]):
     executes -- a result right after it is journalled, or a
     :class:`RunFailure` under ``partial_results`` -- in finishing order,
     before the sweep returns.  ``index`` is the spec's position in the
-    ``run_many`` argument.  A pooled lockstep sweep reports a chunk's
-    runs together, when the chunk returns, as it journals them.
+    ``run_many`` argument.  A pooled lockstep batch reports its runs
+    together, when the batch returns, as it journals them.
     """
     token = _OUTCOME_LISTENER.set(callback)
     try:
@@ -374,11 +385,12 @@ def listen_outcomes(callback: Callable[[int, object], None]):
 
 class _PoolRebuild(Exception):
     """Internal signal: the pool must be rebuilt; carries the specs that
-    still need execution and the reason the pool was condemned."""
+    still need execution, as batches of one, and the reason the pool was
+    condemned."""
 
     def __init__(
         self,
-        unfinished: List[Tuple[int, _SpecState]],
+        unfinished: List[_Batch],
         reason: str = "unknown",
     ):
         super().__init__(f"{len(unfinished)} specs unfinished ({reason})")
@@ -387,7 +399,8 @@ class _PoolRebuild(Exception):
 
 
 class SweepSupervisor:
-    """Executes a list of (index, state) items under a fault policy.
+    """Executes a sweep's batches -- lists of (index, state) items --
+    under a fault policy.
 
     One instance supervises one :func:`~repro.sim.batch.run_many` call.
     Outcomes land in the caller-owned ``outcomes`` list at each item's
@@ -513,39 +526,93 @@ class SweepSupervisor:
         )
         return True
 
-    # --- serial path -------------------------------------------------------
+    def _fall_back(self, items, scope: str, error_type: str) -> None:
+        """Note a lockstep batch whose ``items`` re-run as batches of one."""
+        self._count("sweep.lockstep_fallbacks")
+        obs_events.emit(
+            "sweep.lockstep_fallback",
+            scope=scope,
+            runs=len(items),
+            error_type=error_type,
+        )
+        _LOGGER.warning(
+            "lockstep batch failed (%s); re-running its %d unfinished "
+            "runs one by one",
+            error_type,
+            len(items),
+        )
 
-    def run_serial(self, items, outcomes) -> None:
-        """Execute items in this process, with retries and backoff.
+    # --- in-process loop ---------------------------------------------------
 
-        Wall-clock timeouts are not enforced serially: a run executing
-        in this very interpreter cannot be preempted safely.  The pool
-        path enforces them.
+    def run_serial(self, batches, outcomes) -> None:
+        """Execute batches in this process, recording (and journalling)
+        each run the moment it finishes.
+
+        A batch of one runs :func:`~repro.sim.batch.run_one` with
+        retries and backoff.  A larger batch runs in lockstep; when it
+        raises, its runs that have no outcome yet re-run as batches of
+        one without being charged an attempt (a mid-batch failure must
+        cost the sweep one batch, not the whole figure), unless the
+        sweep is inert, which re-raises.  Wall-clock timeouts are not
+        enforced here: a run executing in this very interpreter cannot
+        be preempted safely.  The pool loop enforces them.
         """
-        from repro.sim.batch import run_one
+        for items in batches:
+            if len(items) > 1:
+                items = self._run_lockstep(items, outcomes)
+            for index, state in items:
+                self._run_alone(index, state, outcomes)
 
-        for index, state in items:
-            while True:
-                try:
-                    result = run_one(state.spec)
-                except Exception as exc:
-                    if not self._charge_attempt(state):
-                        self._fail(outcomes, index, state, exc)
-                        break
-                    time.sleep(
-                        self._backoff_delay(state.digest, state.attempts)
-                    )
-                else:
-                    self._record(outcomes, index, state, result)
-                    break
+    def _run_lockstep(self, items, outcomes) -> _Batch:
+        """Run a larger batch in lockstep; returns the runs left without
+        an outcome when it fails (none when it completes).  The batch's
+        round counters join the sweep telemetry either way."""
+        from repro.sim.lockstep import run_lockstep
 
-    # --- pool path ---------------------------------------------------------
+        def finished(position: int, result) -> None:
+            index, state = items[position]
+            self._record(outcomes, index, state, result)
 
-    def run_pool(self, items, outcomes, processes: int) -> None:
-        """Execute items across the worker pool with full supervision."""
+        rounds: Dict[str, float] = {}
+        try:
+            run_lockstep([state.spec for _, state in items], finished, rounds)
+        except Exception as exc:
+            if self.inert:
+                raise
+            unfinished = [
+                (index, state)
+                for index, state in items
+                if outcomes[index] is None
+            ]
+            self._fall_back(unfinished, "serial", type(exc).__name__)
+            return unfinished
+        finally:
+            self._tally(rounds)
+        return []
+
+    def _run_alone(self, index: int, state: _SpecState, outcomes) -> None:
+        """Run one spec to a result or a failure, with retries."""
+        from repro.sim import batch
+
+        while True:
+            try:
+                result = batch.run_one(state.spec)
+            except Exception as exc:
+                if not self._charge_attempt(state):
+                    self._fail(outcomes, index, state, exc)
+                    return
+                time.sleep(self._backoff_delay(state.digest, state.attempts))
+            else:
+                self._record(outcomes, index, state, result)
+                return
+
+    # --- pool loop ---------------------------------------------------------
+
+    def run_pool(self, batches, outcomes, processes: int) -> None:
+        """Execute batches across the worker pool with full supervision."""
         import repro.sim.batch as batch
 
-        queue: List[Tuple[int, _SpecState]] = list(items)
+        queue: List[_Batch] = list(batches)
         pool_failures = 0
         failure_reasons: List[str] = []
         while queue:
@@ -602,59 +669,76 @@ class SweepSupervisor:
 
     def _pool_generation(self, batch, queue, outcomes, processes) -> None:
         """Drive one pool lifetime; raises :class:`_PoolRebuild` with the
-        unfinished specs when the pool must be replaced (worker death or
-        a wedged, overdue run)."""
-        pool = batch._get_pool(processes)
-        inflight: Dict[object, Tuple[int, _SpecState]] = {}
-        deadlines: Dict[object, float] = {}
-        delayed: List[Tuple[float, int, int, _SpecState]] = []  # heap
+        unfinished specs, as batches of one, when the pool must be
+        replaced (a failed submission, worker death or an overdue,
+        possibly wedged batch).
 
-        def submit(index: int, state: _SpecState) -> None:
-            future = pool.submit(batch.run_one, state.spec)
-            inflight[future] = (index, state)
+        Every batch is one :func:`~repro.sim.lockstep.run_chunk` task
+        whose deadline is the per-run budget times its size.  A larger
+        batch that fails or runs overdue re-runs as batches of one
+        without charging an attempt; a batch of one is charged.
+        """
+        from repro.sim.lockstep import run_chunk
+
+        inflight: Dict[object, _Batch] = {}
+        deadlines: Dict[object, float] = {}
+        delayed: List[Tuple[float, int, _Batch]] = []
+
+        def submit(items) -> None:
+            future = pool.submit(run_chunk, [state.spec for _, state in items])
+            inflight[future] = items
             if self.timeout_s is not None:
-                deadlines[future] = time.monotonic() + self.timeout_s
+                deadlines[future] = time.monotonic() + self.timeout_s * len(
+                    items
+                )
+
+        def later(items, delay_s: float) -> None:
+            self._backoff_seq += 1
+            heapq.heappush(
+                delayed, (time.monotonic() + delay_s, self._backoff_seq, items)
+            )
 
         def unfinished_after_breakage(extra=()):
-            # Everything still owed: the trigger specs (``extra``, retry
-            # budget already handled by the caller), every other
-            # in-flight spec (innocent -- not charged), and anything
-            # sitting in the backoff queue.  Transient faults are
-            # stripped across the board: a fault that just killed a
-            # pool must not kill its replacement.
-            unfinished = list(extra)
-            unfinished.extend(inflight.values())
-            unfinished.extend((i, s) for _, _, i, s in delayed)
-            for _, state in unfinished:
-                state.spec = strip_transient_faults(state.spec)
+            # Everything still owed, as batches of one: the trigger
+            # batches (``extra``, retry budget already handled by the
+            # caller), every other in-flight batch (innocent -- not
+            # charged), and anything sitting in the backoff queue.
+            # Transient faults are stripped across the board: a fault
+            # that just killed a pool must not kill its replacement.
+            owed = list(extra) + list(inflight.values())
+            owed.extend(items for _, _, items in delayed)
+            unfinished = []
+            for items in owed:
+                for index, state in items:
+                    state.spec = strip_transient_faults(state.spec)
+                    unfinished.append([(index, state)])
             return unfinished
 
-        # A worker can die while this loop is still submitting (a warm
-        # pool starts executing immediately), breaking the pool mid-loop;
-        # the failed submit's spec and everything not yet submitted must
-        # ride along to the rebuilt pool, not be dropped.
-        for position, (index, state) in enumerate(queue):
-            try:
-                submit(index, state)
-            except Exception as exc:
-                raise _PoolRebuild(
-                    unfinished_after_breakage(queue[position:]),
-                    reason=f"submission failed ({type(exc).__name__})",
-                ) from None
+        try:
+            pool = batch._get_pool(processes)
+        except Exception as exc:
+            raise _PoolRebuild(
+                unfinished_after_breakage(queue),
+                reason=f"pool start failed ({type(exc).__name__})",
+            ) from None
+        # Every batch is submitted from the ready queue.  A worker can
+        # die while submissions are still going on (a warm pool starts
+        # executing immediately); the failed batch and everything not
+        # yet submitted must ride along to the rebuilt pool, not be
+        # dropped.
+        for items in queue:
+            later(items, 0.0)
 
         while inflight or delayed:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
-                _, _, index, state = heapq.heappop(delayed)
+                _, _, items = heapq.heappop(delayed)
                 try:
-                    submit(index, state)
+                    submit(items)
                 except Exception as exc:
                     raise _PoolRebuild(
-                        unfinished_after_breakage([(index, state)]),
-                        reason=(
-                            f"retry submission failed "
-                            f"({type(exc).__name__})"
-                        ),
+                        unfinished_after_breakage([items]),
+                        reason=f"submission failed ({type(exc).__name__})",
                     ) from None
             if not inflight:
                 if delayed:
@@ -673,48 +757,59 @@ class SweepSupervisor:
                 set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
             )
 
-            broken_items: List[Tuple[int, _SpecState]] = []
+            broken: List[_Batch] = []
             for future in done:
-                index, state = inflight.pop(future)
+                items = inflight.pop(future)
                 deadlines.pop(future, None)
                 try:
-                    result = future.result()
+                    results, rounds = future.result()
                 except BrokenProcessPool:
-                    # The pool is poisoned; this future's spec is not
+                    # The pool is poisoned; this future's batch is not
                     # necessarily the one whose worker died, so nobody
                     # is charged an attempt.
-                    broken_items.append((index, state))
+                    broken.append(items)
                 except Exception as exc:
+                    if len(items) > 1:
+                        if self.inert:
+                            raise
+                        self._fall_back(items, "pool", type(exc).__name__)
+                        for item in items:
+                            later([item], 0.0)
+                        continue
+                    index, state = items[0]
                     if not self._charge_attempt(state):
                         self._fail(outcomes, index, state, exc)
                     else:
-                        ready = time.monotonic() + self._backoff_delay(
-                            state.digest, state.attempts
-                        )
-                        self._backoff_seq += 1
-                        heapq.heappush(
-                            delayed,
-                            (ready, self._backoff_seq, index, state),
+                        later(
+                            items,
+                            self._backoff_delay(state.digest, state.attempts),
                         )
                 else:
-                    self._record(outcomes, index, state, result)
-            if broken_items:
+                    self._tally(rounds)
+                    for (index, state), result in zip(items, results):
+                        self._record(outcomes, index, state, result)
+            if broken:
                 raise _PoolRebuild(
-                    unfinished_after_breakage(broken_items),
+                    unfinished_after_breakage(broken),
                     reason="worker process died (BrokenProcessPool)",
                 )
 
-            # Overdue runs: the worker may be wedged beyond reclaim, so
-            # the whole pool is rebuilt (terminating its workers) and
-            # only the overdue specs are charged an attempt.
+            # Overdue batches: the worker may be wedged beyond reclaim,
+            # so the whole pool is rebuilt (terminating its workers);
+            # only an overdue batch of one is charged an attempt.
             now = time.monotonic()
             overdue = [f for f, ddl in deadlines.items() if ddl <= now]
             if overdue:
-                retry: List[Tuple[int, _SpecState]] = []
+                retry: List[_Batch] = []
                 for future in overdue:
-                    index, state = inflight.pop(future)
+                    items = inflight.pop(future)
                     deadlines.pop(future, None)
                     future.cancel()
+                    if len(items) > 1:
+                        self._fall_back(items, "pool", "RunTimeoutError")
+                        retry.append(items)
+                        continue
+                    index, state = items[0]
                     self._count("sweep.timeouts")
                     obs_events.emit(
                         "sweep.run_timeout",
@@ -729,156 +824,12 @@ class SweepSupervisor:
                     if not self._charge_attempt(state):
                         self._fail(outcomes, index, state, exc)
                     else:
-                        retry.append((index, state))
+                        retry.append(items)
                 raise _PoolRebuild(
                     unfinished_after_breakage(retry),
                     reason=(
-                        f"{len(overdue)} overdue run(s) exceeded the "
-                        f"{self.timeout_s:g} s budget (worker possibly "
-                        f"wedged)"
+                        f"{len(overdue)} overdue batch(es) exceeded the "
+                        f"{self.timeout_s:g} s per-run budget (worker "
+                        f"possibly wedged)"
                     ),
                 )
-
-    # --- lockstep paths ----------------------------------------------------
-
-    def run_lockstep_serial(self, items, outcomes) -> None:
-        """Advance items in lockstep, recording (and journalling) each
-        run the moment it finishes; on failure, fall back to supervised
-        per-spec serial execution of the runs that have no outcome yet
-        (a mid-batch failure must cost the sweep one batch, not the
-        whole figure).  The batch's round counters join the sweep
-        telemetry either way."""
-        from repro.sim.lockstep import run_lockstep
-
-        def finished(position: int, result) -> None:
-            index, state = items[position]
-            self._record(outcomes, index, state, result)
-
-        rounds: Dict[str, float] = {}
-        try:
-            run_lockstep(
-                [state.spec for _, state in items], finished, rounds
-            )
-        except Exception as exc:
-            if self.inert:
-                raise
-            unfinished = [
-                (index, state)
-                for index, state in items
-                if outcomes[index] is None
-            ]
-            self._count("sweep.lockstep_fallbacks")
-            obs_events.emit(
-                "sweep.lockstep_fallback",
-                scope="serial",
-                runs=len(unfinished),
-                error_type=type(exc).__name__,
-            )
-            _LOGGER.warning(
-                "lockstep batch of %d runs failed (%s); re-running its "
-                "%d unfinished runs with per-spec supervision",
-                len(items),
-                type(exc).__name__,
-                len(unfinished),
-            )
-            self.run_serial(unfinished, outcomes)
-        finally:
-            self._tally(rounds)
-
-    def run_lockstep_pool(self, items, outcomes, processes: int) -> None:
-        """Fan lockstep chunks over the pool; chunks that fail for any
-        reason (spec error, worker death, overdue deadline) fall back to
-        supervised per-spec pool execution.  A chunk's runs are recorded
-        (and journalled) together when the chunk returns, and its round
-        counters join the sweep telemetry."""
-        import repro.sim.batch as batch
-        from repro.sim.lockstep import run_chunk
-
-        chunks = batch._chunk_evenly(items, processes)
-        fallback: List[Tuple[int, _SpecState]] = []
-        pool_broken = False
-        try:
-            pool = batch._get_pool(processes)
-            futures = {
-                pool.submit(
-                    run_chunk, [state.spec for _, state in chunk]
-                ): chunk
-                for chunk in chunks
-            }
-        except Exception as exc:
-            # Any pool construction/submission failure must degrade the
-            # sweep, not kill it -- but never silently: the whole batch
-            # re-running serially is a major mode change.  (Keyboard
-            # interrupts, SystemExit and the CLI's SIGTERM exception derive
-            # from BaseException and propagate past this handler; a
-            # regression test pins that.)
-            _LOGGER.warning(
-                "lockstep pool construction failed (%s: %s); falling "
-                "back to supervised per-spec execution for all %d runs",
-                type(exc).__name__,
-                exc,
-                len(items),
-            )
-            self._count("sweep.pool_submit_failures")
-            obs_events.emit(
-                "sweep.pool_submit_failed",
-                error_type=type(exc).__name__,
-                runs=len(items),
-            )
-            pool_broken = True
-            futures = {}
-            fallback = list(items)
-
-        deadline = None
-        if self.timeout_s is not None and futures:
-            # A chunk runs its specs back to back, so its budget is the
-            # per-run budget times the chunk size.
-            deadline = time.monotonic() + self.timeout_s * max(
-                len(chunk) for chunk in futures.values()
-            )
-        pending = set(futures)
-        while pending:
-            wait_s = None
-            if deadline is not None:
-                wait_s = max(0.0, deadline - time.monotonic())
-            done, pending = futures_wait(
-                pending, timeout=wait_s, return_when=FIRST_COMPLETED
-            )
-            if not done:  # every remaining chunk is overdue
-                for future in pending:
-                    future.cancel()
-                    fallback.extend(futures[future])
-                pool_broken = True
-                break
-            for future in done:
-                chunk = futures[future]
-                try:
-                    results, rounds = future.result()
-                except Exception as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        pool_broken = True
-                    elif self.inert:
-                        raise
-                    fallback.extend(chunk)
-                else:
-                    self._tally(rounds)
-                    for (index, state), result in zip(chunk, results):
-                        self._record(outcomes, index, state, result)
-
-        if pool_broken:
-            batch._shutdown_pool()
-            for _, state in fallback:
-                state.spec = strip_transient_faults(state.spec)
-        if fallback:
-            if self.inert and not pool_broken:
-                raise SimulationError(
-                    "lockstep chunks failed without supervision enabled"
-                )  # pragma: no cover - unreachable (inert re-raises above)
-            self._count("sweep.lockstep_fallbacks")
-            obs_events.emit(
-                "sweep.lockstep_fallback",
-                scope="pool",
-                runs=len(fallback),
-                pool_broken=pool_broken,
-            )
-            self.run_pool(fallback, outcomes, processes)

@@ -17,8 +17,10 @@ from repro.sim import (
     RunSpec,
     load_journal,
     run_many,
+    run_one,
     spec_digest,
 )
+from repro.sim.supervisor import listen_outcomes
 
 FAST_N = 1_500_000
 SETTLE = 1.0e-4
@@ -79,13 +81,9 @@ def _as_tuple(result):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Fault-free sweep, serial run_one semantics for every spec.
-
-    Pinned to the per-run path: healed chaos sweeps execute per spec
-    (fault plans opt out of the lockstep sweep default), and the
-    bit-identity claim only holds against the same execution mode.
-    """
-    return [_as_tuple(r) for r in run_many(_clean_specs(), lockstep=False)]
+    """Fault-free sweep, serial run_one semantics for every spec (a
+    lockstep sweep gives the same results bit for bit)."""
+    return [_as_tuple(run_one(spec)) for spec in _clean_specs()]
 
 
 class TestChaosInvariant:
@@ -120,8 +118,7 @@ class TestResumeAfterKill:
     ):
         path = tmp_path / "sweep.jsonl"
         specs = _clean_specs()
-        # Per-run path throughout: this test counts run_one calls.
-        run_many(specs, journal=str(path), lockstep=False)
+        run_many(specs, journal=str(path))
 
         # Simulate the sweep process dying after two finishes: keep the
         # journal's first two lines, then resume the same grid.
@@ -131,20 +128,14 @@ class TestResumeAfterKill:
             entry for entry in load_journal(path)
         }
 
-        import repro.sim.batch as batch
-
+        # Every run the resumed sweep executes reports its outcome.
         executed = []
-        original = batch.run_one
 
-        def counting_run_one(spec):
-            executed.append(spec_digest(spec))
-            return original(spec)
+        def note(index, outcome):
+            executed.append(spec_digest(specs[index]))
 
-        try:
-            batch.run_one = counting_run_one
-            resumed = run_many(specs, resume=str(path), lockstep=False)
-        finally:
-            batch.run_one = original
+        with listen_outcomes(note):
+            resumed = run_many(specs, resume=str(path))
 
         assert [_as_tuple(r) for r in resumed] == reference
         assert len(executed) == len(specs) - 2

@@ -97,3 +97,25 @@ class TestSchema:
         count, errors = validate_events_file(path)
         assert count == len(names)
         assert errors == []
+
+
+class TestLockstepLifecycleEvents:
+    def test_each_run_logs_its_own_start_and_complete(self, obs_on):
+        # A serial sweep of three eligible specs runs as one lockstep
+        # batch; the log holds each run's own lifecycle events, stamped
+        # with that run's id, and no batch-level ones.
+        from repro.sim import RunSpec, run_many
+
+        specs = [
+            RunSpec(workload=benchmark, policy="FG", instructions=1_500_000,
+                    settle_time_s=1.0e-4, seed=seed)
+            for seed, benchmark in enumerate(("gzip", "gcc", "mesa"))
+        ]
+        run_many(specs)
+        records = _read_events(events.events_path())
+        for name in ("engine.run.start", "engine.run.complete"):
+            run_ids = [r.get("run_id") for r in records if r["event"] == name]
+            assert len(run_ids) == 3, name
+            assert None not in run_ids, name
+            assert len(set(run_ids)) == 3, name
+        assert validate_events_file(events.events_path())[1] == []

@@ -138,11 +138,16 @@ class TestOneRecordPerRun:
         from repro.sim.supervisor import spec_digest
 
         specs = _sweep_specs()
-        run_many(specs, lockstep=False)
-        per_run = {
-            run["digest"]: run for run in last_sweep_report().runs
-        }
-        run_many(specs, processes=processes, lockstep=True)
+        per_run = {}
+        for spec in specs:
+            # A one-spec sweep runs its spec alone.
+            run_many([spec])
+            per_run.update(
+                (run["digest"], run) for run in last_sweep_report().runs
+            )
+        # Serially one lockstep batch of three; over two workers a
+        # lockstep batch of two and a batch of one.
+        run_many(specs, processes=processes)
         report = last_sweep_report()
 
         assert report.meta["lockstep"] is True

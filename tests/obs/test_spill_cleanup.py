@@ -62,7 +62,7 @@ class TestDiscardMerged:
             RunSpec("gzip", "FG", instructions=FAST_N, seed=s)
             for s in range(2)
         ]
-        run_many(specs, processes=2, lockstep=False)
+        run_many(specs, processes=2)
         report = last_sweep_report()
         assert report is not None and len(report.runs) == 2
         leftover = [
@@ -74,9 +74,9 @@ class TestDiscardMerged:
 
     def test_consecutive_sweeps_do_not_double_count(self, obs_on):
         specs = [RunSpec("gzip", "FG", instructions=FAST_N)]
-        run_many(specs, processes=2, lockstep=False)
+        run_many(specs, processes=2)
         first = last_sweep_report()
-        run_many(specs, processes=2, lockstep=False)
+        run_many(specs, processes=2)
         second = last_sweep_report()
         assert len(first.runs) == 1
         assert len(second.runs) == 1

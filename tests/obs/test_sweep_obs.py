@@ -4,7 +4,7 @@ These are the integration-level guarantees of the obs layer:
 
 * a sweep with ``REPRO_OBS=1`` produces a :class:`SweepReport` whose
   counters are identical whether the sweep ran serially, across a
-  process pool, or in lockstep chunks;
+  process pool, in lockstep batches or one run at a time;
 * enabling observability changes *nothing* about the physics -- run
   results are bit-identical with obs on or off;
 * when the supervisor abandons its pool, the reason survives into the
@@ -61,13 +61,16 @@ class TestSweepReport:
 
     def test_pool_and_lockstep_counters_match_serial(self, obs_on):
         specs = [_spec(seed=s) for s in range(3)]
-        run_many(specs, lockstep=False)
+        # One worker per spec: every run alone.
+        run_many(specs, processes=3)
         serial = last_sweep_report()
 
-        run_many(specs, processes=2, lockstep=False)
+        # A lockstep batch of two and a batch of one.
+        run_many(specs, processes=2)
         pooled = last_sweep_report()
 
-        run_many(specs, processes=2, lockstep=True)
+        # One lockstep batch of three.
+        run_many(specs)
         lockstep = last_sweep_report()
 
         engine_keys = [
@@ -118,14 +121,14 @@ class TestBitIdentity:
 
     def test_lockstep_sweep_identical_with_obs_on_and_off(self, obs_dir):
         specs = [_spec(policy="Hyb"), _spec(seed=1, benchmark="gcc")]
-        self._assert_sweep_identical(specs, lockstep=True)
+        self._assert_sweep_identical(specs)
 
     @staticmethod
-    def _assert_sweep_identical(specs, **kwargs):
+    def _assert_sweep_identical(specs):
         obs.set_enabled(False)
-        baseline = [r.to_json_dict() for r in run_many(specs, **kwargs)]
+        baseline = [r.to_json_dict() for r in run_many(specs)]
         obs.set_enabled(True)
-        observed = [r.to_json_dict() for r in run_many(specs, **kwargs)]
+        observed = [r.to_json_dict() for r in run_many(specs)]
         assert observed == baseline
         report = last_sweep_report()
         assert report.runs

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.evaluation import DEFAULT_SETTLE_TIME_S
 from repro.service.client import ServiceClient
-from repro.sim import RunSpec, load_journal, run_many
+from repro.sim import RunSpec, load_journal, run_one
 from repro.sim.supervisor import spec_digest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -257,7 +257,7 @@ class TestBatchSigterm:
         ]
         digests = [spec_digest(spec) for spec in specs]
         assert set(final) == set(digests)
-        reference = run_many(specs, lockstep=False)
+        reference = [run_one(spec) for spec in specs]
         for digest, result in zip(digests, reference):
             assert (final[digest].to_json_dict()
                     == result.to_json_dict())

@@ -534,16 +534,23 @@ class TestBatching:
     call; each job is answered when its own run ends."""
 
     def test_lone_job_takes_the_per_run_call(
-        self, service_factory, gated_run_many
+        self, service_factory, gated_run_many, monkeypatch
     ):
+        from repro.sim.lockstep import LockstepEngine
+
+        built = []
+        monkeypatch.setattr(
+            LockstepEngine, "__init__",
+            lambda self, *args, **kwargs: built.append(args),
+        )
         gated_run_many.release()
         server = service_factory(None)
         with ServiceClient(server.service.config.socket_path) as client:
             (outcome,) = client.submit([wire(seed=4)], timeout_s=30.0)
         assert outcome.ok and not outcome.cached
+        assert built == []
         assert gated_run_many.calls == [([4], {
             "processes": None,
-            "lockstep": False,
             "timeout_s": None,
             "retries": 0,
             "backoff_s": 0.1,
@@ -573,9 +580,6 @@ class TestBatching:
         assert all(frame["ok"] for frame in frames)
         seeds = [call[0] for call in gated_run_many.calls]
         assert seeds == [[0], [1, 100, 2]]
-        assert [call[1]["lockstep"] for call in gated_run_many.calls] == [
-            False, True,
-        ]
 
     def test_short_job_answered_before_long_batch_mate_ends(
         self, service_factory

@@ -9,12 +9,7 @@ import pytest
 from repro.dtm import FetchGatingPolicy
 from repro.errors import SimulationError
 from repro.sim import EngineConfig, RunSpec, run_many, run_one
-from repro.sim.batch import (
-    _WARMUP_CACHE,
-    reset_stats,
-    stats,
-    steady_state_for,
-)
+from repro.sim.batch import _WARMUP_CACHE, steady_state_for
 from repro.workloads import build_benchmark
 
 FAST_N = 1_500_000
@@ -65,8 +60,23 @@ def _as_tuples(results):
     ]
 
 
+def _lockstep_batches(monkeypatch):
+    """Seeds of every lockstep engine's batch built from now on."""
+    from repro.sim.lockstep import LockstepEngine
+
+    built = []
+    original = LockstepEngine.__init__
+
+    def recording(self, specs, on_finish=None):
+        built.append([spec.seed for spec in specs])
+        original(self, specs, on_finish)
+
+    monkeypatch.setattr(LockstepEngine, "__init__", recording)
+    return built
+
+
 class TestLockstepDefault:
-    """Resolution of run_many's lockstep execution mode."""
+    """Which specs share a lockstep batch, and how batches form."""
 
     def _clean(self, n=2):
         return [
@@ -79,77 +89,93 @@ class TestLockstepDefault:
             for s in range(n)
         ]
 
+    @staticmethod
+    def _with_config(seed, **config):
+        return RunSpec(
+            workload="gzip",
+            policy="FG",
+            instructions=FAST_N,
+            seed=seed,
+            engine_config=EngineConfig(**config),
+        )
+
+    @staticmethod
+    def _plan(specs, parts=1):
+        from repro.sim.batch import _plan_batches
+        from repro.sim.supervisor import _SpecState
+
+        items = [
+            (index, _SpecState(spec=spec, digest=str(index)))
+            for index, spec in enumerate(specs)
+        ]
+        return [
+            [index for index, _ in batch]
+            for batch in _plan_batches(items, parts)
+        ]
+
     def test_auto_on_for_homogeneous_multi_run_sweeps(self):
-        from repro.sim.batch import _resolve_lockstep
+        assert self._plan(self._clean(2)) == [[0, 1]]
 
-        assert _resolve_lockstep(self._clean(2), None) is True
+    def test_auto_off_for_single_run(self, monkeypatch):
+        built = _lockstep_batches(monkeypatch)
+        (spec,) = self._clean(1)
+        assert self._plan([spec]) == [[0]]
+        (result,) = run_many([spec])
+        assert built == []
+        assert result.to_json_dict() == run_one(spec).to_json_dict()
 
-    def test_auto_off_for_single_run(self):
-        from repro.sim.batch import _resolve_lockstep
-
-        assert _resolve_lockstep(self._clean(1), None) is False
-
-    def test_auto_off_for_specs_needing_per_run_supervision(self):
+    def test_auto_off_for_specs_needing_per_run_supervision(
+        self, monkeypatch
+    ):
+        from repro.sim.batch import lockstep_eligible
         from repro.sim.faults import FaultPlan
-        from repro.sim.batch import _resolve_lockstep
 
-        faulty = self._clean(1) + [
-            RunSpec(
-                workload="gzip",
-                policy="FG",
-                instructions=FAST_N,
-                seed=9,
-                engine_config=EngineConfig(
-                    fault_plan=FaultPlan(crash_worker=True)
-                ),
-            )
-        ]
-        assert _resolve_lockstep(faulty, None) is False
-        guarded = self._clean(1) + [
-            RunSpec(
-                workload="gzip",
-                policy="FG",
-                instructions=FAST_N,
-                seed=9,
-                engine_config=EngineConfig(raise_on_violation=True),
-            )
-        ]
-        assert _resolve_lockstep(guarded, None) is False
-        traced = self._clean(1) + [
-            RunSpec(
-                workload="gzip",
-                policy="FG",
-                instructions=FAST_N,
-                seed=9,
-                engine_config=EngineConfig(record_trace=True),
-            )
-        ]
-        assert _resolve_lockstep(traced, None) is False
-        heterogeneous = self._clean(1) + [object()]
-        assert _resolve_lockstep(heterogeneous, None) is False
+        (clean,) = self._clean(1)
+        assert lockstep_eligible(clean)
+        faulty = self._with_config(9, fault_plan=FaultPlan(crash_worker=True))
+        guarded = self._with_config(9, raise_on_violation=True)
+        traced = self._with_config(9, record_trace=True)
+        for spec in (faulty, guarded, traced, object()):
+            assert not lockstep_eligible(spec)
+            assert self._plan([clean, spec]) == [[0], [1]]
 
-    def test_explicit_argument_beats_auto(self):
-        from repro.sim.batch import _resolve_lockstep
+        built = _lockstep_batches(monkeypatch)
+        run_many([traced, self._with_config(10, record_trace=True)])
+        assert built == []
 
-        assert _resolve_lockstep(self._clean(2), False) is False
-        assert _resolve_lockstep(self._clean(1), True) is True
+    def test_mixed_serial_sweep_forms_one_lockstep_batch(self, monkeypatch):
+        clean = self._clean(3)
+        traced = self._with_config(9, record_trace=True)
+        specs = [clean[0], traced, clean[1], clean[2]]
+        assert self._plan(specs) == [[0, 2, 3], [1]]
+        built = _lockstep_batches(monkeypatch)
+        results = run_many(specs)
+        assert built == [[0, 1, 2]]
+        assert _as_json(results) == _as_json([run_one(s) for s in specs])
+
+    def test_pool_forms_one_chunk_per_process(self):
+        clean = self._clean(3)
+        traced = self._with_config(9, record_trace=True)
+        # Three eligible specs over two workers: a lockstep batch of
+        # two and a batch of one; the traced spec runs alone.
+        assert self._plan(clean + [traced], parts=2) == [[0, 1], [2], [3]]
 
 
 class TestRunMany:
-    # These tests pin the per-run scheduling invariance of the classic
-    # serial/pool paths, so they opt out of the lockstep sweep default
-    # (tests/sim/test_lockstep.py pins lockstep's bit-identity).
+    # The per-run reference is run_one itself; tests/sim/test_lockstep.py
+    # pins lockstep's bit-identity in depth.
     def test_parallel_matches_serial_exactly(self):
         # Compared as JSON text, so a field whose type changes on the
-        # way back from a worker (int -> float) fails too.
-        serial = run_many(_specs(), processes=1, lockstep=False)
-        parallel = run_many(_specs(), processes=4, lockstep=False)
+        # way back from a worker (int -> float) fails too.  Four
+        # eligible specs over four workers run one by one.
+        serial = [run_one(spec) for spec in _specs()]
+        parallel = run_many(_specs(), processes=4)
         assert _as_json(serial) == _as_json(parallel)
 
     def test_lockstep_matches_serial_as_json(self):
-        serial = run_many(_specs(), processes=1, lockstep=False)
-        lockstep = run_many(_specs(), processes=1, lockstep=True)
-        pooled = run_many(_specs(), processes=2, lockstep=True)
+        serial = [run_one(spec) for spec in _specs()]
+        lockstep = run_many(_specs(), processes=1)
+        pooled = run_many(_specs(), processes=2)
         assert _as_json(lockstep) == _as_json(serial)
         assert _as_json(pooled) == _as_json(serial)
 
@@ -159,8 +185,8 @@ class TestRunMany:
         assert [r.policy for r in results] == ["none", "FG", "DVS", "FG"]
 
     def test_deterministic_across_repeats(self):
-        first = run_many(_specs(), processes=2, lockstep=False)
-        second = run_many(_specs(), processes=3, lockstep=False)
+        first = run_many(_specs(), processes=2)
+        second = run_many(_specs(), processes=3)
         assert _as_tuples(first) == _as_tuples(second)
 
     def test_empty_batch(self):
@@ -177,18 +203,6 @@ class TestRunMany:
             results = run_many([spec], processes=2)
         assert any("picklable" in str(w.message) for w in caught)
         assert results[0].policy == "FG"
-
-    def test_stats_accumulate(self):
-        reset_stats()
-        results = run_many(_specs()[:2], processes=1)
-        snapshot = stats()
-        assert snapshot.runs == 2
-        expected_steps = sum(
-            r.cycles / EngineConfig().thermal_step_cycles for r in results
-        )
-        assert snapshot.thermal_steps == pytest.approx(expected_steps)
-        assert snapshot.wall_s > 0.0
-        assert snapshot.steps_per_second > 0.0
 
 
 class TestRunSpec:

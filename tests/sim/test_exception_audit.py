@@ -9,12 +9,13 @@ different failure mode:
 * ``supervisor.load_journal`` treated *any* error during journal
   replay -- including a bug in result reconstruction -- as a torn
   line, silently emptying the resume set;
-* ``supervisor.run_lockstep_pool`` degraded the whole sweep to
-  per-spec execution without logging, counting or emitting anything.
+* the pooled lockstep path degraded the whole sweep to per-spec
+  execution without logging, counting or emitting anything.
 
 The first two are now narrowed to the exceptions malformed data can
-actually raise; the third keeps its broad catch (degrading is the
-right call) but is instrumented.  These tests pin each behaviour.
+actually raise; the third keeps its broad catch (rebuilding the pool is
+the right call) but goes through the supervisor's pool rebuild, which
+logs, counts and emits.  These tests pin each behaviour.
 """
 
 import json
@@ -23,7 +24,7 @@ import logging
 import pytest
 
 from repro.multicore import MultiCoreEngine, MultiCoreResult
-from repro.sim import RunSpec, load_journal, run_many
+from repro.sim import RunSpec, load_journal, run_many, run_one
 from repro.sim.batch import _first_unpicklable
 from repro.sim.results import RunResult
 from repro.sim.supervisor import SweepJournal
@@ -129,15 +130,14 @@ class TestLockstepPoolDegradation:
             run_many(
                 [_spec(), _spec(seed=1)],
                 processes=2,
-                lockstep=True,
                 timeout_s=60.0,
             )
 
     def test_pool_construction_failure_degrades_loudly(
         self, monkeypatch, caplog
     ):
-        # An ordinary pool-construction failure degrades the sweep to
-        # supervised per-spec execution -- with a warning and a
+        # An ordinary pool-construction failure rebuilds the pool and
+        # re-runs the sweep as batches of one -- with a warning and a
         # telemetry count, never silently.
         import repro.sim.batch as batch
 
@@ -151,19 +151,14 @@ class TestLockstepPoolDegradation:
             return real_get_pool(processes)
 
         monkeypatch.setattr(batch, "_get_pool", flaky_get_pool)
-        specs = [_spec(), _spec(seed=1)]
+        specs = [_spec(), _spec(seed=1), _spec(seed=2)]
         with caplog.at_level(logging.WARNING, logger="repro.sweep"):
-            healed = run_many(
-                specs, processes=2, lockstep=True, timeout_s=60.0
-            )
-        # Degradation lands on supervised per-spec execution, so the
-        # bit-identity reference is the per-run path, not the lockstep
-        # sweep default.
-        reference = run_many([_spec(), _spec(seed=1)], lockstep=False)
+            healed = run_many(specs, processes=2, timeout_s=60.0)
+        reference = [run_one(spec) for spec in specs]
         assert [_as_tuple(r) for r in healed] == [
             _as_tuple(r) for r in reference
         ]
         assert any(
-            "lockstep pool construction failed" in record.message
+            "pool start failed (RuntimeError)" in record.message
             for record in caplog.records
         )

@@ -98,12 +98,12 @@ class TestTornTail:
     def test_resume_reexecutes_only_the_torn_run(self, tmp_path):
         specs = [RunSpec("gzip", "FG", instructions=1_500_000, seed=s) for s in (0, 1)]
         path = tmp_path / "sweep.jsonl"
-        reference = run_many(specs, journal=str(path), lockstep=False)
+        reference = run_many(specs, journal=str(path))
         # Tear the second entry in half, as a kill mid-append would.
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
         with pytest.warns(RuntimeWarning, match="torn trailing line"):
-            resumed = run_many(specs, resume=str(path), lockstep=False)
+            resumed = run_many(specs, resume=str(path))
         assert [r.to_json_dict() for r in resumed] == [
             r.to_json_dict() for r in reference
         ]

@@ -1,6 +1,6 @@
 """Lockstep batched execution versus the serial runner.
 
-``run_many(..., lockstep=True)`` advances a batch's runs together,
+``run_many`` advances a sweep's eligible runs together in lockstep,
 servicing compatible thermal-step requests with one batched call per
 group.  Per-run physics is untouched and every batched row is computed
 exactly as a lone step would be, so each run's result must equal
@@ -11,6 +11,7 @@ batch.
 import numpy as np
 import pytest
 
+from repro.dtm.none import NoDtmPolicy
 from repro.sim.batch import RunSpec, run_many, run_one
 from repro.sim.config import EngineConfig
 from repro.sim.lockstep import run_lockstep
@@ -39,14 +40,13 @@ def _assert_equivalent(result, reference):
 
 @pytest.fixture(scope="module")
 def serial_results():
-    # The whole suite compares lockstep against per-run execution, so
-    # the reference must opt out of the lockstep sweep default.
-    return run_many(_specs(), lockstep=False)
+    # The whole suite compares lockstep against per-run execution.
+    return [run_one(spec) for spec in _specs()]
 
 
 class TestLockstepEquivalence:
     def test_matches_serial_runner(self, serial_results):
-        lockstep = run_many(_specs(), lockstep=True)
+        lockstep = run_many(_specs())
         assert len(lockstep) == len(serial_results)
         for batched, serial in zip(lockstep, serial_results):
             _assert_equivalent(batched, serial)
@@ -56,11 +56,11 @@ class TestLockstepEquivalence:
             _assert_equivalent(batched, serial)
 
     def test_single_spec_batch(self, serial_results):
-        (result,) = run_many(_specs()[:1], lockstep=True)
+        (result,) = run_lockstep(_specs()[:1])
         _assert_equivalent(result, serial_results[0])
 
     def test_empty_batch(self):
-        assert run_many([], lockstep=True) == []
+        assert run_lockstep([]) == []
 
     def test_explicit_initial_is_respected(self):
         spec = _specs()[0]
@@ -76,8 +76,22 @@ class TestLockstepEquivalence:
             seed=spec.seed,
             initial=np.asarray(initial),
         )
-        (result,) = run_many([pinned], lockstep=True)
+        (result,) = run_lockstep([pinned])
         _assert_equivalent(result, reference)
+
+
+class _FailingPolicy(NoDtmPolicy):
+    """Raises at its third sensor sample, mid-run."""
+
+    def __init__(self):
+        super().__init__()
+        self._samples = 0
+
+    def update_hottest(self, hottest, time_s, dt_s):
+        self._samples += 1
+        if self._samples == 3:
+            raise RuntimeError("policy failed mid-run")
+        return super().update_hottest(hottest, time_s, dt_s)
 
 
 class TestGeneratorCleanup:
@@ -85,9 +99,7 @@ class TestGeneratorCleanup:
         # One run failing mid-sweep must close every other run's
         # suspended iter_run generator, not leave it to be finalised at
         # some arbitrary garbage collection.
-        from repro.errors import NumericalError
         from repro.sim.engine import SimulationEngine
-        from repro.sim.faults import FaultPlan
 
         captured = []
         original = SimulationEngine.iter_run
@@ -101,12 +113,9 @@ class TestGeneratorCleanup:
 
         poisoned = RunSpec(
             workload="gcc",
-            policy="none",
+            policy=_FailingPolicy,
             instructions=1_000_000,
             seed=1,
-            engine_config=EngineConfig(
-                fault_plan=FaultPlan(corrupt_power_at_step=3)
-            ),
         )
         healthy = [
             RunSpec(
@@ -117,7 +126,7 @@ class TestGeneratorCleanup:
             )
             for seed in (0, 2)
         ]
-        with pytest.raises(NumericalError):
+        with pytest.raises(RuntimeError, match="policy failed mid-run"):
             run_lockstep([healthy[0], poisoned, healthy[1]])
         assert len(captured) == 3
         assert all(gen.gi_frame is None for gen in captured)
@@ -228,7 +237,11 @@ def _counters(specs, lockstep, prefix):
     previous = obs_metrics.set_enabled(True)
     try:
         before = obs_metrics.REGISTRY.counter_values()
-        run_many(specs, lockstep=lockstep)
+        if lockstep:
+            run_many(specs)
+        else:
+            for spec in specs:
+                run_one(spec)
         after = obs_metrics.REGISTRY.counter_values()
     finally:
         obs_metrics.set_enabled(previous)

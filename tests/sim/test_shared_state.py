@@ -46,7 +46,7 @@ def test_run_one_is_independent_of_shared_state(monkeypatch):
     # both: it extends the shared noise stream and the bank's caches.
     specs = [_spec(name) for name in SPEC_BENCHMARK_NAMES]
     assert len(specs) == 9
-    run_many(specs, lockstep=True)
+    run_many(specs)
     assert batch._default_substrate()[1].network is network
     assert len(network.operator_bank._powers) > 0
 

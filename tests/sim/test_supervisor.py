@@ -1,6 +1,7 @@
 """The fault-tolerant sweep supervisor behind ``run_many``."""
 
 import json
+import time
 from dataclasses import replace
 from functools import partial
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.dtm import FetchGatingPolicy
 from repro.dtm.base import DtmPolicy
+from repro.dtm.none import NoDtmPolicy
 from repro.errors import InjectedFaultError, SimulationError
 from repro.sensors.faults import SensorFault
 from repro.sim import (
@@ -17,6 +19,7 @@ from repro.sim import (
     RunSpec,
     load_journal,
     run_many,
+    run_one,
     spec_digest,
 )
 from repro.sim.supervisor import (
@@ -76,6 +79,37 @@ class _InterruptingPolicy(DtmPolicy):
 
     def reset(self):
         pass
+
+
+def _exploding_policy():
+    """A policy factory that fails: an eligible spec that always fails."""
+    raise SimulationError("injected policy failure")
+
+
+class _FailingMidRunPolicy(NoDtmPolicy):
+    """Fails at its second sensor sample, after the run has begun."""
+
+    def __init__(self):
+        super().__init__()
+        self._samples = 0
+
+    def update_hottest(self, hottest, time_s, dt_s):
+        self._samples += 1
+        if self._samples == 2:
+            raise SimulationError("policy failed mid-run")
+        return super().update_hottest(hottest, time_s, dt_s)
+
+
+class _WedgedPolicy(NoDtmPolicy):
+    """Hangs its run at the first sensor sample, as a wedged worker."""
+
+    def update_hottest(self, hottest, time_s, dt_s):
+        time.sleep(15.0)
+        return super().update_hottest(hottest, time_s, dt_s)
+
+
+def _per_run(specs):
+    return [run_one(spec) for spec in specs]
 
 
 class TestSpecDigest:
@@ -195,10 +229,8 @@ class TestSerialSupervision:
             _spec(seed=1, plan=FaultPlan(crash_worker=True)),
         ]
         clean = [_spec(), _spec(seed=1)]
-        # Faulty specs run per-run (fault plans opt out of the lockstep
-        # default); the bit-identity reference must be per-run too.
         healed = run_many(faulty, retries=1)
-        reference = run_many(clean, lockstep=False)
+        reference = _per_run(clean)
         assert [_as_tuple(r) for r in healed] == [
             _as_tuple(r) for r in reference
         ]
@@ -276,9 +308,7 @@ class TestJournalAndResume:
     def test_resume_runs_only_unfinished_specs(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         specs = [_spec(), _spec(seed=1), _spec(seed=2)]
-        # Pin the per-run path: this test counts run_one invocations,
-        # which the lockstep default would bypass.
-        complete = run_many(specs, journal=str(path), lockstep=False)
+        complete = run_many(specs, journal=str(path))
 
         # Simulate a sweep killed after two finishes: drop the journal's
         # last line, then resume.
@@ -296,7 +326,8 @@ class TestJournalAndResume:
 
         try:
             batch.run_one = counting_run_one
-            resumed = run_many(specs, resume=str(path), lockstep=False)
+            # The one unfinished spec is a batch of one: one run_one.
+            resumed = run_many(specs, resume=str(path))
         finally:
             batch.run_one = original
         assert len(calls) == 1
@@ -319,7 +350,7 @@ class TestPoolSupervision:
         ]
         clean = [_spec(seed=s) for s in range(4)]
         healed = run_many(faulty, processes=2, timeout_s=60.0)
-        reference = run_many(clean, lockstep=False)
+        reference = _per_run(clean)
         assert [_as_tuple(r) for r in healed] == [
             _as_tuple(r) for r in reference
         ]
@@ -355,12 +386,11 @@ class TestPoolSupervision:
 
         monkeypatch.setattr(batch, "_get_pool", flaky_get_pool)
         specs = [_spec(seed=s) for s in range(4)]
-        # Pin the classic pool path: the mid-submit breakage being
-        # exercised lives in run_pool, not the lockstep-chunk runner.
-        healed = run_many(specs, processes=2, timeout_s=60.0, lockstep=False)
-        reference = run_many(
-            [_spec(seed=s) for s in range(4)], lockstep=False
-        )
+        # Three workers: a lockstep batch of two and two batches of
+        # one, so the pool breaks at the third submission.
+        healed = run_many(specs, processes=3, timeout_s=60.0)
+        assert not armed["flag"]
+        reference = _per_run([_spec(seed=s) for s in range(4)])
         assert [_as_tuple(r) for r in healed] == [
             _as_tuple(r) for r in reference
         ]
@@ -386,44 +416,90 @@ class TestPoolSupervision:
         healed = run_many(
             specs, processes=2, timeout_s=1.0, retries=1, backoff_s=0.0
         )
-        reference = run_many([_spec(), _spec(seed=1)], lockstep=False)
+        reference = _per_run([_spec(), _spec(seed=1)])
         assert [_as_tuple(r) for r in healed] == [
             _as_tuple(r) for r in reference
         ]
 
 
 class TestLockstepSupervision:
-    def test_lockstep_serial_heals_mid_batch_failure(self):
-        # A failed batch falls back to per-spec serial execution, whose
-        # numbers are the run_one numbers (lockstep reproduces them bit
-        # for bit), so that is the fault-free reference.
-        faulty = [
-            _spec(),
-            _spec(seed=1, plan=FaultPlan(crash_worker=True)),
+    def test_overdue_lockstep_batch_reruns_alone_uncharged(self):
+        # Three eligible specs over two workers: the wedged run and its
+        # neighbour share a lockstep batch, which runs overdue; both
+        # re-run alone without being charged, so only the wedged run's
+        # own timeout fails it, after one attempt.
+        specs = [
+            replace(_spec(), policy=_WedgedPolicy),
+            _spec(seed=1),
             _spec(seed=2),
         ]
-        clean = [_spec(), _spec(seed=1), _spec(seed=2)]
-        healed = run_many(faulty, lockstep=True, retries=1, backoff_s=0.0)
-        reference = run_many(clean, lockstep=False)
-        assert [_as_tuple(r) for r in healed] == [
-            _as_tuple(r) for r in reference
+        outcomes = run_many(
+            specs, processes=2, timeout_s=1.0, partial_results=True
+        )
+        failure = outcomes[0]
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "RunTimeoutError"
+        assert failure.attempts == 1
+        assert [_as_tuple(r) for r in outcomes[1:]] == [
+            _as_tuple(r) for r in _per_run(specs[1:])
         ]
 
+    def test_lockstep_serial_heals_mid_batch_failure(self):
+        # A failed batch re-runs its unfinished runs one by one, whose
+        # numbers are the run_one numbers (lockstep reproduces them bit
+        # for bit); the failing run is charged only for its own runs,
+        # not for the batch it broke.
+        specs = [
+            _spec(),
+            replace(_spec(seed=1), policy=_exploding_policy),
+            _spec(seed=2),
+        ]
+        outcomes = run_many(specs, partial_results=True)
+        reference = _per_run([specs[0], specs[2]])
+        assert [_as_tuple(outcomes[0]), _as_tuple(outcomes[2])] == [
+            _as_tuple(r) for r in reference
+        ]
+        assert isinstance(outcomes[1], RunFailure)
+        assert outcomes[1].error_type == "SimulationError"
+        assert outcomes[1].attempts == 1
+
+    def test_failing_batch_without_supervision_raises(self):
+        specs = [_spec(), replace(_spec(seed=1), policy=_exploding_policy)]
+        with pytest.raises(SimulationError, match="injected policy"):
+            run_many(specs)
+
+    def test_lockstep_pool_heals_failing_batch(self):
+        # Two workers, two lockstep batches of two; the one holding the
+        # failing spec re-runs as batches of one, uncharged.
+        specs = [
+            _spec(),
+            replace(_spec(seed=1), policy=_exploding_policy),
+            _spec(seed=2),
+            _spec(seed=3),
+        ]
+        outcomes = run_many(specs, processes=2, partial_results=True)
+        reference = _per_run([specs[0], specs[2], specs[3]])
+        assert [_as_tuple(outcomes[i]) for i in (0, 2, 3)] == [
+            _as_tuple(r) for r in reference
+        ]
+        assert isinstance(outcomes[1], RunFailure)
+        assert outcomes[1].attempts == 1
+
     def test_lockstep_pool_heals_worker_crash(self):
-        # Only the chunk containing the crash falls back to per-spec
-        # execution; every healed outcome must be bit-identical to the
-        # fault-free run, which is the same under both execution modes.
+        # The crashing spec (a fault plan) runs alone; its worker's
+        # death breaks the pool, and every batch in flight re-runs as
+        # batches of one.  Every healed outcome must be bit-identical to
+        # the fault-free run, which is the same under both execution
+        # modes.
         faulty = [
             _spec(seed=s) if s != 2
             else _spec(seed=2, plan=FaultPlan(crash_worker=True))
             for s in range(4)
         ]
         clean = [_spec(seed=s) for s in range(4)]
-        healed = run_many(
-            faulty, processes=2, lockstep=True, retries=1, backoff_s=0.0
-        )
-        lockstep_ref = run_many(clean, lockstep=True)
-        serial_ref = run_many(clean, lockstep=False)
+        healed = run_many(faulty, processes=2, retries=1, backoff_s=0.0)
+        lockstep_ref = run_many(clean)
+        serial_ref = _per_run(clean)
         for got, a, b in zip(healed, lockstep_ref, serial_ref):
             assert _as_tuple(got) == _as_tuple(a) == _as_tuple(b)
 
@@ -440,7 +516,7 @@ class TestLockstepSupervision:
         short = replace(
             _spec(policy="none"), instructions=20_000, settle_time_s=0.0
         )
-        failing = _spec(seed=1, plan=FaultPlan(corrupt_power_at_step=5))
+        failing = replace(_spec(seed=1), policy=_FailingMidRunPolicy)
         unfinished = _spec(seed=2)
         specs = [short, failing, unfinished]
         digests = [spec_digest(spec) for spec in specs]
@@ -464,20 +540,18 @@ class TestLockstepSupervision:
 
         monkeypatch.setattr(lockstep, "run_lockstep", watched_run_lockstep)
         monkeypatch.setattr(batch, "run_one", counting_run_one)
-        outcomes = run_many(
-            specs, lockstep=True, partial_results=True, journal=str(path)
-        )
+        outcomes = run_many(specs, partial_results=True, journal=str(path))
 
         assert journal_at_failure == [{digests[0]}]
         assert calls == [1, 2]
         assert isinstance(outcomes[1], RunFailure)
-        assert outcomes[1].error_type == "NumericalError"
+        assert outcomes[1].error_type == "SimulationError"
         journalled = [
             json.loads(line)["digest"]
             for line in path.read_text().splitlines()
         ]
         assert sorted(journalled) == sorted([digests[0], digests[2]])
-        reference = run_many([short, unfinished], lockstep=False)
+        reference = _per_run([short, unfinished])
         assert [outcomes[0].to_json_dict(), outcomes[2].to_json_dict()] == [
             r.to_json_dict() for r in reference
         ]
@@ -500,9 +574,9 @@ class TestLockstepSupervision:
 
         with listen_outcomes(listener):
             outcomes = run_many(
-                specs, lockstep=True, partial_results=True, journal=str(path)
+                specs, partial_results=True, journal=str(path)
             )
-        run_many([short], lockstep=False)
+        run_many([short])
 
         assert sorted(index for index, _, _ in reported) == [0, 1, 2]
         assert reported[0][0] == 2
@@ -538,15 +612,18 @@ class TestInterruptsPassThrough:
         return calls
 
     def test_run_serial(self, monkeypatch):
+        # Traced specs run one by one.
+        traced = EngineConfig(record_trace=True)
+        specs = [replace(s, engine_config=traced) for s in self._specs()]
         calls = self._count_run_one(monkeypatch)
         with pytest.raises(_Interrupted):
-            run_many(self._specs(), lockstep=False, **self.SUPERVISED)
+            run_many(specs, **self.SUPERVISED)
         assert calls == [0, 1]
 
     def test_run_lockstep_serial(self, monkeypatch):
         calls = self._count_run_one(monkeypatch)
         with pytest.raises(_Interrupted):
-            run_many(self._specs(), lockstep=True, **self.SUPERVISED)
+            run_many(self._specs(), **self.SUPERVISED)
         assert calls == []
 
     def test_lockstep_pool_dispatch(self, monkeypatch):
@@ -561,5 +638,5 @@ class TestInterruptsPassThrough:
         )
         with pytest.raises(_Interrupted):
             run_many(
-                self._specs(), processes=2, lockstep=True, **self.SUPERVISED
+                self._specs(), processes=2, **self.SUPERVISED
             )

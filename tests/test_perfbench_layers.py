@@ -39,7 +39,7 @@ def test_lockstep_sweep_records_stride_layers():
     tracer = layers.Tracer()
     layers.install(tracer)
     try:
-        run_many(specs, lockstep=True)
+        run_many(specs)
     finally:
         layers.uninstall(tracer)
     totals = tracer.totals()
@@ -55,12 +55,13 @@ def test_lockstep_sweep_records_stride_layers():
     ) == originals
 
 
-def _traced(layers, specs, **kwargs):
+def _traced(layers, sweeps):
     tracer = layers.Tracer()
     layers.install(tracer)
     patches = list(tracer.patches)
     try:
-        run_many(specs, **kwargs)
+        for specs in sweeps:
+            run_many(specs)
     finally:
         layers.uninstall(tracer)
     return tracer.totals(), patches
@@ -77,7 +78,7 @@ def test_dual_core_run_records_step_layers():
         duration_s=1.0e-3,
         settle_time_s=2.0e-4,
     )
-    totals, _ = _traced(layers, [spec])
+    totals, _ = _traced(layers, [[spec]])
     for name in STEP_LAYERS:
         layer = getattr(layers, name)
         assert layer in totals and totals[layer].calls > 0, layer
@@ -89,7 +90,8 @@ def test_per_run_sweep_records_step_layers_and_restores_owners():
         RunSpec(workload="gcc", policy="Hyb", instructions=2_000_000, seed=seed)
         for seed in (0, 1)
     ]
-    totals, patches = _traced(layers, specs, lockstep=False)
+    # One-spec sweeps: each run alone.
+    totals, patches = _traced(layers, [[spec] for spec in specs])
     for name in STEP_LAYERS + ("DENSE",):
         layer = getattr(layers, name)
         assert layer in totals and totals[layer].calls > 0, layer
